@@ -20,6 +20,12 @@ output collapses to plain nearest rounding, while weighting the KL term (the
 default here, and the placement the stock hyperparameters were tuned for)
 leaves room for the data to steer near-tied coordinates.  Cranking ``lam``
 up under ``lambda_on="linear"`` recovers nearest rounding exactly.
+
+The default data stream samples fresh teacher sequences for every step, but
+presamples them in chunks of ``STREAM_CHUNK`` steps: one draw of uniforms
+per chunk, in the same order as per-step draws, and one sampler pass over
+the chunk's sequences, so the batches are exactly those of per-step
+sampling.  A caller-supplied stream is read one batch per step.
 """
 
 from __future__ import annotations
@@ -28,12 +34,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Bracket, InterpState, QuantGrid, bracket_of, interp_weights,
-                   nearer_up)
+from .grid import Bracket, QuantGrid, bracket_of, nearer_up
 from .optim import AdamW, warmup_cosine_lr
-from .toymodel import SampleBatch, ToyModel, kl_term, sample_sequences
+from .toymodel import SampleBatch, ToyModel, _sample_tokens, kl_term
+
+# unused here; kept importable because bench/spans.py traces them at these names
+from .grid import interp_weights  # noqa: F401
+from .toymodel import sample_sequences  # noqa: F401
 
 Array = np.ndarray
+
+STREAM_CHUNK = 128  # steps of the default stream sampled per pass
 
 
 class _Identity:
@@ -69,6 +80,8 @@ class DiscQuantConfig:
             raise ValueError("lr and clamp must be positive")
         if self.batch_size < 1 or self.iterations < 1:
             raise ValueError("batch_size and iterations must be >= 1")
+        if self.seq_length < 1:
+            raise ValueError("seq_length must be >= 1")
         if not 0 <= self.warmup <= self.iterations:
             raise ValueError("need 0 <= warmup <= iterations")
         if not 0 < self.tau < 0.5:
@@ -135,9 +148,20 @@ def finalize(x, bracket: Bracket, tau: float) -> Array:
 
 
 def _teacher_stream(teacher: ToyModel, cfg: DiscQuantConfig):
+    """``cfg.iterations`` teacher-sampled batches, presampled in chunks.
+
+    ``rng.random((k, seq_length, batch_size))`` holds the uniforms of k
+    per-step ``sample_sequences(teacher, batch_size, seq_length, rng=rng)``
+    calls in their order; a sampled row depends only on its own uniforms.
+    """
     rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 0x57E4]))
-    while True:
-        yield sample_sequences(teacher, cfg.batch_size, cfg.seq_length, rng=rng)
+    size, length = cfg.batch_size, cfg.seq_length
+    for start in range(0, cfg.iterations, STREAM_CHUNK):
+        k = min(STREAM_CHUNK, cfg.iterations - start)
+        uniforms = rng.random((k, length, size)).transpose(1, 0, 2).reshape(length, k * size)
+        seqs = _sample_tokens(teacher, uniforms)
+        for j in range(k):
+            yield SampleBatch(sequences=seqs[j * size:(j + 1) * size])
 
 
 def optimize(teacher: ToyModel, grid: QuantGrid, cfg: DiscQuantConfig,
@@ -148,7 +172,10 @@ def optimize(teacher: ToyModel, grid: QuantGrid, cfg: DiscQuantConfig,
     ``grid`` must be built over the teacher weights as seen in quantization
     space (identity by default; pass ``transform`` to round in a transformed
     space).  ``data_stream`` overrides the default stream of fresh
-    teacher-sampled batches; exhausting it raises ``ValueError``.
+    teacher-sampled batches and is read one batch per step; exhausting it
+    raises ``ValueError``.  The default stream is presampled in chunks of
+    ``STREAM_CHUNK`` steps from the same uniforms, drawn in the same order,
+    as per-step sampling, so its batches equal per-step samples exactly.
     """
     transform = transform or _Identity
     wq = transform.to_q(teacher.params)
@@ -162,13 +189,12 @@ def optimize(teacher: ToyModel, grid: QuantGrid, cfg: DiscQuantConfig,
     stream = iter(data_stream) if data_stream is not None else _teacher_stream(teacher, cfg)
 
     trace_linear, trace_kl, trace_frac = [], [], []
-    no_freeze = np.zeros(bracket.n, dtype=bool)
     for step in range(1, cfg.iterations + 1):
         try:
             batch = next(stream)
         except StopIteration:
             raise ValueError("data stream exhausted before the final iteration") from None
-        wq_x = interp_weights(InterpState(x, no_freeze, bracket))
+        wq_x = bracket.w_down * (1.0 - x) + bracket.w_up * x
         student = teacher.with_params(transform.from_q(wq_x))
         kl_value, kl_grad_model = kl_term(teacher, student, batch)
         kl_grad_x = np.clip(transform.grad_to_q(kl_grad_model) * bracket.delta,

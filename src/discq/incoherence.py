@@ -15,6 +15,7 @@ dynamic range, which is its entire purpose).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,22 +40,26 @@ def fwht(a: Array, axis: int = -1) -> Array:
     """Unnormalized fast Walsh-Hadamard transform along ``axis``.
 
     O(dim log dim) butterfly recursion; the implied matrix is the Sylvester
-    Hadamard matrix H_dim.
+    Hadamard matrix H_dim.  Stages alternate between two buffers, viewed as
+    (before, blocks, 2, half, after) around the transformed axis.
     """
     a = np.asarray(a, dtype=np.float64)
-    moved = np.moveaxis(a, axis, -1).copy()
-    n = moved.shape[-1]
+    axis = range(a.ndim)[axis]
+    n = a.shape[axis]
     if not is_power_of_two(n):
         raise ValueError(f"transform length {n} is not a power of two")
-    lead = moved.shape[:-1]
-    half = 1
+    if n == 1:
+        return a.copy()
+    before, after = math.prod(a.shape[:axis]), math.prod(a.shape[axis + 1:])
+    bufs = (np.empty(a.shape), np.empty(a.shape))
+    src, half, k = a, 1, 0
     while half < n:
-        v = moved.reshape(*lead, n // (2 * half), 2, half)
-        lo = v[..., 0, :] + v[..., 1, :]
-        hi = v[..., 0, :] - v[..., 1, :]
-        moved = np.stack((lo, hi), axis=-2).reshape(*lead, n)
-        half *= 2
-    return np.moveaxis(moved, -1, axis)
+        s = src.reshape(before, n // (2 * half), 2, half, after)
+        d = bufs[k].reshape(s.shape)
+        np.add(s[:, :, 0], s[:, :, 1], out=d[:, :, 0])
+        np.subtract(s[:, :, 0], s[:, :, 1], out=d[:, :, 1])
+        src, half, k = bufs[k], 2 * half, 1 - k
+    return src
 
 
 @dataclass(frozen=True)
@@ -178,7 +183,9 @@ class ModelIncoherence:
             if left is None:
                 out[qa:qb] = w[a:b]
             else:
-                out[qa:qb] = transform_layer(w[a:b].reshape(shape), left, right).matrix.ravel()
+                padded = np.zeros((left.dim, right.dim))
+                padded[:shape[0], :shape[1]] = w[a:b].reshape(shape)
+                out[qa:qb] = rht_apply(right, rht_apply(left, padded, axis=0), axis=1).ravel()
         return out
 
     def from_q(self, q: Array) -> Array:
@@ -188,10 +195,8 @@ class ModelIncoherence:
             if left is None:
                 out[a:b] = q[qa:qb]
             else:
-                layer = TransformedLayer(matrix=q[qa:qb].reshape(left.dim, right.dim),
-                                         rows=shape[0], cols=shape[1],
-                                         left=left, right=right)
-                out[a:b] = untransform_layer(layer).ravel()
+                back = rht_inverse(left, q[qa:qb].reshape(left.dim, right.dim), axis=0)
+                out[a:b] = rht_inverse(right, back, axis=1)[:shape[0], :shape[1]].ravel()
         return out
 
     # the conjugation is linear, so gradients transport exactly like weights

@@ -79,7 +79,7 @@ def quantize_model(teacher: toymodel.ToyModel, bits: int, groupsize, method: str
         report = discquant.optimize(teacher, qgrid, cfg, transform=transform,
                                     data_stream=data_stream)
         rounded_q = report.quantized
-        fractional = int(round(report.fractional_fraction * qgrid.n))
+        fractional = int(np.count_nonzero(np.minimum(report.x, 1.0 - report.x) > cfg.tau))
     else:
         bracket = gridmod.bracket_of(wq, qgrid)
         cs = _walk_constraints(teacher, bracket, transform, walk_samples,

@@ -15,7 +15,10 @@ reproduces parameters, data, and gradients bit-identically.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -46,20 +49,12 @@ class ToyArch:
         """Reserved left-padding token (one extra embedding row)."""
         return self.vocab
 
-    def layout(self) -> dict[str, tuple[int, int, tuple[int, ...]]]:
-        """name -> (start, stop, shape); slices partition [0, n_params)."""
-        shapes = [("embed", (self.vocab + 1, self.emb)),
-                  ("w1", (self.hidden, self.context * self.emb)),
-                  ("b1", (self.hidden,))]
-        if self.layers == 2:
-            shapes += [("w2", (self.hidden, self.hidden)), ("b2", (self.hidden,))]
-        shapes += [("wout", (self.vocab, self.hidden)), ("bout", (self.vocab,))]
-        out, at = {}, 0
-        for name, shape in shapes:
-            size = int(np.prod(shape))
-            out[name] = (at, at + size, shape)
-            at += size
-        return out
+    def layout(self) -> Mapping[str, tuple[int, int, tuple[int, ...]]]:
+        """name -> (start, stop, shape); slices partition [0, n_params).
+
+        Built once per arch and shared, hence read-only.
+        """
+        return _layout(self)
 
     @property
     def n_params(self) -> int:
@@ -68,6 +63,22 @@ class ToyArch:
     def to_dict(self) -> dict:
         return {"vocab": self.vocab, "context": self.context, "hidden": self.hidden,
                 "layers": self.layers, "emb": self.emb}
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(arch: ToyArch) -> Mapping[str, tuple[int, int, tuple[int, ...]]]:
+    shapes = [("embed", (arch.vocab + 1, arch.emb)),
+              ("w1", (arch.hidden, arch.context * arch.emb)),
+              ("b1", (arch.hidden,))]
+    if arch.layers == 2:
+        shapes += [("w2", (arch.hidden, arch.hidden)), ("b2", (arch.hidden,))]
+    shapes += [("wout", (arch.vocab, arch.hidden)), ("bout", (arch.vocab,))]
+    out, at = {}, 0
+    for name, shape in shapes:
+        size = int(np.prod(shape))
+        out[name] = (at, at + size, shape)
+        at += size
+    return MappingProxyType(out)
 
 
 @dataclass(frozen=True)
@@ -110,17 +121,21 @@ class SampleBatch:
         if np.any(seqs < 0) or np.any(seqs >= arch.vocab):
             raise ValueError("token out of range")
         count, length = seqs.shape
-        possets = self.positions or tuple(tuple(range(length)) for _ in range(count))
-        prefixes, targets = [], []
-        for s in range(count):
-            for i in possets[s]:
-                if not 0 <= i < length:
-                    raise ValueError(f"position {i} outside sequence of length {length}")
-                window = seqs[s, max(0, i - arch.context):i]
-                pad = np.full(arch.context - len(window), arch.pad_id, dtype=np.int64)
-                prefixes.append(np.concatenate([pad, window]))
-                targets.append(seqs[s, i])
-        return np.array(prefixes, dtype=np.int64), np.array(targets, dtype=np.int64)
+        if self.positions is None:
+            seq_ids = np.repeat(np.arange(count), length)
+            pos = np.tile(np.arange(length), count)
+        else:
+            seq_ids = np.repeat(np.arange(count), [len(p) for p in self.positions])
+            pos = np.array([i for p in self.positions for i in p], dtype=np.int64)
+            bad = (pos < 0) | (pos >= length)
+            if bad.any():
+                raise ValueError(f"position {pos[bad][0]} outside sequence of length {length}")
+        # position i of a sequence left-padded by `context` pads sits at column
+        # i + context, so its prefix window is columns i .. i + context - 1
+        padded = np.concatenate(
+            [np.full((count, arch.context), arch.pad_id, dtype=np.int64), seqs], axis=1)
+        prefixes = padded[seq_ids[:, None], pos[:, None] + np.arange(arch.context)]
+        return prefixes, seqs[seq_ids, pos]
 
 
 @dataclass(frozen=True)
@@ -273,16 +288,24 @@ def sample_sequences(model: ToyModel, count: int, length: int = 8, seed: int = 0
     """Autoregressively sample token sequences from the model itself."""
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xDA7A]))
+    return SampleBatch(sequences=_sample_tokens(model, rng.random((length, count))))
+
+
+def _sample_tokens(model: ToyModel, uniforms: Array) -> Array:
+    """Sample ``count`` sequences of ``length`` tokens by inverse CDF.
+
+    ``uniforms`` has shape (length, count): row i drives position i of every
+    sequence.  Rows of the result depend only on their own column of
+    ``uniforms``, so one call over many sequences equals separate calls.
+    """
     arch = model.arch
-    seqs = np.empty((count, length), dtype=np.int64)
+    length, count = uniforms.shape
+    buf = np.full((count, arch.context + length), arch.pad_id, dtype=np.int64)
     for i in range(length):
-        window = seqs[:, max(0, i - arch.context):i]
-        pad = np.full((count, arch.context - window.shape[1]), arch.pad_id, dtype=np.int64)
-        cache = _forward(model, np.concatenate([pad, window], axis=1))
-        u = rng.random(count)
-        seqs[:, i] = (cache["p"].cumsum(axis=1) < u[:, None]).sum(axis=1)
-    np.clip(seqs, 0, arch.vocab - 1, out=seqs)
-    return SampleBatch(sequences=seqs)
+        cache = _forward(model, buf[:, i:i + arch.context])
+        buf[:, arch.context + i] = (cache["p"].cumsum(axis=1)
+                                    < uniforms[i][:, None]).sum(axis=1)
+    return np.clip(buf[:, arch.context:], 0, arch.vocab - 1)
 
 
 def ce_loss_rows(model: ToyModel, batch: SampleBatch) -> Array:

@@ -3,7 +3,10 @@
 Everything here is deliberately naive: finite differences for gradients,
 Gram-Schmidt for projectors, exhaustive active-set enumeration for polytope
 vertices, and dense matrix products for transforms.  None of it shares code
-with the paths it verifies.
+with the paths it verifies, except the last group: earlier, loop-based
+implementations of vectorized paths, kept as bit-exact references.  They
+reuse the library's forward pass and transforms because the paths they pin
+must agree with them to the last bit, not to a tolerance.
 """
 
 from __future__ import annotations
@@ -93,3 +96,87 @@ def nearest_point_bruteforce(w: float, points: np.ndarray) -> float:
 def direct_kl(p_teacher: np.ndarray, p_student: np.ndarray) -> float:
     """Plain sum over the vocabulary of p log(p/q)."""
     return float(np.sum(p_teacher * (np.log(p_teacher) - np.log(p_student))))
+
+
+# --- earlier implementations, kept as bit-exact references -----------------
+
+
+def loop_rows(batch, arch) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix windows and targets built one position at a time."""
+    seqs = batch.sequences
+    count, length = seqs.shape
+    possets = batch.positions or tuple(tuple(range(length)) for _ in range(count))
+    prefixes, targets = [], []
+    for s in range(count):
+        for i in possets[s]:
+            window = seqs[s, max(0, i - arch.context):i]
+            pad = np.full(arch.context - len(window), arch.pad_id, dtype=np.int64)
+            prefixes.append(np.concatenate([pad, window]))
+            targets.append(seqs[s, i])
+    return np.array(prefixes, dtype=np.int64), np.array(targets, dtype=np.int64)
+
+
+def per_position_sample(model, count: int, length: int, rng) -> np.ndarray:
+    """Autoregressive sampling with one uniform draw per position."""
+    from discq.toymodel import _forward
+
+    arch = model.arch
+    seqs = np.empty((count, length), dtype=np.int64)
+    for i in range(length):
+        window = seqs[:, max(0, i - arch.context):i]
+        pad = np.full((count, arch.context - window.shape[1]), arch.pad_id, dtype=np.int64)
+        cache = _forward(model, np.concatenate([pad, window], axis=1))
+        u = rng.random(count)
+        seqs[:, i] = (cache["p"].cumsum(axis=1) < u[:, None]).sum(axis=1)
+    np.clip(seqs, 0, arch.vocab - 1, out=seqs)
+    return seqs
+
+
+def per_step_teacher_stream(teacher, cfg, steps: int) -> list[np.ndarray]:
+    """The DiscQuant default stream sampled one step at a time."""
+    rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 0x57E4]))
+    return [per_position_sample(teacher, cfg.batch_size, cfg.seq_length, rng)
+            for _ in range(steps)]
+
+
+def stack_fwht(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Walsh-Hadamard butterfly that restacks its halves at every stage."""
+    moved = np.moveaxis(np.asarray(a, dtype=np.float64), axis, -1).copy()
+    n = moved.shape[-1]
+    lead = moved.shape[:-1]
+    half = 1
+    while half < n:
+        v = moved.reshape(*lead, n // (2 * half), 2, half)
+        lo = v[..., 0, :] + v[..., 1, :]
+        hi = v[..., 0, :] - v[..., 1, :]
+        moved = np.stack((lo, hi), axis=-2).reshape(*lead, n)
+        half *= 2
+    return np.moveaxis(moved, -1, axis)
+
+
+def layerwise_to_q(incoherence, w: np.ndarray) -> np.ndarray:
+    """ModelIncoherence.to_q through transform_layer, block by block."""
+    from discq.incoherence import transform_layer
+
+    out = np.empty(incoherence.n_q)
+    for _, a, b, shape, left, right, qa, qb in incoherence.blocks:
+        if left is None:
+            out[qa:qb] = w[a:b]
+        else:
+            out[qa:qb] = transform_layer(w[a:b].reshape(shape), left, right).matrix.ravel()
+    return out
+
+
+def layerwise_from_q(incoherence, q: np.ndarray) -> np.ndarray:
+    """ModelIncoherence.from_q through untransform_layer, block by block."""
+    from discq.incoherence import TransformedLayer, untransform_layer
+
+    out = np.empty(incoherence.arch.n_params)
+    for _, a, b, shape, left, right, qa, qb in incoherence.blocks:
+        if left is None:
+            out[a:b] = q[qa:qb]
+        else:
+            layer = TransformedLayer(matrix=q[qa:qb].reshape(left.dim, right.dim),
+                                     rows=shape[0], cols=shape[1], left=left, right=right)
+            out[a:b] = untransform_layer(layer).ravel()
+    return out

@@ -1,14 +1,18 @@
 """Projected-SGD rounding: steering vector, box feasibility, limits, wins."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from discq.discquant import (DiscQuantConfig, NonFiniteObjective, cstar,
-                             finalize, init_x, optimize)
+from discq.discquant import (STREAM_CHUNK, DiscQuantConfig, NonFiniteObjective,
+                             _teacher_stream, cstar, finalize, init_x, optimize)
 from discq.grid import bracket_of, build_block_scaling, explicit_grid, rtn
-from discq.toymodel import kl_term, random_model, sample_sequences
+from discq.pipeline import _child_seed, quantize_model
+from discq.toymodel import ToyArch, kl_term, random_model, sample_sequences
+
+from oracles import per_step_teacher_stream
 
 
 class TestCstar:
@@ -83,6 +87,21 @@ def tiny_cfg(**over):
     base = dict(iterations=60, warmup=10, batch_size=2, seq_length=6)
     base.update(over)
     return DiscQuantConfig(**base)
+
+
+class TestTeacherStream:
+    @pytest.mark.parametrize("arch", [ToyArch(), ToyArch(layers=2)])
+    @pytest.mark.parametrize("seed", [0, 9])
+    @pytest.mark.parametrize("iterations", [5, 2 * STREAM_CHUNK + 37])
+    def test_chunks_equal_per_step_sampling(self, arch, seed, iterations):
+        teacher = random_model(arch, seed=30 + seed)
+        cfg = DiscQuantConfig(iterations=iterations, warmup=1, batch_size=3,
+                              seq_length=7, seed=seed)
+        batches = list(_teacher_stream(teacher, cfg))
+        reference = per_step_teacher_stream(teacher, cfg, iterations)
+        assert len(batches) == iterations
+        for batch, seqs in zip(batches, reference):
+            np.testing.assert_array_equal(batch.sequences, seqs)
 
 
 class TestOptimize:
@@ -181,6 +200,19 @@ class TestOptimize:
             optimize(teacher.with_params(bad * 1e200), grid, tiny_cfg(seed=7))
 
 
+class TestPipelineCount:
+    def test_fractional_is_counted_on_x(self):
+        teacher = random_model(seed=18)
+        cfg = tiny_cfg(iterations=8, warmup=2)
+        out = quantize_model(teacher, 3, 16, "discquant", seed=4, dq_cfg=cfg)
+        blocks = [(a, b) for a, b, _ in teacher.arch.layout().values()]
+        grid = build_block_scaling(teacher.params, bits=3, groupsize=16, blocks=blocks)
+        rep = optimize(teacher, grid, dataclasses.replace(cfg, seed=_child_seed(4, 0xD9)))
+        np.testing.assert_array_equal(out.model.params, rep.model_params)
+        expected = int(np.sum(np.minimum(rep.x, 1.0 - rep.x) > cfg.tau))
+        assert out.fractional == expected > 0
+
+
 class TestConfigValidation:
     def test_bounds(self):
         with pytest.raises(ValueError):
@@ -193,3 +225,8 @@ class TestConfigValidation:
             DiscQuantConfig(lambda_on="both")
         with pytest.raises(ValueError):
             DiscQuantConfig(init="midpoint")
+
+    @pytest.mark.parametrize("length", [0, -1])
+    def test_seq_length_rejected(self, length):
+        with pytest.raises(ValueError, match="seq_length must be >= 1"):
+            DiscQuantConfig(seq_length=length)

@@ -10,7 +10,8 @@ from discq.incoherence import (RHT, ModelIncoherence, fwht, is_power_of_two,
 from discq.toymodel import (ToyArch, forward_next_token, kl_term, random_model,
                             sample_sequences)
 
-from oracles import naive_hadamard_apply
+from oracles import (layerwise_from_q, layerwise_to_q, naive_hadamard_apply,
+                     stack_fwht)
 
 
 class TestFwht:
@@ -31,6 +32,16 @@ class TestFwht:
         fast = rht_apply(t, v)
         naive = naive_hadamard_apply(t.signs, v)
         np.testing.assert_allclose(fast, naive, atol=1e-10)
+
+    @pytest.mark.parametrize("dim", [1, 2, 4, 8, 16, 32, 64])
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_matches_stacked_butterfly(self, dim, axis):
+        shape = [3, 5, 2]
+        shape[axis] = dim
+        a = np.random.default_rng(dim).standard_normal(shape)
+        out = fwht(a, axis=axis)
+        np.testing.assert_array_equal(out, stack_fwht(a, axis=axis))
+        assert not np.shares_memory(out, a)
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
@@ -157,6 +168,16 @@ class TestModelIncoherence:
         np.testing.assert_array_equal(a.to_q(w), b.to_q(w))
         c = ModelIncoherence(arch, seed=9)
         assert not np.array_equal(a.to_q(w), c.to_q(w))
+
+    @pytest.mark.parametrize("arch", [ToyArch(), ToyArch(layers=2)])
+    def test_matches_layerwise_transforms(self, arch):
+        tr = ModelIncoherence(arch, seed=3)
+        rng = np.random.default_rng(15)
+        w = random_model(arch, seed=15).params
+        np.testing.assert_array_equal(tr.to_q(w), layerwise_to_q(tr, w))
+        q = rng.standard_normal(tr.n_q)
+        np.testing.assert_array_equal(tr.from_q(q), layerwise_from_q(tr, q))
+        np.testing.assert_array_equal(tr.grad_to_q(w), layerwise_to_q(tr, w))
 
 
 class TestPipeline:

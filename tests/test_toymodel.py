@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discq.grid import build_block_scaling, explicit_grid, rtn
 from discq.toymodel import (SampleBatch, ToyArch, ToyModel, ce_loss_rows,
@@ -12,7 +14,7 @@ from discq.toymodel import (SampleBatch, ToyArch, ToyModel, ce_loss_rows,
                             sample_sequences, save_checkpoint,
                             train_to_convergence)
 
-from oracles import central_diff, direct_kl
+from oracles import central_diff, direct_kl, loop_rows, per_position_sample
 
 
 def probe_indices(rng, n, count=32):
@@ -271,6 +273,41 @@ class TestBatchesAndCheckpoints:
         # position 0 is fully padded
         assert np.all(prefixes[0] == arch.pad_id)
 
+    def test_position_out_of_range(self):
+        batch = SampleBatch(np.array([[1, 2, 3], [4, 5, 6]]), positions=((0,), (1, 3)))
+        with pytest.raises(ValueError, match="position 3 outside sequence of length 3"):
+            batch.rows(ToyArch())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_rows_match_reference_loop(self, data):
+        arch = ToyArch(vocab=data.draw(st.integers(2, 12)),
+                       context=data.draw(st.integers(1, 6)))
+        count = data.draw(st.integers(1, 5))
+        length = data.draw(st.integers(1, 9))
+        tokens = st.integers(0, arch.vocab - 1)
+        seqs = np.array(data.draw(st.lists(st.lists(tokens, min_size=length, max_size=length),
+                                           min_size=count, max_size=count)))
+        subsets = st.lists(st.integers(0, length - 1), max_size=2 * length).map(tuple)
+        positions = data.draw(st.none() | st.lists(subsets, min_size=count,
+                                                   max_size=count).map(tuple))
+        batch = SampleBatch(seqs, positions=positions)
+        prefixes, targets = batch.rows(arch)
+        ref_prefixes, ref_targets = loop_rows(batch, arch)
+        assert prefixes.shape == (len(ref_targets), arch.context)
+        assert prefixes.dtype == targets.dtype == np.int64
+        np.testing.assert_array_equal(prefixes, ref_prefixes.reshape(prefixes.shape))
+        np.testing.assert_array_equal(targets, ref_targets)
+
+    @pytest.mark.parametrize("arch", [ToyArch(), ToyArch(layers=2)])
+    @pytest.mark.parametrize("count,length", [(1, 1), (3, 8), (17, 5)])
+    def test_sampling_matches_per_position_draws(self, arch, count, length):
+        model = random_model(arch, seed=72)
+        batch = sample_sequences(model, count, length, seed=4)
+        rng = np.random.default_rng(np.random.SeedSequence([4, 0xDA7A]))
+        np.testing.assert_array_equal(batch.sequences,
+                                      per_position_sample(model, count, length, rng))
+
     def test_sampling_determinism(self):
         model = random_model(seed=70)
         a = sample_sequences(model, 5, seed=9).sequences
@@ -298,3 +335,22 @@ class TestBatchesAndCheckpoints:
         rows = ce_loss_rows(model, batch)
         assert rows.shape == (4 * 8,)
         assert np.all(np.isfinite(rows)) and np.all(rows > 0)
+
+
+class TestLayout:
+    def test_read_only(self):
+        layout = ToyArch().layout()
+        with pytest.raises(TypeError):
+            layout["embed"] = (0, 1, (1,))
+        with pytest.raises(TypeError):
+            del layout["w1"]
+
+    def test_cached_per_arch(self):
+        one, two = ToyArch().layout(), ToyArch(layers=2).layout()
+        assert ToyArch().layout() is one
+        assert one != two
+        assert "w2" in two and "w2" not in one
+
+    def test_n_params_unchanged(self):
+        assert ToyArch().n_params == 1720
+        assert ToyArch(layers=2).n_params == 2776
