@@ -14,12 +14,23 @@ definition above:
   n-dimensional Gaussian with the active-set projector zeroes the frozen
   components anyway, and the restriction of an i.i.d. Gaussian to a
   coordinate subspace is again i.i.d. Gaussian.
-* The projector is fully recomputed after every freeze event (never
-  incrementally updated).  The orthonormal row basis comes from an
-  eigendecomposition of the constraint Gram matrix, which is an order of
-  magnitude faster than a QR factorization at these shapes and yields the
-  identical projector (rank-deficient row sets are handled by eigenvalue
-  cutoff).
+* The projector is kept across freezes rather than rebuilt after each one
+  (:class:`_KeptProjector`).  A refresh builds an orthonormal basis B
+  (k x free, k the numerical rank) of the free columns' row space from an
+  eigendecomposition of their Gram matrix, which is an order of magnitude
+  faster than a QR factorization at these shapes and handles rank-deficient
+  row sets by eigenvalue cutoff.  Freezing one coordinate drops its column
+  b from B, and ``K = (B Bᵀ)⁻¹`` (the identity after a refresh) follows by a
+  Sherman–Morrison downdate, ``K += K b bᵀ K / (1 - bᵀ K b)``; a step g is
+  projected as ``g - ((g Bᵀ) K) B``.  The rows of the shrunk B still span
+  the row space of the remaining free columns, so this is the same
+  orthogonal projection, exact up to round-off: Lovett–Meka
+  (arXiv:1203.5747) need each step projected exactly, not the projector
+  recomputed from scratch.  The basis is refreshed when several
+  coordinates freeze at once, when ``1 - bᵀ K b`` falls below
+  ``_DOWNDATE_FLOOR`` (rank loss), every ``_REFRESH_EVERY`` downdates (to
+  bound drift), and at every freeze once ``free <= 2 k``, so saturation
+  (rank >= free) is always decided by the eigenvalue rank test.
 * Steps are drawn and screened in blocks; a block is interrupted at the first
   row that lands a coordinate within ``eps`` of a face, and that single step
   is shortened (or minimally extended, when the band was entered without
@@ -40,6 +51,8 @@ Array = np.ndarray
 
 RESIDUAL_LIMIT = 1e-6  # enforced on every phase output
 _BLOCK_MIN, _BLOCK_MAX = 8, 256
+_REFRESH_EVERY = 64  # downdates between full basis refreshes
+_DOWNDATE_FLOOR = 1e-3  # smaller 1 - bᵀ K b means rank loss: refresh
 
 
 class MaxPhasesExceeded(RuntimeError):
@@ -158,6 +171,48 @@ def _rowspace_basis(rows: Array) -> Array:
     return (evecs[:, keep] / np.sqrt(evals[keep])).T @ rows
 
 
+class _KeptProjector:
+    """Projection onto the null space of ``m_unit[:, free]`` as ``free`` shrinks.
+
+    ``basis`` holds the k rows of the last refresh's orthonormal basis,
+    restricted to the free columns, and ``_k`` the inverse of their Gram
+    matrix; see the module notes for the downdate and the refresh triggers.
+    """
+
+    def __init__(self, m_unit: Array, free: Array):
+        self._m_unit = m_unit
+        self.free = free
+        self._refresh()
+
+    def _refresh(self):
+        self.basis = _rowspace_basis(self._m_unit[:, self.free])
+        self._k = np.eye(self.basis.shape[0])
+        self._downdates = 0
+
+    @property
+    def saturated(self) -> bool:
+        """No free direction is left (rank >= free count)."""
+        return self.basis.shape[0] >= self.free.size
+
+    def project(self, g: Array) -> Array:
+        return g - ((g @ self.basis.T) @ self._k) @ self.basis
+
+    def drop(self, gone: Array):
+        """Freeze the free coordinates selected by the boolean mask ``gone``."""
+        b = self.basis[:, gone]
+        self.free = self.free[~gone]
+        self.basis = self.basis[:, ~gone]
+        if (b.shape[1] == 1 and self._downdates < _REFRESH_EVERY
+                and self.free.size > 2 * self.basis.shape[0]):
+            u = self._k @ b[:, 0]
+            den = 1.0 - float(b[:, 0] @ u)
+            if den > _DOWNDATE_FLOOR:
+                self._k += np.outer(u, u) / den
+                self._downdates += 1
+                return
+        self._refresh()
+
+
 def _resolve_step(xf: Array, s: Array, eps: float):
     """Resolve one proposed step ``xf -> xf + s`` against the face bands.
 
@@ -166,13 +221,13 @@ def _resolve_step(xf: Array, s: Array, eps: float):
     coordinate lands exactly on the face it was moving toward.
     """
     prop = xf + s
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_face = np.where(s > 0, (1.0 - xf) / s, np.where(s < 0, -xf / s, np.inf))
     toward = ((s > 0) & (prop >= 1.0 - eps)) | ((s < 0) & (prop <= eps))
     if not np.any(toward):
         # only band-sitters moving away from their face; no crossing possible
         return prop, None
-    t = min(float(t_face[toward].min()), float(t_face.min()))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_face = np.where(s > 0, (1.0 - xf) / s, np.where(s < 0, -xf / s, np.inf))
+    t = float(t_face.min())
     landed = xf + t * s
     on_face = t_face == t
     landed[on_face & (s > 0)] = 1.0
@@ -192,18 +247,18 @@ def _run_phase(m_unit: Array, x: Array, frozen: Array, cfg: WalkConfig,
     free = np.flatnonzero(~frozen)
     if free.size == 0:
         return PhaseResult(x, frozen, True, 0)
-    basis = _rowspace_basis(m_unit[:, free])
-    if basis.shape[0] >= free.size:
+    proj = _KeptProjector(m_unit, free)
+    if proj.saturated:
         return PhaseResult(x, frozen, True, 0)
 
     xf = x[free]
     steps_left = cfg.steps_per_phase
     block = _BLOCK_MIN
     eps, delta = cfg.eps, cfg.delta
-    while steps_left > 0 and free.size:
+    while steps_left > 0:
         nsteps = min(block, steps_left)
         gauss = rng.standard_normal((nsteps, free.size))
-        moves = delta * (gauss - (gauss @ basis.T) @ basis)
+        moves = delta * proj.project(gauss)
         path = xf + np.cumsum(moves, axis=0)
         in_band = (path <= eps) | (path >= 1.0 - eps)
         trigger_rows = np.flatnonzero(in_band.any(axis=1))
@@ -221,16 +276,14 @@ def _run_phase(m_unit: Array, x: Array, frozen: Array, cfg: WalkConfig,
             xf = landed
             steps_left -= int(k) + 1
             froze_at = k
-            # write back, freeze, shrink the free set, rebuild the projector
+            # write back, freeze, shrink the free set and the projector
             x[free] = xf
-            newly = free[on_face]
-            frozen[newly] = True
-            free = free[~on_face]
+            frozen[free[on_face]] = True
+            proj.drop(on_face)
+            free = proj.free
             xf = x[free]
-            if free.size:
-                basis = _rowspace_basis(m_unit[:, free])
-                if basis.shape[0] >= free.size:
-                    free = free[:0]  # saturated mid-phase: stop walking
+            if proj.saturated:
+                steps_left = 0  # no free direction left: stop walking
             break
         if froze_at < 0:
             xf = path[-1]
@@ -238,8 +291,7 @@ def _run_phase(m_unit: Array, x: Array, frozen: Array, cfg: WalkConfig,
             block = min(block * 2, _BLOCK_MAX)
         else:
             block = _BLOCK_MIN
-    if free.size:
-        x[free] = xf
+    x[free] = xf
     return PhaseResult(x, frozen, False, int(frozen.sum()) - start_frozen)
 
 

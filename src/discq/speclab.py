@@ -9,7 +9,7 @@ moment ratios, which is what the estimator-error rates require.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -207,9 +207,7 @@ def generalization_study(spec: SpectrumSpec, m_grid, trials: int,
             y = rng.random(spec.n)
             grads = sample_gradients(spec, m, trial_seed)
             res = lm_round(ConstraintSet(grads, y),
-                           WalkConfig(delta=walk_cfg.delta, eps=walk_cfg.eps,
-                                      steps_per_phase=walk_cfg.steps_per_phase,
-                                      max_phases=walk_cfg.max_phases, seed=trial_seed))
+                           replace(walk_cfg, seed=trial_seed))
             quad[i, t] = spec.quad_form(res.x - y)
             fractional[i, t] = res.fractional
     keep = [i for i, m in enumerate(ms) if m > 0]

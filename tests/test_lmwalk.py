@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discq.grid import bracket_of, build_block_scaling
 from discq.discquant import finalize
 from discq.lmwalk import (ConstraintSet, MaxPhasesExceeded, WalkConfig,
                           fractional_count, lm_phase, lm_round,
                           vertex_integrality_check, walk_variance_probe,
-                          _rowspace_basis)
+                          _KeptProjector, _rowspace_basis)
 
 from oracles import brute_force_vertices, gram_schmidt_projector
 
@@ -18,6 +20,17 @@ def random_instance(n, m, seed, rng_y=None):
     matrix = rng.standard_normal((m, n))
     y = rng.random(n) if rng_y is None else rng_y
     return ConstraintSet(matrix, y)
+
+
+def rank_deficient_instance(n, seed):
+    """Rows a (4 x n), 2 a[:2] and a[0] + a[1]: rank 4 from 7 rows."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((4, n))
+    return ConstraintSet(np.vstack([a, 2 * a[:2], a[0] + a[1]]), rng.random(n))
+
+
+def unit(rows):
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
 class TestProjector:
@@ -42,6 +55,58 @@ class TestProjector:
     def test_empty_rows(self):
         basis = _rowspace_basis(np.zeros((0, 5)))
         assert basis.shape == (0, 5)
+
+
+class TestKeptProjector:
+    """The downdated projector against Gram-Schmidt on the remaining columns."""
+
+    @staticmethod
+    def drop_to_saturation(m_unit, seed):
+        # single drops run the downdate, multi-column drops force a refresh;
+        # every drop is checked until the projector reports saturation
+        rng = np.random.default_rng(seed)
+        proj = _KeptProjector(m_unit, np.arange(m_unit.shape[1]))
+        ranks = [(proj.free.size, proj.basis.shape[0])]
+        while not proj.saturated:
+            size = 1 if rng.random() < 0.8 else int(rng.integers(2, 5))
+            gone = np.zeros(proj.free.size, bool)
+            gone[rng.choice(proj.free.size, min(size, proj.free.size), replace=False)] = True
+            proj.drop(gone)
+            rows = m_unit[:, proj.free]
+            np.testing.assert_allclose(proj.project(np.eye(proj.free.size)),
+                                       gram_schmidt_projector(rows), atol=1e-10)
+            assert proj.saturated == (_rowspace_basis(rows).shape[0] >= proj.free.size)
+            ranks.append((proj.free.size, proj.basis.shape[0]))
+        return ranks
+
+    def test_gaussian_rows(self):
+        # 160 columns at rank 4 give more single drops than one refresh
+        # interval before free <= 2k
+        rng = np.random.default_rng(20)
+        for seed in range(3):
+            ranks = self.drop_to_saturation(unit(rng.standard_normal((4, 160))), seed)
+            assert ranks[0][1] == 4
+
+    def test_rank_deficient_rows(self):
+        cs = rank_deficient_instance(96, seed=21)
+        for seed in range(3):
+            ranks = self.drop_to_saturation(cs.unit_rows(), seed)
+            assert ranks[0][1] == 4
+
+    def test_rank_loss_while_downdating(self):
+        # a row on three columns leaves the row space once they are all
+        # frozen, which random drops mostly do long before free <= 2k: the
+        # downdate must detect the rank loss there
+        rng = np.random.default_rng(22)
+        rows = rng.standard_normal((4, 120))
+        rows[3] = 0.0
+        rows[3, :3] = rng.standard_normal(3)
+        m_unit = unit(rows)
+        early_losses = 0
+        for seed in range(3):
+            ranks = self.drop_to_saturation(m_unit, seed)
+            early_losses += any(k == 3 and free > 8 for free, k in ranks)
+        assert early_losses >= 1
 
 
 class TestPhase:
@@ -146,6 +211,24 @@ class TestRound:
         assert partial.fractional >= 0
         assert np.all(partial.x >= 0) and np.all(partial.x <= 1)
 
+    def test_rank_deficient_rows_walk_to_rank(self):
+        cs = rank_deficient_instance(512, seed=0)
+        res = lm_round(cs, WalkConfig(seed=0))
+        assert cs.residual(res.x, ord=2) <= 1e-6
+        assert res.fractional <= 4
+
+    def test_m64_walks_at_n2048(self):
+        # criterion 01's m=64 arm at n=1024 starts at its target (16m = n)
+        # and returns after 0 phases; n=2048 makes the walk do the work
+        for seed in range(3):
+            cs = random_instance(2048, 64, seed=300 + seed)
+            res = lm_round(cs, WalkConfig(seed=seed))
+            assert res.phases >= 1
+            assert res.fractional <= 1024
+            assert cs.residual(res.x, ord=2) <= 1e-6
+            assert np.all(res.x >= 0) and np.all(res.x <= 1)
+            assert np.all(np.isin(res.x[res.frozen], (0.0, 1.0)))
+
     def test_composition_with_grid_bracket(self):
         # walk in interpolation space, then snap leftovers: result on-grid
         rng = np.random.default_rng(33)
@@ -157,6 +240,28 @@ class TestRound:
         res = lm_round(cs, WalkConfig(seed=3))
         snapped = finalize(res.x, br, tau=1e-3)
         assert np.all((snapped == br.w_down) | (snapped == br.w_up))
+
+
+class TestWalkInvariants:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_phase_invariants(self, data):
+        n = data.draw(st.integers(16, 128))
+        m = data.draw(st.integers(1, n // 16))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((m, n))
+        if data.draw(st.booleans()):
+            rows = np.vstack([rows, -3.0 * rows[0]])
+        cs = ConstraintSet(rows, rng.random(n))
+        first = lm_phase(cs, cs.y, np.zeros(n, bool), WalkConfig(seed=seed))
+        second = lm_phase(cs, first.x, first.frozen, WalkConfig(seed=seed + 1))
+        for res in (first, second):
+            assert np.all(res.x >= 0) and np.all(res.x <= 1)
+            assert cs.residual(res.x, ord=2) <= 1e-6
+            assert np.all(np.isin(res.x[res.frozen], (0.0, 1.0)))
+        assert np.all(first.frozen <= second.frozen)
+        np.testing.assert_array_equal(second.x[first.frozen], first.x[first.frozen])
 
 
 class TestVertexOracle:
