@@ -14,10 +14,10 @@ from .discquant import (DiscQuantConfig, RoundingReport, cstar, finalize,
                         init_x, optimize)
 from .speclab import (SpectrumSpec, falpha_scaling_study, generalization_study,
                       jl_spectrum, sample_gradients, schatten1_error)
-from .incoherence import (RHT, ModelIncoherence, pipeline_with_incoherence,
-                          rht_apply, rht_inverse, transform_layer,
-                          untransform_layer)
+from .incoherence import (RHT, ModelIncoherence, rht_apply, rht_inverse,
+                          transform_layer, untransform_layer)
 from .pipeline import quantize_model
 from .harness import (ComparisonParams, ExperimentConfig, FirstOrderParams,
-                      Report, ScalingParams, emit, run_comparison,
-                      run_experiment, run_first_order, run_scaling)
+                      Report, ScalingParams, emit, pipeline_with_incoherence,
+                      run_comparison, run_experiment, run_first_order,
+                      run_scaling)

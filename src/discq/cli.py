@@ -11,11 +11,11 @@ import numpy as np
 
 from . import __version__
 from .discquant import DiscQuantConfig
-from .harness import ExperimentConfig, Report, emit, run_experiment
+from .harness import ExperimentConfig, emit, run_experiment
 from .incoherence import ModelIncoherence
 from .lmwalk import ConstraintSet, WalkConfig, lm_round
 from .pipeline import quantize_model
-from .serialize import canonical_json, floats_to_hex
+from .serialize import dump_record, floats_to_hex
 from .speclab import (SpectrumSpec, falpha_scaling_study, generalization_study,
                       jl_spectrum)
 from .toymodel import (ToyArch, gradient_rows, load_checkpoint, random_model,
@@ -59,43 +59,36 @@ def _cmd_walk(args) -> int:
         "frozen": [bool(b) for b in result.frozen],
         "x": floats_to_hex(result.x),
     }
-    with open(args.out, "w") as fh:
-        fh.write(canonical_json(record) + "\n")
+    dump_record(record, args.out)
     print(f"wrote {args.out} (fractional={result.fractional}, phases={result.phases})")
     return 0
 
 
-def _write_csv(path, columns, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
-
-
 def _cmd_speclab(args) -> int:
-    if args.study == "falpha":
+    if args.study in ("falpha", "gen"):
         spec = SpectrumSpec(n=args.n, alpha=args.alpha)
-        res = falpha_scaling_study(spec, _int_list(args.m_grid), args.trials, seed=args.seed)
-        rows = [(args.seed, args.alpha, m, float(res.means[i]), float(res.medians[i]))
+        if args.study == "falpha":
+            res = falpha_scaling_study(spec, _int_list(args.m_grid), args.trials,
+                                       seed=args.seed)
+            mean, median = "mean_error", "median_error"
+        else:
+            cfg = WalkConfig(delta=args.delta, seed=args.seed)
+            res = generalization_study(spec, _int_list(args.m_grid), args.trials, cfg,
+                                       seed=args.seed)
+            mean, median = "mean_quad", "median_quad"
+        rows = [{"seed": args.seed, "alpha": args.alpha, "m": m,
+                 mean: float(res.means[i]), median: float(res.medians[i])}
                 for i, m in enumerate(res.m_grid)]
-        _write_csv(args.out, ["seed", "alpha", "m", "mean_error", "median_error"], rows)
-        print(f"slope={res.slope:.4f} stderr={res.stderr:.4f} -> {args.out}")
-    elif args.study == "gen":
-        spec = SpectrumSpec(n=args.n, alpha=args.alpha)
-        cfg = WalkConfig(delta=args.delta, seed=args.seed)
-        res = generalization_study(spec, _int_list(args.m_grid), args.trials, cfg,
-                                   seed=args.seed)
-        rows = [(args.seed, args.alpha, m, float(res.means[i]), float(res.medians[i]))
-                for i, m in enumerate(res.m_grid)]
-        _write_csv(args.out, ["seed", "alpha", "m", "mean_quad", "median_quad"], rows)
+        emit({"rows": rows}, "csv", args.out)
         print(f"slope={res.slope:.4f} stderr={res.stderr:.4f} -> {args.out}")
     else:  # jl
         model = load_checkpoint(args.ckpt)
         batch = sample_sequences(model, args.samples, seed=args.seed)
         grads = gradient_rows(model, batch)
         evals = jl_spectrum(grads, d=args.d, seed=args.seed)
-        rows = [(args.seed, k + 1, float(v)) for k, v in enumerate(evals)]
-        _write_csv(args.out, ["seed", "rank", "eigenvalue"], rows)
+        rows = [{"seed": args.seed, "rank": k + 1, "eigenvalue": float(v)}
+                for k, v in enumerate(evals)]
+        emit({"rows": rows}, "csv", args.out)
         print(f"wrote {args.out} ({len(rows)} eigenvalues)")
     return 0
 
@@ -125,8 +118,7 @@ def _cmd_quantize(args) -> int:
         "flags": list(outcome.flags),
         "params": floats_to_hex(outcome.model.params),
     }
-    with open(args.out, "w") as fh:
-        fh.write(canonical_json(record) + "\n")
+    dump_record(record, args.out)
     print(f"wrote {args.out} (held-out KL {outcome.heldout_kl:.6f})")
     return 0
 

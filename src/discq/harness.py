@@ -11,11 +11,10 @@ byte (wall-clock time lives outside the rows).
 from __future__ import annotations
 
 import dataclasses
-import io
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,22 +23,14 @@ from .discquant import DiscQuantConfig, optimize as dq_optimize
 from .incoherence import ModelIncoherence
 from .lmwalk import WalkConfig
 from .pipeline import METHODS, quantize_model
-from .serialize import canonical_json
+from .serialize import child_seed, dump_record
 from .speclab import SpectrumSpec, falpha_scaling_study, generalization_study
-from .toymodel import (SampleBatch, ToyArch, ToyModel, ce_loss_rows,
-                       first_order_study, random_model, sample_sequences)
-from .grid import explicit_grid, rtn
+from .toymodel import (SampleBatch, ToyArch, ToyModel, first_order_study,
+                       random_model, sample_sequences)
+from .grid import PER_TENSOR, explicit_grid, rtn
 
 SCHEMA_VERSION = 1
 WORKERS_ENV = "DQ_WORKERS"
-
-EXPERIMENTS = ("comparison", "first_order", "scaling")
-
-
-def child_seed(master: int, *key: int) -> int:
-    """Counter-mode seed derivation; stable and collision-resistant."""
-    ss = np.random.SeedSequence([int(master), *[int(k) for k in key]])
-    return int(ss.generate_state(1, dtype=np.uint64)[0] >> 1)
 
 
 @dataclass(frozen=True)
@@ -60,6 +51,12 @@ class ComparisonParams:
     def __post_init__(self):
         if not self.bits_levels or any(b < 2 for b in self.bits_levels):
             raise ValueError("bits levels must all be >= 2")
+        gs = self.groupsize
+        if gs == PER_TENSOR:
+            object.__setattr__(self, "groupsize", None)
+        elif gs is not None and (isinstance(gs, bool) or not isinstance(gs, int) or gs < 1):
+            raise ValueError(f"groupsize must be an int >= 1, None or {PER_TENSOR!r}, "
+                             f"got {gs!r}")
         bad = set(self.methods) - set(METHODS)
         if bad:
             raise ValueError(f"unknown methods {sorted(bad)}")
@@ -112,11 +109,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
-            raise ValueError(f"experiment must be one of {EXPERIMENTS}")
+            raise ValueError(f"experiment must be one of {tuple(EXPERIMENTS)}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        expected = {"comparison": ComparisonParams, "first_order": FirstOrderParams,
-                    "scaling": ScalingParams}[self.experiment]
+        expected = EXPERIMENTS[self.experiment][0]
         params = self.params if self.params is not None else expected()
         if not isinstance(params, expected):
             raise ValueError(f"params must be a {expected.__name__}")
@@ -126,49 +122,29 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         raw = dict(raw)
         experiment = raw.pop("experiment")
-        params_raw = dict(raw.pop("params", {}))
-        maker = {"comparison": _comparison_from_dict, "first_order": _first_order_from_dict,
-                 "scaling": _scaling_from_dict}.get(experiment)
-        if maker is None:
-            raise ValueError(f"experiment must be one of {EXPERIMENTS}")
-        return cls(experiment=experiment, params=maker(params_raw),
-                   **{k: raw[k] for k in ("seed", "trials", "outdir") if k in raw})
+        if experiment not in EXPERIMENTS:
+            raise ValueError(f"experiment must be one of {tuple(EXPERIMENTS)}")
+        unknown = set(raw) - {"seed", "trials", "outdir", "params"}
+        if unknown:
+            raise ValueError(f"unknown config keys {sorted(unknown)}")
+        params = _params_from_dict(EXPERIMENTS[experiment][0], raw.pop("params", {}))
+        return cls(experiment=experiment, params=params, **raw)
 
 
-def _tupled(raw: dict, *names: str) -> dict:
-    out = dict(raw)
-    for name in names:
-        if name in out and out[name] is not None:
-            out[name] = tuple(out[name])
-    return out
+def _params_from_dict(cls, raw: dict):
+    """Build a params dataclass from parsed JSON, field by field.
 
-
-def _comparison_from_dict(raw: dict) -> ComparisonParams:
-    raw = _tupled(raw, "bits_levels", "methods")
-    if "arch" in raw:
-        raw["arch"] = ToyArch(**raw["arch"])
-    if "discquant" in raw:
-        raw["discquant"] = DiscQuantConfig(**raw["discquant"])
-    if "walk" in raw:
-        raw["walk"] = WalkConfig(**raw["walk"])
-    gs = raw.get("groupsize")
-    if gs in ("per-tensor",):
-        raw["groupsize"] = None
-    return ComparisonParams(**raw)
-
-
-def _first_order_from_dict(raw: dict) -> FirstOrderParams:
-    raw = _tupled(raw, "deltas", "methods")
-    if "arch" in raw:
-        raw["arch"] = ToyArch(**raw["arch"])
-    return FirstOrderParams(**raw)
-
-
-def _scaling_from_dict(raw: dict) -> ScalingParams:
-    raw = _tupled(raw, "estimator_alphas", "estimator_m_grid", "gen_m_grid")
-    if "walk" in raw:
-        raw["walk"] = WalkConfig(**raw["walk"])
-    return ScalingParams(**raw)
+    A field whose default is a tuple takes the given list as a tuple; one
+    whose default is a config dataclass is built from the given dict by that
+    default's class.
+    """
+    raw = dict(raw)
+    for f in dataclasses.fields(cls):
+        if raw.get(f.name) is not None and isinstance(f.default, tuple):
+            raw[f.name] = tuple(raw[f.name])
+        elif f.name in raw and dataclasses.is_dataclass(f.default):
+            raw[f.name] = type(f.default)(**raw[f.name])
+    return cls(**raw)
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
@@ -213,15 +189,16 @@ class Report:
         return [r for r in self.rows if r.get("error")]
 
 
-def _map_trials(fn, seeds):
-    """Run one callable per trial seed, optionally in a process pool."""
+def _trial_rows(fn, cfg: ExperimentConfig) -> list[dict]:
+    """Rows of ``fn((cfg, trial))`` over every trial, optionally in a process pool."""
+    jobs = [(cfg, trial) for trial in range(cfg.trials)]
     workers = int(os.environ.get(WORKERS_ENV, "1"))
-    if workers <= 1 or len(seeds) <= 1:
-        results = [fn(s) for s in seeds]
+    if workers <= 1 or len(jobs) <= 1:
+        chunks = [fn(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(fn, seeds))
-    return results
+            chunks = list(pool.map(fn, jobs))
+    return [row for chunk in chunks for row in chunk]
 
 
 def _mixed_stream(teacher: ToyModel, cfg: DiscQuantConfig, mix: float, seed: int):
@@ -279,8 +256,7 @@ def run_comparison(cfg: ExperimentConfig) -> Report:
         raise ValueError("config is not a comparison experiment")
     start = time.perf_counter()
     p: ComparisonParams = cfg.params
-    chunks = _map_trials(_comparison_trial, [(cfg, t) for t in range(cfg.trials)])
-    rows = [row for chunk in chunks for row in chunk]
+    rows = _trial_rows(_comparison_trial, cfg)
     rows.sort(key=lambda r: (r["seed"], r["bits"], r["method"]))
     summary = {}
     for bits in p.bits_levels:
@@ -288,10 +264,41 @@ def run_comparison(cfg: ExperimentConfig) -> Report:
             kls = [r["heldout_kl"] for r in rows
                    if r["bits"] == bits and r["method"] == method and r["error"] is None]
             summary[f"median_kl_bits{bits}_{method}"] = _median_or_none(kls)
-    report = Report(experiment="comparison", config=_config_echo(cfg), rows=rows,
-                    summary=summary)
-    report.wall_clock = time.perf_counter() - start
-    return report
+    return Report(experiment="comparison", config=_config_echo(cfg), rows=rows,
+                  summary=summary, wall_clock=time.perf_counter() - start)
+
+
+def pipeline_with_incoherence(teacher, bits: int, groupsize, method: str,
+                              seeds, incoh_seed: int = 0, heldout_count: int = 256,
+                              seq_length: int = 8, **quantize_kwargs) -> dict:
+    """Round a teacher with and without incoherence processing; compare KL.
+
+    One row per trial seed, carrying the held-out KL of both arms and the
+    incoherent arm's flags.  Combining group-wise scales with incoherence is
+    allowed but flagged in the rows (both features act on outliers and can
+    interfere).
+    """
+    rows = []
+    for trial, seed in enumerate(seeds):
+        heldout = sample_sequences(teacher, heldout_count, seq_length, seed=int(seed))
+        transform = ModelIncoherence(teacher.arch, seed=incoh_seed + trial)
+        plain = quantize_model(teacher, bits, groupsize, method, seed=int(seed),
+                               transform=None, heldout=heldout, **quantize_kwargs)
+        rotated = quantize_model(teacher, bits, groupsize, method, seed=int(seed),
+                                 transform=transform, heldout=heldout, **quantize_kwargs)
+        rows.append({
+            "seed": int(seed),
+            "kl_plain": plain.heldout_kl,
+            "kl_incoherent": rotated.heldout_kl,
+            "flags": list(rotated.flags),
+        })
+    kl_plain = [r["kl_plain"] for r in rows]
+    kl_rot = [r["kl_incoherent"] for r in rows]
+    return {
+        "rows": rows,
+        "median_plain": float(np.median(kl_plain)),
+        "median_incoherent": float(np.median(kl_rot)),
+    }
 
 
 def _uniform_grid_for(params: np.ndarray, spacing: float, n: int):
@@ -342,8 +349,7 @@ def run_first_order(cfg: ExperimentConfig) -> Report:
         raise ValueError("config is not a first_order experiment")
     start = time.perf_counter()
     p: FirstOrderParams = cfg.params
-    chunks = _map_trials(_first_order_trial, [(cfg, t) for t in range(cfg.trials)])
-    rows = [row for chunk in chunks for row in chunk]
+    rows = _trial_rows(_first_order_trial, cfg)
     rows.sort(key=lambda r: (r["seed"], r["spacing"], r["method"], r["sample"]))
     summary = {}
     methods = list(p.methods) + (["identity"] if p.include_zero_arm else [])
@@ -363,10 +369,8 @@ def run_first_order(cfg: ExperimentConfig) -> Report:
             key = f"spacing{spacing}_{method}"
             summary[f"median_corr_{key}"] = _median_or_none(per_seed_corr)
             summary[f"median_slope_{key}"] = _median_or_none(per_seed_slope)
-    report = Report(experiment="first_order", config=_config_echo(cfg), rows=rows,
-                    summary=summary)
-    report.wall_clock = time.perf_counter() - start
-    return report
+    return Report(experiment="first_order", config=_config_echo(cfg), rows=rows,
+                  summary=summary, wall_clock=time.perf_counter() - start)
 
 
 def run_scaling(cfg: ExperimentConfig) -> Report:
@@ -398,16 +402,18 @@ def run_scaling(cfg: ExperimentConfig) -> Report:
                          "median_error": float(res.medians[i])})
         summary["generalization_slope"] = res.slope
         summary["generalization_stderr"] = res.stderr
-    report = Report(experiment="scaling", config=_config_echo(cfg), rows=rows,
-                    summary=summary)
-    report.wall_clock = time.perf_counter() - start
-    return report
+    return Report(experiment="scaling", config=_config_echo(cfg), rows=rows,
+                  summary=summary, wall_clock=time.perf_counter() - start)
+
+
+# experiment name -> (params class, runner)
+EXPERIMENTS = {"comparison": (ComparisonParams, run_comparison),
+               "first_order": (FirstOrderParams, run_first_order),
+               "scaling": (ScalingParams, run_scaling)}
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
-    runner = {"comparison": run_comparison, "first_order": run_first_order,
-              "scaling": run_scaling}[cfg.experiment]
-    return runner(cfg)
+    return EXPERIMENTS[cfg.experiment][1](cfg)
 
 
 def _median_or_none(values) -> float | None:
@@ -423,18 +429,14 @@ def emit(report, fmt: str, path) -> None:
     """
     record = report.to_record() if isinstance(report, Report) else report
     if fmt == "json":
-        payload = canonical_json(record) + "\n"
-        with open(path, "w") as fh:
-            fh.write(payload)
+        dump_record(record, path)
     elif fmt == "csv":
         rows = record["rows"]
         columns = list(rows[0].keys()) if rows else []
-        buf = io.StringIO()
-        buf.write(",".join(columns) + "\n")
-        for row in rows:
-            buf.write(",".join(_csv_cell(row.get(c)) for c in columns) + "\n")
+        lines = [",".join(columns)] + [",".join(_csv_cell(row.get(c)) for c in columns)
+                                       for row in rows]
         with open(path, "w") as fh:
-            fh.write(buf.getvalue())
+            fh.write("\n".join(lines) + "\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")
 

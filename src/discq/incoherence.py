@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .serialize import child_seed
 from .toymodel import ToyArch
 
 Array = np.ndarray
@@ -162,8 +163,8 @@ class ModelIncoherence:
         at = 0
         for idx, (name, (a, b, shape)) in enumerate(arch.layout().items()):
             if len(shape) == 2:
-                left = RHT.from_seed(next_power_of_two(shape[0]), self._child(idx, 0))
-                right = RHT.from_seed(next_power_of_two(shape[1]), self._child(idx, 1))
+                left = RHT.from_seed(next_power_of_two(shape[0]), child_seed(self.seed, idx, 0))
+                right = RHT.from_seed(next_power_of_two(shape[1]), child_seed(self.seed, idx, 1))
                 size = left.dim * right.dim
             else:
                 left = right = None
@@ -171,10 +172,6 @@ class ModelIncoherence:
             self.blocks.append((name, a, b, shape, left, right, at, at + size))
             at += size
         self.n_q = at
-
-    def _child(self, idx: int, side: int) -> int:
-        ss = np.random.SeedSequence([self.seed, idx, side])
-        return int(ss.generate_state(1, dtype=np.uint64)[0] >> 1)
 
     def to_q(self, w: Array) -> Array:
         w = np.asarray(w, dtype=np.float64)
@@ -202,38 +199,3 @@ class ModelIncoherence:
     # the conjugation is linear, so gradients transport exactly like weights
     grad_to_q = to_q
 
-
-def pipeline_with_incoherence(teacher, bits: int, groupsize, method: str,
-                              seeds, incoh_seed: int = 0, heldout_count: int = 256,
-                              seq_length: int = 8, **quantize_kwargs) -> dict:
-    """Round a teacher with and without incoherence processing; compare KL.
-
-    One row per trial seed, carrying the held-out KL of both arms and the
-    max-entry statistics of the transformed layers.  Combining group-wise
-    scales with incoherence is allowed but flagged in the rows (both features
-    act on outliers and can interfere).
-    """
-    from .pipeline import quantize_model
-    from .toymodel import kl_term, sample_sequences
-
-    rows = []
-    for trial, seed in enumerate(seeds):
-        heldout = sample_sequences(teacher, heldout_count, seq_length, seed=int(seed))
-        transform = ModelIncoherence(teacher.arch, seed=incoh_seed + trial)
-        plain = quantize_model(teacher, bits, groupsize, method, seed=int(seed),
-                               transform=None, heldout=heldout, **quantize_kwargs)
-        rotated = quantize_model(teacher, bits, groupsize, method, seed=int(seed),
-                                 transform=transform, heldout=heldout, **quantize_kwargs)
-        rows.append({
-            "seed": int(seed),
-            "kl_plain": plain.heldout_kl,
-            "kl_incoherent": rotated.heldout_kl,
-            "flags": list(rotated.flags),
-        })
-    kl_plain = [r["kl_plain"] for r in rows]
-    kl_rot = [r["kl_incoherent"] for r in rows]
-    return {
-        "rows": rows,
-        "median_plain": float(np.median(kl_plain)),
-        "median_incoherent": float(np.median(kl_rot)),
-    }

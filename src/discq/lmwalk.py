@@ -261,21 +261,13 @@ def _run_phase(m_unit: Array, x: Array, frozen: Array, cfg: WalkConfig,
         moves = delta * proj.project(gauss)
         path = xf + np.cumsum(moves, axis=0)
         in_band = (path <= eps) | (path >= 1.0 - eps)
-        trigger_rows = np.flatnonzero(in_band.any(axis=1))
-        if trigger_rows.size == 0:
-            xf = path[-1]
-            steps_left -= nsteps
-            block = min(block * 2, _BLOCK_MAX)
-            continue
-        froze_at = -1
-        for k in trigger_rows:
+        for k in np.flatnonzero(in_band.any(axis=1)):
             cur = path[k - 1] if k > 0 else xf
             landed, on_face = _resolve_step(cur, moves[k], eps)
             if on_face is None:
                 continue  # full step stands; later path rows remain valid
             xf = landed
             steps_left -= int(k) + 1
-            froze_at = k
             # write back, freeze, shrink the free set and the projector
             x[free] = xf
             frozen[free[on_face]] = True
@@ -284,13 +276,12 @@ def _run_phase(m_unit: Array, x: Array, frozen: Array, cfg: WalkConfig,
             xf = x[free]
             if proj.saturated:
                 steps_left = 0  # no free direction left: stop walking
+            block = _BLOCK_MIN
             break
-        if froze_at < 0:
+        else:  # no step of the block froze a coordinate: keep the whole block
             xf = path[-1]
             steps_left -= nsteps
             block = min(block * 2, _BLOCK_MAX)
-        else:
-            block = _BLOCK_MIN
     x[free] = xf
     return PhaseResult(x, frozen, False, int(frozen.sum()) - start_frozen)
 
@@ -352,13 +343,11 @@ def lm_round(cs: ConstraintSet, cfg: WalkConfig) -> WalkResult:
             raise FloatingPointError("constraint residual exceeded 1e-6 during the phase")
         before = fractional_count(x)
         after = fractional_count(phase.x)
-        if after <= target:
+        if after <= target or after <= before / 2:
             x, frozen = phase.x, phase.frozen
             counts.append(phase.newly_frozen)
-            return result(attempt, counts)
-        if after <= before / 2:
-            x, frozen = phase.x, phase.frozen
-            counts.append(phase.newly_frozen)
+            if after <= target:
+                return result(attempt, counts)
         elif phase.saturated:
             break
     raise MaxPhasesExceeded(

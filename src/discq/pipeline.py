@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import discquant, grid as gridmod, lmwalk, toymodel
+from .serialize import child_seed
 
 Array = np.ndarray
 
@@ -34,7 +35,7 @@ def _walk_constraints(teacher: toymodel.ToyModel, bracket, transform, m: int,
                       seq_length: int, seed: int) -> lmwalk.ConstraintSet:
     """Rows: per-sequence mean loss gradients, grid-spacing scaled."""
     batch = toymodel.sample_sequences(teacher, m, seq_length,
-                                      seed=_child_seed(seed, 0xDA))
+                                      seed=child_seed(seed, 0xDA))
     rows = toymodel.gradient_rows(teacher, batch)
     length = batch.sequences.shape[1]
     per_seq = rows.reshape(m, length, -1).mean(axis=1)
@@ -75,7 +76,7 @@ def quantize_model(teacher: toymodel.ToyModel, bits: int, groupsize, method: str
         rounded_q = gridmod.rtn(wq, qgrid)
     elif method == "discquant":
         cfg = dq_cfg or discquant.DiscQuantConfig()
-        cfg = dataclasses.replace(cfg, seed=_child_seed(seed, 0xD9))
+        cfg = dataclasses.replace(cfg, seed=child_seed(seed, 0xD9))
         report = discquant.optimize(teacher, qgrid, cfg, transform=transform,
                                     data_stream=data_stream)
         rounded_q = report.quantized
@@ -85,7 +86,7 @@ def quantize_model(teacher: toymodel.ToyModel, bits: int, groupsize, method: str
         cs = _walk_constraints(teacher, bracket, transform, walk_samples,
                                seq_length=8, seed=seed)
         cfg = walk_cfg or lmwalk.WalkConfig(delta=0.04)
-        cfg = dataclasses.replace(cfg, seed=_child_seed(seed, 0x31))
+        cfg = dataclasses.replace(cfg, seed=child_seed(seed, 0x31))
         result = lmwalk.lm_round(cs, cfg)
         fractional = result.fractional
         rounded_q = discquant.finalize(result.x, bracket, tau=1e-3)
@@ -97,8 +98,3 @@ def quantize_model(teacher: toymodel.ToyModel, bits: int, groupsize, method: str
         heldout_kl, _ = toymodel.kl_term(teacher, model, heldout)
     return QuantizeOutcome(model=model, bits_per_param=gridmod.bits_per_param(qgrid),
                            fractional=fractional, heldout_kl=heldout_kl, flags=flags)
-
-
-def _child_seed(master: int, *key: int) -> int:
-    ss = np.random.SeedSequence([int(master), *[int(k) for k in key]])
-    return int(ss.generate_state(1, dtype=np.uint64)[0] >> 1)

@@ -1,4 +1,5 @@
-"""Hex-float records: bit-exact (de)serialization helpers shared by the package."""
+"""Hex-float records: bit-exact (de)serialization helpers shared by the
+package, and the counter-mode child-seed derivation every module uses."""
 
 from __future__ import annotations
 
@@ -17,9 +18,10 @@ def hex_to_floats(strings) -> np.ndarray:
 
 
 def dump_record(record: dict, path) -> None:
+    """Write canonical JSON and a newline; a record that fails to serialize writes nothing."""
+    payload = canonical_json(record) + "\n"
     with open(path, "w") as fh:
-        fh.write(canonical_json(record))
-        fh.write("\n")
+        fh.write(payload)
 
 
 def load_record(path) -> dict:
@@ -30,3 +32,9 @@ def load_record(path) -> dict:
 def canonical_json(obj) -> str:
     """Deterministic JSON: insertion-ordered keys, shortest round-trip floats."""
     return json.dumps(obj, indent=2, allow_nan=False)
+
+
+def child_seed(master: int, *key: int) -> int:
+    """Counter-mode seed derivation; stable and collision-resistant."""
+    ss = np.random.SeedSequence([int(master), *[int(k) for k in key]])
+    return int(ss.generate_state(1, dtype=np.uint64)[0] >> 1)

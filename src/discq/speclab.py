@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .lmwalk import ConstraintSet, WalkConfig, lm_round
+from .serialize import child_seed
 
 Array = np.ndarray
 
@@ -170,7 +171,7 @@ def falpha_scaling_study(spec: SpectrumSpec, m_grid, trials: int, seed: int = 0)
     errors = np.empty((len(ms), trials))
     for i, m in enumerate(ms):
         for t in range(trials):
-            trial_seed = _child_seed(seed, i, t)
+            trial_seed = child_seed(seed, i, t)
             emp = empirical_covariance(sample_gradients(spec, m, trial_seed))
             errors[i, t] = schatten1_error(emp, sigma)
     means = errors.mean(axis=1)
@@ -200,7 +201,7 @@ def generalization_study(spec: SpectrumSpec, m_grid, trials: int,
     fractional = np.zeros((len(ms), trials), dtype=np.int64)
     for i, m in enumerate(ms):
         for t in range(trials):
-            trial_seed = _child_seed(seed, i, t)
+            trial_seed = child_seed(seed, i, t)
             if m == 0:
                 continue
             rng = np.random.default_rng(np.random.SeedSequence([trial_seed, 0x4E]))
@@ -237,8 +238,3 @@ def jl_spectrum(gradients: Array, d: int, seed: int = 0,
     proj = g @ projection.T
     evals = np.linalg.eigvalsh(empirical_covariance(proj))
     return evals[::-1]
-
-
-def _child_seed(master: int, *key: int) -> int:
-    ss = np.random.SeedSequence([int(master), *[int(k) for k in key]])
-    return int(ss.generate_state(1, dtype=np.uint64)[0] >> 1)

@@ -16,16 +16,21 @@ reproduces parameters, data, and gradients bit-identically.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
 from .grid import QuantGrid, bracket_of
+from .optim import AdamW
 from .serialize import dump_record, floats_to_hex, hex_to_floats, load_record
 
 Array = np.ndarray
+
+# (weight, bias) names of the hidden tanh layers, input side first; an arch
+# with ``layers`` hidden layers uses the first ``layers`` entries
+_HIDDEN = (("w1", "b1"), ("w2", "b2"))
 
 
 @dataclass(frozen=True)
@@ -61,17 +66,16 @@ class ToyArch:
         return max(stop for _, stop, _ in self.layout().values())
 
     def to_dict(self) -> dict:
-        return {"vocab": self.vocab, "context": self.context, "hidden": self.hidden,
-                "layers": self.layers, "emb": self.emb}
+        return asdict(self)
 
 
 @functools.lru_cache(maxsize=None)
 def _layout(arch: ToyArch) -> Mapping[str, tuple[int, int, tuple[int, ...]]]:
-    shapes = [("embed", (arch.vocab + 1, arch.emb)),
-              ("w1", (arch.hidden, arch.context * arch.emb)),
-              ("b1", (arch.hidden,))]
-    if arch.layers == 2:
-        shapes += [("w2", (arch.hidden, arch.hidden)), ("b2", (arch.hidden,))]
+    shapes = [("embed", (arch.vocab + 1, arch.emb))]
+    fan_in = arch.context * arch.emb
+    for w, b in _HIDDEN[:arch.layers]:
+        shapes += [(w, (arch.hidden, fan_in)), (b, (arch.hidden,))]
+        fan_in = arch.hidden
     shapes += [("wout", (arch.vocab, arch.hidden)), ("bout", (arch.vocab,))]
     out, at = {}, 0
     for name, shape in shapes:
@@ -158,13 +162,11 @@ class GradRecord:
 def random_model(arch: ToyArch = ToyArch(), seed: int = 0, scale: float = 1.0) -> ToyModel:
     """Seeded model with heavy-tailed fan-in-scaled weights and zero biases."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x70F]))
-    layout = arch.layout()
     params = np.zeros(arch.n_params)
-    gains = {"embed": 1.0, "w1": 1.0 / np.sqrt(arch.context * arch.emb),
-             "w2": 1.0 / np.sqrt(arch.hidden), "wout": 1.0 / np.sqrt(arch.hidden)}
-    for name, (a, b, shape) in layout.items():
-        if name in gains:
-            params[a:b] = rng.standard_t(df=5, size=b - a) * gains[name] * scale
+    for name, (a, b, shape) in arch.layout().items():
+        if len(shape) == 2:  # matrices; biases stay zero
+            gain = 1.0 if name == "embed" else 1.0 / np.sqrt(shape[1])
+            params[a:b] = rng.standard_t(df=5, size=b - a) * gain * scale
     return ToyModel(arch, params)
 
 
@@ -174,15 +176,14 @@ def _log_softmax(logits: Array) -> Array:
 
 
 def _forward(model: ToyModel, prefixes: Array) -> dict:
+    """``acts`` holds the flattened embeddings, then each hidden layer's output."""
     v = model.views()
-    x = v["embed"][prefixes].reshape(prefixes.shape[0], -1)
-    h1 = np.tanh(x @ v["w1"].T + v["b1"])
-    hs = [h1]
-    if model.arch.layers == 2:
-        hs.append(np.tanh(h1 @ v["w2"].T + v["b2"]))
-    logits = hs[-1] @ v["wout"].T + v["bout"]
+    acts = [v["embed"][prefixes].reshape(prefixes.shape[0], -1)]
+    for w, b in _HIDDEN[:model.arch.layers]:
+        acts.append(np.tanh(acts[-1] @ v[w].T + v[b]))
+    logits = acts[-1] @ v["wout"].T + v["bout"]
     logp = _log_softmax(logits)
-    return {"prefixes": prefixes, "x": x, "hs": hs, "logits": logits,
+    return {"prefixes": prefixes, "acts": acts, "logits": logits,
             "logp": logp, "p": np.exp(logp)}
 
 
@@ -196,19 +197,17 @@ def _backward(model: ToyModel, cache: dict, dlogits: Array) -> Array:
         a, b, _ = layout[name]
         grad[a:b] = g.ravel()
 
-    hs = cache["hs"]
-    put("wout", dlogits.T @ hs[-1])
+    acts = cache["acts"]
+    put("wout", dlogits.T @ acts[-1])
     put("bout", dlogits.sum(axis=0))
     dh = dlogits @ v["wout"]
-    if arch.layers == 2:
-        da = dh * (1.0 - hs[1] ** 2)
-        put("w2", da.T @ hs[0])
-        put("b2", da.sum(axis=0))
-        dh = da @ v["w2"]
-    da = dh * (1.0 - hs[0] ** 2)
-    put("w1", da.T @ cache["x"])
-    put("b1", da.sum(axis=0))
-    dx = (da @ v["w1"]).reshape(-1, arch.context, arch.emb)
+    for i in reversed(range(arch.layers)):
+        w, b = _HIDDEN[i]
+        da = dh * (1.0 - acts[i + 1] ** 2)
+        put(w, da.T @ acts[i])
+        put(b, da.sum(axis=0))
+        dh = da @ v[w]
+    dx = dh.reshape(-1, arch.context, arch.emb)
     dembed = np.zeros((arch.vocab + 1, arch.emb))
     np.add.at(dembed, cache["prefixes"], dx)
     put("embed", dembed)
@@ -226,19 +225,17 @@ def _per_row_grads(model: ToyModel, cache: dict, dlogits: Array) -> Array:
         a, b, _ = layout[name]
         grads[:, a:b] = g.reshape(nrows, -1)
 
-    hs = cache["hs"]
-    put("wout", np.einsum("rv,rh->rvh", dlogits, hs[-1]))
+    acts = cache["acts"]
+    put("wout", np.einsum("rv,rh->rvh", dlogits, acts[-1]))
     put("bout", dlogits)
     dh = dlogits @ v["wout"]
-    if arch.layers == 2:
-        da = dh * (1.0 - hs[1] ** 2)
-        put("w2", np.einsum("ri,rj->rij", da, hs[0]))
-        put("b2", da)
-        dh = da @ v["w2"]
-    da = dh * (1.0 - hs[0] ** 2)
-    put("w1", np.einsum("ri,rj->rij", da, cache["x"]))
-    put("b1", da)
-    dx = (da @ v["w1"]).reshape(nrows, arch.context, arch.emb)
+    for i in reversed(range(arch.layers)):
+        w, b = _HIDDEN[i]
+        da = dh * (1.0 - acts[i + 1] ** 2)
+        put(w, np.einsum("ri,rj->rij", da, acts[i]))
+        put(b, da)
+        dh = da @ v[w]
+    dx = dh.reshape(nrows, arch.context, arch.emb)
     demb = np.zeros((nrows, arch.vocab + 1, arch.emb))
     np.add.at(demb, (np.arange(nrows)[:, None], cache["prefixes"]), dx)
     put("embed", demb)
@@ -250,16 +247,12 @@ def _jvp_logits(model: ToyModel, cache: dict, tangent: Array) -> Array:
     arch, v = model.arch, model.views()
     layout = arch.layout()
     t = {name: tangent[a:b].reshape(shape) for name, (a, b, shape) in layout.items()}
-    dx = t["embed"][cache["prefixes"]].reshape(cache["x"].shape)
-    hs = cache["hs"]
-    da = cache["x"] @ t["w1"].T + dx @ v["w1"].T + t["b1"]
-    dh = (1.0 - hs[0] ** 2) * da
-    hprev = hs[0]
-    if arch.layers == 2:
-        da = hprev @ t["w2"].T + dh @ v["w2"].T + t["b2"]
-        dh = (1.0 - hs[1] ** 2) * da
-        hprev = hs[1]
-    return hprev @ t["wout"].T + dh @ v["wout"].T + t["bout"]
+    acts = cache["acts"]
+    dh = t["embed"][cache["prefixes"]].reshape(acts[0].shape)
+    for i, (w, b) in enumerate(_HIDDEN[:arch.layers]):
+        da = acts[i] @ t[w].T + dh @ v[w].T + t[b]
+        dh = (1.0 - acts[i + 1] ** 2) * da
+    return acts[-1] @ t["wout"].T + dh @ v["wout"].T + t["bout"]
 
 
 def _check_finite(value, what: str):
@@ -267,20 +260,23 @@ def _check_finite(value, what: str):
         raise FloatingPointError(f"non-finite {what}")
 
 
-def forward_next_token(model: ToyModel, prefix) -> Array:
-    """Next-token distribution given a prefix of length <= context.
-
-    Shorter prefixes are left-padded with the reserved pad token.
-    """
-    arch = model.arch
+def _prefix_window(arch: ToyArch, prefix) -> Array:
+    """Check a prefix of length <= context and left-pad it to one (1, context) row."""
     prefix = np.asarray(prefix, dtype=np.int64).ravel()
     if prefix.size > arch.context:
         raise ValueError(f"prefix longer than context {arch.context}")
     if prefix.size and (prefix.min() < 0 or prefix.max() >= arch.vocab):
         raise ValueError("token out of range")
     pad = np.full(arch.context - prefix.size, arch.pad_id, dtype=np.int64)
-    cache = _forward(model, np.concatenate([pad, prefix])[None, :])
-    return cache["p"][0]
+    return np.concatenate([pad, prefix])[None, :]
+
+
+def forward_next_token(model: ToyModel, prefix) -> Array:
+    """Next-token distribution given a prefix of length <= context.
+
+    Shorter prefixes are left-padded with the reserved pad token.
+    """
+    return _forward(model, _prefix_window(model.arch, prefix))["p"][0]
 
 
 def sample_sequences(model: ToyModel, count: int, length: int = 8, seed: int = 0,
@@ -327,16 +323,10 @@ def gradient_rows(model: ToyModel, batch: SampleBatch) -> Array:
 def per_sample_grad(model: ToyModel, sample: tuple) -> Array:
     """Cross-entropy gradient for a single (prefix, target) sample."""
     prefix, target = sample
-    arch = model.arch
-    prefix = np.asarray(prefix, dtype=np.int64).ravel()
-    if prefix.size > arch.context:
-        raise ValueError(f"prefix longer than context {arch.context}")
-    if prefix.size and (prefix.min() < 0 or prefix.max() >= arch.vocab):
-        raise ValueError("token out of range")
-    if not 0 <= int(target) < arch.vocab:
+    window = _prefix_window(model.arch, prefix)
+    if not 0 <= int(target) < model.arch.vocab:
         raise ValueError("target out of range")
-    pad = np.full(arch.context - prefix.size, arch.pad_id, dtype=np.int64)
-    cache = _forward(model, np.concatenate([pad, prefix])[None, :])
+    cache = _forward(model, window)
     loss = -cache["logp"][0, int(target)]
     _check_finite(loss, "loss")
     dlogits = cache["p"].copy()
@@ -421,8 +411,6 @@ def train_to_convergence(model: ToyModel, batch: SampleBatch, max_steps: int = 2
     Stops after ``max_steps`` steps or when the full-batch gradient 2-norm
     drops below ``grad_tol``, whichever comes first.
     """
-    from .optim import AdamW
-
     params = model.params.copy()
     opt = AdamW(params.shape[0], lr=lr)
     for _ in range(max_steps):

@@ -23,8 +23,8 @@ import pytest
 from discq.discquant import DiscQuantConfig, optimize
 from discq.grid import build_block_scaling, explicit_grid, rtn
 from discq.harness import (ComparisonParams, ExperimentConfig, emit,
-                           run_comparison)
-from discq.incoherence import RHT, ModelIncoherence, pipeline_with_incoherence, rht_apply
+                           pipeline_with_incoherence, run_comparison)
+from discq.incoherence import RHT, ModelIncoherence, rht_apply
 from discq.lmwalk import (ConstraintSet, WalkConfig, lm_phase, lm_round,
                           vertex_integrality_check, walk_variance_probe)
 from discq.speclab import SpectrumSpec, falpha_scaling_study, generalization_study

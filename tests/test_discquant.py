@@ -9,7 +9,8 @@ import pytest
 from discq.discquant import (STREAM_CHUNK, DiscQuantConfig, NonFiniteObjective,
                              _teacher_stream, cstar, finalize, init_x, optimize)
 from discq.grid import bracket_of, build_block_scaling, explicit_grid, rtn
-from discq.pipeline import _child_seed, quantize_model
+from discq.pipeline import quantize_model
+from discq.serialize import child_seed as _child_seed
 from discq.toymodel import ToyArch, kl_term, random_model, sample_sequences
 
 from oracles import per_step_teacher_stream

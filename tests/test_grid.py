@@ -1,12 +1,19 @@
 """Grids, brackets, interpolation, rounding, and bit accounting."""
 
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from discq.grid import (GridAccountingError, GridConfigError, InterpState,
                         bits_per_param, bracket_of, build_block_scaling,
                         explicit_grid, grid_from_record, grid_to_record,
                         interp_weights, load_grid, rtn, save_grid)
+from discq.grid import nearer_up
+from discq.serialize import canonical_json, floats_to_hex, hex_to_floats
 
 from oracles import nearest_point_bruteforce
 
@@ -209,3 +216,92 @@ class TestSerialization:
             explicit_grid([1.0, 1.0, 2.0], n=1)  # not strictly ascending
         with pytest.raises(GridConfigError):
             build_block_scaling(np.ones(4), bits=3, groupsize=0)
+
+
+# magnitudes below 1e-300 are left out of grid-building weights: their scales
+# would underflow to zero
+_weights = st.floats(-1e3, 1e3).filter(lambda v: v == 0 or abs(v) > 1e-300)
+
+
+@st.composite
+def grid_and_weights(draw):
+    """A block-scaling or explicit grid and in-range weights, some exactly on it."""
+    n = draw(st.integers(1, 24))
+    if draw(st.booleans()):
+        base = np.array(draw(st.lists(_weights, min_size=n, max_size=n)))
+        split = draw(st.integers(0, n - 1))
+        grid = build_block_scaling(base, bits=draw(st.integers(2, 6)),
+                                   groupsize=draw(st.sampled_from([None, 1, 3, 8])),
+                                   blocks=[(0, split), (split, n)] if split else None)
+    else:
+        point_lists = st.lists(_weights, min_size=1, max_size=6, unique=True).map(sorted)
+        if draw(st.booleans()):
+            grid = explicit_grid(draw(point_lists), n=n)
+        else:
+            grid = explicit_grid([draw(point_lists) for _ in range(n)])
+    w = np.empty(n)
+    for j in range(n):
+        pts = grid.points_for(j)
+        if draw(st.booleans()):
+            w[j] = pts[draw(st.integers(0, len(pts) - 1))]
+        else:
+            t = draw(st.floats(0.0, 1.0))
+            w[j] = np.clip(pts[0] + t * (pts[-1] - pts[0]), pts[0], pts[-1])
+    return grid, w
+
+
+class TestProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(grid_and_weights())
+    def test_bracket_invariants(self, gw):
+        grid, w = gw
+        br = bracket_of(w, grid)
+        assert np.all(br.w_down <= w) and np.all(w <= br.w_up)
+        for j in range(grid.n):
+            pts = grid.points_for(j)
+            assert br.w_down[j] in pts and br.w_up[j] in pts
+            assert (br.delta[j] == 0) == (w[j] in pts)
+        y = br.position()
+        assert np.all((0.0 <= y) & (y <= 1.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-2 ** 20, 2 ** 20), st.integers(1, 2 ** 20), st.integers(-40, 40))
+    def test_exact_midpoint_goes_to_smaller_magnitude(self, a, gap, e):
+        down, up = math.ldexp(a, e), math.ldexp(a + gap, e)
+        mid = math.ldexp(2 * a + gap, e - 1)  # exact: an integer below 2^53 times 2^(e-1)
+        want_up = abs(up) < abs(down)
+        assert nearer_up(np.array([mid]), np.array([down]), np.array([up]))[0] == want_up
+        got = rtn(np.array([mid]), explicit_grid([down, up], n=1))[0]
+        assert got == (up if want_up else down)
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid_and_weights())
+    def test_rtn_returns_a_bracket_endpoint(self, gw):
+        grid, w = gw
+        br = bracket_of(w, grid)
+        out = rtn(w, grid)
+        assert np.all((out == br.w_down) | (out == br.w_up))
+
+    @settings(max_examples=300, deadline=None)
+    @example([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+              1.7976931348623157e308, 0.1])
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+    def test_hex_roundtrip_bit_exact(self, values):
+        v = np.array(values, dtype=np.float64)
+        back = hex_to_floats(floats_to_hex(v))
+        assert back.dtype == np.float64 and back.shape == v.shape
+        np.testing.assert_array_equal(back.view(np.uint64), v.view(np.uint64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid_and_weights())
+    def test_grid_record_roundtrip(self, gw):
+        grid, _ = gw
+        back = grid_from_record(json.loads(canonical_json(grid_to_record(grid))))
+        assert (back.kind, back.n, back.bits, back.groupsize, back.group_bounds) == \
+            (grid.kind, grid.n, grid.bits, grid.groupsize, grid.group_bounds)
+        if grid.kind == "block_scaling":
+            np.testing.assert_array_equal(back.scales.view(np.uint64),
+                                          np.asarray(grid.scales).view(np.uint64))
+        for j in range(grid.n):
+            np.testing.assert_array_equal(back.points_for(j).view(np.uint64),
+                                          grid.points_for(j).view(np.uint64))

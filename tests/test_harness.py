@@ -11,6 +11,7 @@ from discq.harness import (ComparisonParams, ExperimentConfig, FirstOrderParams,
                            Report, ScalingParams, child_seed, emit,
                            run_comparison, run_experiment, run_first_order,
                            run_scaling)
+from discq.harness import _config_echo
 from discq.lmwalk import WalkConfig
 from discq.serialize import load_record
 from discq.toymodel import ToyArch
@@ -39,6 +40,37 @@ class TestConfig:
             FirstOrderParams(deltas=(0.01, 0.02))  # must go coarse -> fine
         with pytest.raises(ValueError):
             ComparisonParams(data_mix=1.5)
+
+    @pytest.mark.parametrize("groupsize", [0, -3, 2.5, "16", "per-row", True])
+    def test_bad_groupsize_rejected_up_front(self, groupsize):
+        with pytest.raises(ValueError, match="groupsize"):
+            ComparisonParams(groupsize=groupsize)
+
+    def test_per_tensor_groupsize_normalised(self):
+        assert ComparisonParams(groupsize="per-tensor").groupsize is None
+        assert ComparisonParams(groupsize=None).groupsize is None
+        assert ComparisonParams(groupsize=1).groupsize == 1
+        cfg = ExperimentConfig(experiment="comparison",
+                               params=ComparisonParams(groupsize="per-tensor"))
+        assert _config_echo(cfg)["params"]["groupsize"] is None
+
+    def test_unknown_top_level_key_rejected(self):
+        with pytest.raises(ValueError, match="trails"):
+            ExperimentConfig.from_dict({"experiment": "comparison", "trails": 3})
+
+    @pytest.mark.parametrize("cfg", [
+        tiny_comparison(incoherence=True, data_mix=0.25, groupsize="per-tensor",
+                        arch=ToyArch(layers=2)),
+        ExperimentConfig(experiment="first_order", seed=2,
+                         params=FirstOrderParams(deltas=(0.1, 0.05),
+                                                 methods=("rtn", "discquant"))),
+        ExperimentConfig(experiment="scaling", seed=3, outdir="out",
+                         params=ScalingParams(estimator_alphas=(1.5,),
+                                              walk=WalkConfig(delta=0.05, eps=0.01))),
+    ], ids=["comparison", "first_order", "scaling"])
+    def test_config_echo_loads_back(self, cfg):
+        echo = json.loads(json.dumps(_config_echo(cfg)))
+        assert ExperimentConfig.from_dict(echo) == cfg
 
     def test_from_dict_roundtrip(self):
         raw = {

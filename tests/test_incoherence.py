@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from discq.harness import pipeline_with_incoherence
 from discq.incoherence import (RHT, ModelIncoherence, fwht, is_power_of_two,
-                               next_power_of_two, pipeline_with_incoherence,
-                               rht_apply, rht_inverse, transform_layer,
-                               untransform_layer)
+                               next_power_of_two, rht_apply, rht_inverse,
+                               transform_layer, untransform_layer)
 from discq.toymodel import (ToyArch, forward_next_token, kl_term, random_model,
                             sample_sequences)
 
