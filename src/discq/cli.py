@@ -4,6 +4,7 @@ and whole-model quantization over toy checkpoints."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -11,7 +12,8 @@ import numpy as np
 
 from . import __version__
 from .discquant import DiscQuantConfig
-from .harness import ExperimentConfig, emit, run_experiment
+from .grid import PER_TENSOR
+from .harness import ExperimentConfig, ScalingParams, emit, run_experiment
 from .incoherence import ModelIncoherence
 from .lmwalk import ConstraintSet, WalkConfig, lm_round
 from .pipeline import quantize_model
@@ -24,6 +26,13 @@ from .toymodel import (ToyArch, gradient_rows, load_checkpoint, random_model,
 
 def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok]
+
+
+def _config(cls, args):
+    """``cls`` built from the flags given whose ``dest`` names one of its fields;
+    a flag left out is absent from ``args``, so its field keeps its default."""
+    given = vars(args)
+    return cls(**{f.name: given[f.name] for f in dataclasses.fields(cls) if f.name in given})
 
 
 def _cmd_run(args) -> int:
@@ -46,16 +55,15 @@ def _cmd_walk(args) -> int:
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0x11]))
     matrix = rng.standard_normal((args.m, args.n))
     y = rng.random(args.n)
-    cfg = WalkConfig(delta=args.delta, eps=args.eps, steps_per_phase=args.steps,
-                     max_phases=args.max_phases, seed=args.seed)
-    result = lm_round(ConstraintSet(matrix, y), cfg)
+    cs = ConstraintSet(matrix, y)
+    result = lm_round(cs, _config(WalkConfig, args))
     record = {
         "n": args.n, "m": args.m, "seed": args.seed,
         "fractional": result.fractional,
         "phases": result.phases,
         "accepted_freeze_counts": result.accepted_freeze_counts,
         "residual_l2": result.residual_l2,
-        "residual_inf": ConstraintSet(matrix, y).residual(result.x),
+        "residual_inf": cs.residual(result.x),
         "frozen": [bool(b) for b in result.frozen],
         "x": floats_to_hex(result.x),
     }
@@ -68,13 +76,11 @@ def _cmd_speclab(args) -> int:
     if args.study in ("falpha", "gen"):
         spec = SpectrumSpec(n=args.n, alpha=args.alpha)
         if args.study == "falpha":
-            res = falpha_scaling_study(spec, _int_list(args.m_grid), args.trials,
-                                       seed=args.seed)
+            res = falpha_scaling_study(spec, args.m_grid, args.trials, seed=args.seed)
             mean, median = "mean_error", "median_error"
         else:
-            cfg = WalkConfig(delta=args.delta, seed=args.seed)
-            res = generalization_study(spec, _int_list(args.m_grid), args.trials, cfg,
-                                       seed=args.seed)
+            res = generalization_study(spec, args.m_grid, args.trials,
+                                       _config(WalkConfig, args), seed=args.seed)
             mean, median = "mean_quad", "median_quad"
         rows = [{"seed": args.seed, "alpha": args.alpha, "m": m,
                  mean: float(res.means[i]), median: float(res.medians[i])}
@@ -101,16 +107,14 @@ def _cmd_quantize(args) -> int:
     transform = None
     if args.incoherence == "on":
         transform = ModelIncoherence(teacher.arch, seed=args.incoh_seed)
-    dq_cfg = DiscQuantConfig(lam=args.lam, lr=args.lr, iterations=args.iters,
-                             warmup=args.warmup, clamp=args.clamp, seed=args.seed)
     heldout = sample_sequences(teacher, args.heldout, seed=args.seed + 1)
     outcome = quantize_model(teacher, args.bits, args.groupsize, args.method,
-                             seed=args.seed, transform=transform, dq_cfg=dq_cfg,
-                             heldout=heldout)
+                             seed=args.seed, transform=transform,
+                             dq_cfg=_config(DiscQuantConfig, args), heldout=heldout)
     record = {
         "method": args.method,
         "bits": args.bits,
-        "groupsize": args.groupsize if args.groupsize else "per-tensor",
+        "groupsize": args.groupsize if args.groupsize else PER_TENSOR,
         "bits_per_param": outcome.bits_per_param,
         "incoherence": args.incoherence,
         "fractional": outcome.fractional,
@@ -124,9 +128,7 @@ def _cmd_quantize(args) -> int:
 
 
 def _cmd_teacher(args) -> int:
-    arch = ToyArch(vocab=args.vocab, context=args.context, hidden=args.hidden,
-                   layers=args.layers, emb=args.emb)
-    save_checkpoint(random_model(arch, seed=args.seed), args.out)
+    save_checkpoint(random_model(_config(ToyArch, args), seed=args.seed), args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -142,14 +144,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="json", help="comma-separated: json,csv")
     p.set_defaults(fn=_cmd_run)
 
-    p = sub.add_parser("walk", help="round a random constrained instance")
+    # walk, quantize and teacher: a flag without a default sets the config
+    # field its dest names, and only when it is given (see _config)
+    p = sub.add_parser("walk", help="round a random constrained instance",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--delta", type=float, default=0.02)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--max-phases", type=int, default=200)
+    p.add_argument("--delta", type=float)
+    p.add_argument("--eps", type=float)
+    p.add_argument("--steps", dest="steps_per_phase", metavar="STEPS", type=int)
+    p.add_argument("--max-phases", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_walk)
 
@@ -157,18 +162,18 @@ def build_parser() -> argparse.ArgumentParser:
     ssub = p.add_subparsers(dest="study", required=True)
     q = ssub.add_parser("falpha", help="covariance estimator error rate")
     q.add_argument("--alpha", type=float, required=True)
-    q.add_argument("--n", type=int, default=256)
-    q.add_argument("--m-grid", default="32,64,128,256,512")
-    q.add_argument("--trials", type=int, default=24)
+    q.add_argument("--n", type=int, default=ScalingParams.estimator_n)
+    q.add_argument("--m-grid", type=_int_list, default=ScalingParams.estimator_m_grid)
+    q.add_argument("--trials", type=int, default=ScalingParams.estimator_trials)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--out", required=True)
     q.set_defaults(fn=_cmd_speclab)
     q = ssub.add_parser("gen", help="rounding generalization scaling")
     q.add_argument("--alpha", type=float, required=True)
-    q.add_argument("--n", type=int, default=1024)
-    q.add_argument("--m-grid", default="8,16,32,64")
-    q.add_argument("--trials", type=int, default=20)
-    q.add_argument("--delta", type=float, default=0.04)
+    q.add_argument("--n", type=int, default=ScalingParams.gen_n)
+    q.add_argument("--m-grid", type=_int_list, default=ScalingParams.gen_m_grid)
+    q.add_argument("--trials", type=int, default=ScalingParams.gen_trials)
+    q.add_argument("--delta", type=float, default=ScalingParams.walk.delta)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--out", required=True)
     q.set_defaults(fn=_cmd_speclab)
@@ -180,15 +185,16 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--out", required=True)
     q.set_defaults(fn=_cmd_speclab)
 
-    p = sub.add_parser("quantize", help="quantize a toy checkpoint")
+    p = sub.add_parser("quantize", help="quantize a toy checkpoint",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--bits", type=int, required=True)
     p.add_argument("--groupsize", type=int, default=None)
     p.add_argument("--method", choices=("rtn", "discquant", "lmwalk"), default="discquant")
-    p.add_argument("--lambda", dest="lam", type=float, default=200.0)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--iters", type=int, default=1024)
-    p.add_argument("--warmup", type=int, default=128)
-    p.add_argument("--clamp", type=float, default=1.0)
+    p.add_argument("--lambda", dest="lam", type=float)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--iters", dest="iterations", metavar="ITERS", type=int)
+    p.add_argument("--warmup", type=int)
+    p.add_argument("--clamp", type=float)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--teacher", default=None, help="checkpoint path (default: seeded)")
     p.add_argument("--heldout", type=int, default=256)
@@ -197,13 +203,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_quantize)
 
-    p = sub.add_parser("teacher", help="write a seeded teacher checkpoint")
+    p = sub.add_parser("teacher", help="write a seeded teacher checkpoint",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--vocab", type=int, default=16)
-    p.add_argument("--context", type=int, default=4)
-    p.add_argument("--hidden", type=int, default=32)
-    p.add_argument("--layers", type=int, default=1)
-    p.add_argument("--emb", type=int, default=8)
+    p.add_argument("--vocab", type=int)
+    p.add_argument("--context", type=int)
+    p.add_argument("--hidden", type=int)
+    p.add_argument("--layers", type=int)
+    p.add_argument("--emb", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_teacher)
     return parser

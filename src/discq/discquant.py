@@ -188,6 +188,8 @@ def optimize(teacher: ToyModel, grid: QuantGrid, cfg: DiscQuantConfig,
     opt = AdamW(bracket.n, lr=cfg.lr, weight_decay=cfg.weight_decay)
     stream = iter(data_stream) if data_stream is not None else _teacher_stream(teacher, cfg)
 
+    # lam weights one term; the other is multiplied by 1.0, which is exact
+    w_lin, w_kl = (cfg.lam, 1.0) if cfg.lambda_on == "linear" else (1.0, cfg.lam)
     trace_linear, trace_kl, trace_frac = [], [], []
     for step in range(1, cfg.iterations + 1):
         try:
@@ -199,12 +201,8 @@ def optimize(teacher: ToyModel, grid: QuantGrid, cfg: DiscQuantConfig,
         kl_value, kl_grad_model = kl_term(teacher, student, batch)
         kl_grad_x = np.clip(transform.grad_to_q(kl_grad_model) * bracket.delta,
                             -cfg.clamp, cfg.clamp)
-        if cfg.lambda_on == "linear":
-            grad = cfg.lam * cvec + kl_grad_x
-            lin_value, kl_weighted = cfg.lam * float(cvec @ x), kl_value
-        else:
-            grad = cvec + cfg.lam * kl_grad_x
-            lin_value, kl_weighted = float(cvec @ x), cfg.lam * kl_value
+        grad = w_lin * cvec + w_kl * kl_grad_x
+        lin_value, kl_weighted = w_lin * float(cvec @ x), w_kl * kl_value
         if not (np.isfinite(lin_value) and np.isfinite(kl_weighted)
                 and np.all(np.isfinite(grad))):
             raise NonFiniteObjective(f"non-finite objective at step {step}",
@@ -223,7 +221,7 @@ def optimize(teacher: ToyModel, grid: QuantGrid, cfg: DiscQuantConfig,
         heldout_kl, _ = kl_term(teacher, teacher.with_params(model_params), heldout)
     return RoundingReport(
         x=x,
-        fractional_fraction=float(np.mean(np.minimum(x, 1.0 - x) > cfg.tau)),
+        fractional_fraction=trace_frac[-1],
         trace_linear=np.array(trace_linear),
         trace_kl=np.array(trace_kl),
         trace_fractional=np.array(trace_frac),

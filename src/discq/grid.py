@@ -27,6 +27,7 @@ Array = np.ndarray
 
 PER_TENSOR = "per-tensor"
 SCALE_BITS = 16  # block scales are accounted as 16-bit values
+_SMALLEST = float(np.nextafter(0.0, 1.0))  # floor of a nonzero group's scale
 
 
 class GridConfigError(ValueError):
@@ -157,10 +158,10 @@ class InterpState:
 def build_block_scaling(w, bits: int, groupsize, blocks=None) -> QuantGrid:
     """Build a symmetric block-scaling grid from weights.
 
-    Each group's scale is ``max |w_j| / (2^(bits-1) - 1)``; an all-zero group
-    gets the sentinel scale 1 (every representable multiple of any scale
-    collapses to the needed 0).  ``groupsize`` may be an integer, the string
-    ``"per-tensor"``, or None.
+    Each group's scale is ``max |w_j| / (2^(bits-1) - 1)``, at least the
+    smallest positive float; an all-zero group gets the sentinel scale 1
+    (every representable multiple of any scale collapses to the needed 0).
+    ``groupsize`` may be an integer, the string ``"per-tensor"``, or None.
 
     ``blocks`` optionally partitions the vector into spans (e.g. the layers
     of a model) that groups never straddle: per-tensor then means one scale
@@ -187,7 +188,7 @@ def build_block_scaling(w, bits: int, groupsize, blocks=None) -> QuantGrid:
     scales = np.empty(len(bounds))
     for g, (lo, hi) in enumerate(bounds):
         peak = float(np.max(np.abs(w[lo:hi]))) if hi > lo else 0.0
-        scales[g] = peak / lmax if peak > 0 else 1.0
+        scales[g] = max(peak / lmax, _SMALLEST) if peak > 0 else 1.0
     # the compact contiguous representation suffices without explicit blocks
     group_bounds = None if blocks is None else tuple(bounds)
     return QuantGrid(kind="block_scaling", n=n, bits=bits, groupsize=groupsize,

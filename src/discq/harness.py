@@ -22,7 +22,7 @@ from . import __version__
 from .discquant import DiscQuantConfig, optimize as dq_optimize
 from .incoherence import ModelIncoherence
 from .lmwalk import WalkConfig
-from .pipeline import METHODS, quantize_model
+from .pipeline import _MODEL_WALK, METHODS, quantize_model
 from .serialize import child_seed, dump_record
 from .speclab import SpectrumSpec, falpha_scaling_study, generalization_study
 from .toymodel import (SampleBatch, ToyArch, ToyModel, first_order_study,
@@ -46,7 +46,7 @@ class ComparisonParams:
     data_mix: float = 0.0  # fraction of quantization data taken from a second source
     arch: ToyArch = ToyArch()
     discquant: DiscQuantConfig = DiscQuantConfig()
-    walk: WalkConfig = WalkConfig(delta=0.04)
+    walk: WalkConfig = _MODEL_WALK
 
     def __post_init__(self):
         if not self.bits_levels or any(b < 2 for b in self.bits_levels):
@@ -121,9 +121,9 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         raw = dict(raw)
-        experiment = raw.pop("experiment")
+        experiment = raw.pop("experiment", None)
         if experiment not in EXPERIMENTS:
-            raise ValueError(f"experiment must be one of {tuple(EXPERIMENTS)}")
+            raise ValueError(f"config key 'experiment' must be one of {tuple(EXPERIMENTS)}")
         unknown = set(raw) - {"seed", "trials", "outdir", "params"}
         if unknown:
             raise ValueError(f"unknown config keys {sorted(unknown)}")
@@ -138,6 +138,8 @@ def _params_from_dict(cls, raw: dict):
     whose default is a config dataclass is built from the given dict by that
     default's class.
     """
+    if not isinstance(raw, dict):
+        raise ValueError(f"config key 'params' must be an object, got {raw!r}")
     raw = dict(raw)
     for f in dataclasses.fields(cls):
         if raw.get(f.name) is not None and isinstance(f.default, tuple):
@@ -163,26 +165,20 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
             "outdir": cfg.outdir, "params": scrub(cfg.params)}
 
 
-@dataclass
+@dataclass(kw_only=True)
 class Report:
+    """One experiment's record; the fields are in the record's key order."""
+
+    schema_version: int = SCHEMA_VERSION
     experiment: str
+    artifact_version: str = __version__
     config: dict
     rows: list[dict]
     summary: dict
-    artifact_version: str = __version__
-    schema_version: int = SCHEMA_VERSION
     wall_clock: float = 0.0
 
     def to_record(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "experiment": self.experiment,
-            "artifact_version": self.artifact_version,
-            "config": self.config,
-            "rows": self.rows,
-            "summary": self.summary,
-            "wall_clock": self.wall_clock,
-        }
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     @property
     def failed_rows(self) -> list[dict]:
@@ -227,7 +223,7 @@ def _comparison_trial(args) -> list[dict]:
     for bits in p.bits_levels:
         for method in p.methods:
             row = {"seed": seed, "trial": trial, "bits": bits, "method": method,
-                   "groupsize": "per-tensor" if p.groupsize is None else p.groupsize,
+                   "groupsize": PER_TENSOR if p.groupsize is None else p.groupsize,
                    "incoherence": p.incoherence}
             stream = None
             if method == "discquant" and p.data_mix > 0.0:

@@ -286,6 +286,17 @@ def _run_phase(m_unit: Array, x: Array, frozen: Array, cfg: WalkConfig,
     return PhaseResult(x, frozen, False, int(frozen.sum()) - start_frozen)
 
 
+def _checked_phase(cs: ConstraintSet, m_unit: Array, x: Array, frozen: Array,
+                   cfg: WalkConfig, rng: np.random.Generator) -> PhaseResult:
+    """Run one phase; fail on a non-finite iterate or a residual above the limit."""
+    result = _run_phase(m_unit, x, frozen, cfg, rng)
+    if not np.all(np.isfinite(result.x)):
+        raise FloatingPointError("non-finite walk iterate")
+    if cs.residual(result.x) > RESIDUAL_LIMIT:
+        raise FloatingPointError("constraint residual exceeded 1e-6 during the phase")
+    return result
+
+
 def lm_phase(cs: ConstraintSet, x_in, frozen, cfg: WalkConfig) -> PhaseResult:
     """One walk phase: freeze coordinates until the step budget is spent.
 
@@ -302,12 +313,7 @@ def lm_phase(cs: ConstraintSet, x_in, frozen, cfg: WalkConfig) -> PhaseResult:
     if not np.all(np.isin(x_in[frozen], (0.0, 1.0))):
         raise ValueError("frozen coordinates of x_in must be exactly 0 or 1")
     rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 0x9A5E]))
-    result = _run_phase(cs.unit_rows(), x_in, frozen, cfg, rng)
-    if not np.all(np.isfinite(result.x)):
-        raise FloatingPointError("non-finite walk iterate")
-    if cs.residual(result.x) > RESIDUAL_LIMIT:
-        raise FloatingPointError("constraint residual exceeded 1e-6 during the phase")
-    return result
+    return _checked_phase(cs, cs.unit_rows(), x_in, frozen, cfg, rng)
 
 
 def lm_round(cs: ConstraintSet, cfg: WalkConfig) -> WalkResult:
@@ -338,9 +344,7 @@ def lm_round(cs: ConstraintSet, cfg: WalkConfig) -> WalkResult:
         return result(0, counts)
     for attempt in range(1, cfg.max_phases + 1):
         rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), attempt]))
-        phase = _run_phase(m_unit, x, frozen, cfg, rng)
-        if cs.residual(phase.x) > RESIDUAL_LIMIT:
-            raise FloatingPointError("constraint residual exceeded 1e-6 during the phase")
+        phase = _checked_phase(cs, m_unit, x, frozen, cfg, rng)
         before = fractional_count(x)
         after = fractional_count(phase.x)
         if after <= target or after <= before / 2:

@@ -20,6 +20,8 @@ from .serialize import child_seed
 Array = np.ndarray
 
 METHODS = ("rtn", "discquant", "lmwalk")
+# the walk's step for model rounding: quantize_model's and the comparison's default
+_MODEL_WALK = lmwalk.WalkConfig(delta=0.04)
 
 
 @dataclass
@@ -47,7 +49,7 @@ def _walk_constraints(teacher: toymodel.ToyModel, bracket, transform, m: int,
 def quantize_model(teacher: toymodel.ToyModel, bits: int, groupsize, method: str,
                    seed: int = 0, transform=None,
                    dq_cfg: discquant.DiscQuantConfig | None = None,
-                   walk_cfg: lmwalk.WalkConfig | None = None,
+                   walk_cfg: lmwalk.WalkConfig = _MODEL_WALK,
                    walk_samples: int = 48,
                    heldout: toymodel.SampleBatch | None = None,
                    data_stream=None) -> QuantizeOutcome:
@@ -85,8 +87,7 @@ def quantize_model(teacher: toymodel.ToyModel, bits: int, groupsize, method: str
         bracket = gridmod.bracket_of(wq, qgrid)
         cs = _walk_constraints(teacher, bracket, transform, walk_samples,
                                seq_length=8, seed=seed)
-        cfg = walk_cfg or lmwalk.WalkConfig(delta=0.04)
-        cfg = dataclasses.replace(cfg, seed=child_seed(seed, 0x31))
+        cfg = dataclasses.replace(walk_cfg, seed=child_seed(seed, 0x31))
         result = lmwalk.lm_round(cs, cfg)
         fractional = result.fractional
         rounded_q = discquant.finalize(result.x, bracket, tau=1e-3)

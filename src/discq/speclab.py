@@ -162,6 +162,15 @@ class ScalingResult:
     extra: dict
 
 
+def _fit(ms: list[int], values: Array, extra: dict) -> ScalingResult:
+    """Per-m mean and median of the (m, trial) ``values``; log-log fit over positive m."""
+    means = values.mean(axis=1)
+    keep = [i for i, m in enumerate(ms) if m > 0]
+    slope, stderr = _ols_loglog([ms[i] for i in keep], means[keep])
+    return ScalingResult(tuple(ms), means, np.median(values, axis=1), slope, stderr,
+                         extra=extra)
+
+
 def falpha_scaling_study(spec: SpectrumSpec, m_grid, trials: int, seed: int = 0) -> ScalingResult:
     """Log-log slope of the mean Schatten-1 estimator error against m."""
     ms = _check_m_grid(m_grid)
@@ -174,10 +183,7 @@ def falpha_scaling_study(spec: SpectrumSpec, m_grid, trials: int, seed: int = 0)
             trial_seed = child_seed(seed, i, t)
             emp = empirical_covariance(sample_gradients(spec, m, trial_seed))
             errors[i, t] = schatten1_error(emp, sigma)
-    means = errors.mean(axis=1)
-    medians = np.median(errors, axis=1)
-    slope, stderr = _ols_loglog(ms, means)
-    return ScalingResult(tuple(ms), means, medians, slope, stderr, extra={})
+    return _fit(ms, errors, extra={})
 
 
 def generalization_study(spec: SpectrumSpec, m_grid, trials: int,
@@ -211,12 +217,7 @@ def generalization_study(spec: SpectrumSpec, m_grid, trials: int,
                            replace(walk_cfg, seed=trial_seed))
             quad[i, t] = spec.quad_form(res.x - y)
             fractional[i, t] = res.fractional
-    keep = [i for i, m in enumerate(ms) if m > 0]
-    means = quad.mean(axis=1)
-    medians = np.median(quad, axis=1)
-    slope, stderr = _ols_loglog([ms[i] for i in keep], means[keep])
-    return ScalingResult(tuple(ms), means, medians, slope, stderr,
-                         extra={"fractional": fractional})
+    return _fit(ms, quad, extra={"fractional": fractional})
 
 
 def jl_spectrum(gradients: Array, d: int, seed: int = 0,

@@ -304,19 +304,23 @@ def _sample_tokens(model: ToyModel, uniforms: Array) -> Array:
     return np.clip(buf[:, arch.context:], 0, arch.vocab - 1)
 
 
+def _ce_head(model: ToyModel, prefixes: Array, targets: Array) -> tuple[dict, Array, Array]:
+    """Forward cache, per-row loss -log p(target) and dlogits = p - onehot(target)."""
+    cache = _forward(model, prefixes)
+    rows = np.arange(len(targets))
+    dlogits = cache["p"].copy()
+    dlogits[rows, targets] -= 1.0
+    return cache, -cache["logp"][rows, targets], dlogits
+
+
 def ce_loss_rows(model: ToyModel, batch: SampleBatch) -> Array:
     """Per-row cross-entropy -log p(target | prefix)."""
-    prefixes, targets = batch.rows(model.arch)
-    cache = _forward(model, prefixes)
-    return -cache["logp"][np.arange(len(targets)), targets]
+    return _ce_head(model, *batch.rows(model.arch))[1]
 
 
 def gradient_rows(model: ToyModel, batch: SampleBatch) -> Array:
     """Per-row cross-entropy gradients, one row of length n_params per sample."""
-    prefixes, targets = batch.rows(model.arch)
-    cache = _forward(model, prefixes)
-    dlogits = cache["p"].copy()
-    dlogits[np.arange(len(targets)), targets] -= 1.0
+    cache, _, dlogits = _ce_head(model, *batch.rows(model.arch))
     return _per_row_grads(model, cache, dlogits)
 
 
@@ -326,24 +330,17 @@ def per_sample_grad(model: ToyModel, sample: tuple) -> Array:
     window = _prefix_window(model.arch, prefix)
     if not 0 <= int(target) < model.arch.vocab:
         raise ValueError("target out of range")
-    cache = _forward(model, window)
-    loss = -cache["logp"][0, int(target)]
+    cache, loss, dlogits = _ce_head(model, window, np.array([int(target)]))
     _check_finite(loss, "loss")
-    dlogits = cache["p"].copy()
-    dlogits[0, int(target)] -= 1.0
     return _backward(model, cache, dlogits)
 
 
 def mean_ce_grad(model: ToyModel, batch: SampleBatch) -> tuple[float, Array]:
     """(mean cross-entropy, gradient of the mean) over all batch rows."""
-    prefixes, targets = batch.rows(model.arch)
-    cache = _forward(model, prefixes)
-    nrows = len(targets)
-    loss = float(-cache["logp"][np.arange(nrows), targets].mean())
+    cache, losses, dlogits = _ce_head(model, *batch.rows(model.arch))
+    loss = float(losses.mean())
     _check_finite(loss, "loss")
-    dlogits = cache["p"].copy()
-    dlogits[np.arange(nrows), targets] -= 1.0
-    return loss, _backward(model, cache, dlogits / nrows)
+    return loss, _backward(model, cache, dlogits / len(losses))
 
 
 def kl_term(teacher: ToyModel, student: ToyModel, batch: SampleBatch) -> tuple[float, Array]:

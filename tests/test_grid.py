@@ -218,8 +218,8 @@ class TestSerialization:
             build_block_scaling(np.ones(4), bits=3, groupsize=0)
 
 
-# magnitudes below 1e-300 are left out of grid-building weights: their scales
-# would underflow to zero
+# magnitudes below 1e-300 are left out of grid-building weights here;
+# tiny_grid_and_weights below covers them down to the smallest subnormal
 _weights = st.floats(-1e3, 1e3).filter(lambda v: v == 0 or abs(v) > 1e-300)
 
 
@@ -305,3 +305,56 @@ class TestProperties:
         for j in range(grid.n):
             np.testing.assert_array_equal(back.points_for(j).view(np.uint64),
                                           grid.points_for(j).view(np.uint64))
+
+
+# nonzero weights down to the smallest subnormal, where peak / lmax underflows
+_tiny = st.one_of(st.just(0.0), st.floats(5e-324, 1e-300), st.floats(-1e-300, -5e-324))
+
+
+@st.composite
+def tiny_grid_and_weights(draw):
+    """A block-scaling grid over subnormal-scale weights, and in-range weights."""
+    n = draw(st.integers(1, 12))
+    base = np.array(draw(st.lists(_tiny, min_size=n, max_size=n)))
+    grid = build_block_scaling(base, bits=draw(st.sampled_from([2, 3, 8])),
+                               groupsize=draw(st.sampled_from([None, 1, 3])))
+    w = np.empty(n)
+    for j in range(n):
+        pts = grid.points_for(j)
+        if draw(st.booleans()):
+            w[j] = pts[draw(st.integers(0, len(pts) - 1))]
+        else:
+            t = draw(st.floats(0.0, 1.0))
+            w[j] = np.clip(pts[0] + t * (pts[-1] - pts[0]), pts[0], pts[-1])
+    return grid, w
+
+
+class TestSubnormalScales:
+    @pytest.mark.parametrize("bits", [2, 3, 8])
+    def test_smallest_peak_builds_and_rounds_exactly(self, bits):
+        w = np.array([5e-324, 0.0])
+        grid = build_block_scaling(w, bits=bits, groupsize=None)
+        assert grid.scales[0] == 5e-324
+        out = rtn(w, grid)
+        np.testing.assert_array_equal(out.view(np.uint64), w.view(np.uint64))
+
+    @pytest.mark.parametrize("peak", [1e-320, 2.5e-310, 1e-300, 0.9])
+    def test_representable_quotient_kept_exactly(self, peak):
+        grid = build_block_scaling(np.array([peak, -peak / 2, 0.0]), bits=3, groupsize=None)
+        assert grid.scales[0] == peak / 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(tiny_grid_and_weights())
+    def test_bracket_invariants_at_tiny_peaks(self, gw):
+        grid, w = gw
+        assert np.all(np.asarray(grid.scales) > 0)
+        br = bracket_of(w, grid)
+        assert np.all(br.w_down <= w) and np.all(w <= br.w_up)
+        for j in range(grid.n):
+            pts = grid.points_for(j)
+            assert br.w_down[j] in pts and br.w_up[j] in pts
+            assert (br.delta[j] == 0) == (w[j] in pts)
+        y = br.position()
+        assert np.all((0.0 <= y) & (y <= 1.0))
+        out = rtn(w, grid)
+        assert np.all((out == br.w_down) | (out == br.w_up))

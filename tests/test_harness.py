@@ -290,3 +290,113 @@ class TestCli:
         bad_path.write_text(json.dumps(bad))
         rc = cli_main(["run", str(bad_path), "--out", str(tmp_path)])
         assert rc == 1
+
+
+class TestConfigErrors:
+    def test_missing_experiment_is_a_value_error(self):
+        with pytest.raises(ValueError, match="'experiment'"):
+            ExperimentConfig.from_dict({"seed": 1, "params": {}})
+
+    @pytest.mark.parametrize("params", [None, [], ["rtn"], "rtn", 3])
+    def test_params_not_an_object_is_a_value_error(self, params):
+        with pytest.raises(ValueError, match="'params'"):
+            ExperimentConfig.from_dict({"experiment": "comparison", "params": params})
+
+
+RECORD_KEYS = ["schema_version", "experiment", "artifact_version", "config", "rows",
+               "summary", "wall_clock"]
+
+
+@pytest.mark.parametrize("cfg", [
+    tiny_comparison(trials=1, methods=("rtn",)),
+    ExperimentConfig(experiment="first_order", trials=1,
+                     params=FirstOrderParams(deltas=(0.1,), sequences=2)),
+    ExperimentConfig(experiment="scaling", trials=1,
+                     params=ScalingParams(estimator_alphas=(2.5,), estimator_n=32,
+                                          estimator_m_grid=(4, 8, 16, 32),
+                                          estimator_trials=20, run_generalization=False)),
+], ids=["comparison", "first_order", "scaling"])
+def test_record_key_order(cfg):
+    assert list(run_experiment(cfg).to_record()) == RECORD_KEYS
+
+
+class _Stop(Exception):
+    """Raised by a stand-in once it has captured what a command passed it."""
+
+
+class TestCliDefaults:
+    """The dq flags that set config fields default to the dataclass values."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        import discq.cli as cli
+        seen = {}
+
+        def capture(name):
+            def stand_in(*args, **kwargs):
+                seen[name] = (args, kwargs)
+                raise _Stop
+            return stand_in
+
+        for name in ("lm_round", "quantize_model", "falpha_scaling_study",
+                     "generalization_study"):
+            monkeypatch.setattr(cli, name, capture(name))
+        real_random_model = cli.random_model
+
+        def random_model(arch, seed=0):
+            seen["random_model"] = ((arch,), {"seed": seed})
+            return real_random_model(arch, seed=seed)
+
+        monkeypatch.setattr(cli, "random_model", random_model)
+        return seen
+
+    @staticmethod
+    def run(argv, out):
+        try:
+            cli_main(argv + ["--seed", "7", "--out", str(out)])
+        except _Stop:
+            pass
+
+    def test_no_optional_flags_give_dataclass_defaults(self, seen, tmp_path):
+        out = tmp_path / "out"
+        self.run(["walk", "--n", "64", "--m", "2"], out)
+        assert seen["lm_round"][0][1] == WalkConfig(seed=7)
+        self.run(["quantize", "--bits", "3"], out)
+        assert seen["quantize_model"][1]["dq_cfg"] == DiscQuantConfig(seed=7)
+        assert seen["random_model"][0][0] == ToyArch()
+        del seen["random_model"]
+        self.run(["teacher"], out)
+        assert seen["random_model"][0][0] == ToyArch()
+        sp = ScalingParams()
+        self.run(["speclab", "falpha", "--alpha", "2.5"], out)
+        (spec, m_grid, trials), _ = seen["falpha_scaling_study"]
+        assert (spec.n, tuple(m_grid), trials) == \
+            (sp.estimator_n, sp.estimator_m_grid, sp.estimator_trials)
+        self.run(["speclab", "gen", "--alpha", "2.0"], out)
+        (spec, m_grid, trials, walk), _ = seen["generalization_study"]
+        assert (spec.n, tuple(m_grid), trials) == (sp.gen_n, sp.gen_m_grid, sp.gen_trials)
+        assert walk == WalkConfig(delta=sp.walk.delta, seed=7)
+
+    def test_every_flag_sets_its_field(self, seen, tmp_path):
+        out = tmp_path / "out"
+        self.run(["walk", "--n", "64", "--m", "2", "--delta", "0.03", "--eps", "0.01",
+                  "--steps", "50", "--max-phases", "9"], out)
+        assert seen["lm_round"][0][1] == WalkConfig(delta=0.03, eps=0.01, steps_per_phase=50,
+                                                    max_phases=9, seed=7)
+        self.run(["quantize", "--bits", "3", "--lambda", "50", "--lr", "0.2", "--iters", "64",
+                  "--warmup", "8", "--clamp", "0.5"], out)
+        assert seen["quantize_model"][1]["dq_cfg"] == DiscQuantConfig(
+            lam=50.0, lr=0.2, iterations=64, warmup=8, clamp=0.5, seed=7)
+        self.run(["teacher", "--vocab", "12", "--context", "3", "--hidden", "20",
+                  "--layers", "2", "--emb", "6"], out)
+        assert seen["random_model"][0][0] == ToyArch(vocab=12, context=3, hidden=20,
+                                                     layers=2, emb=6)
+        self.run(["speclab", "falpha", "--alpha", "2.5", "--n", "128",
+                  "--m-grid", "4,8,16,32", "--trials", "21"], out)
+        (spec, m_grid, trials), _ = seen["falpha_scaling_study"]
+        assert (spec.n, list(m_grid), trials) == (128, [4, 8, 16, 32], 21)
+        self.run(["speclab", "gen", "--alpha", "2.0", "--n", "512",
+                  "--m-grid", "2,4,8,16", "--trials", "3", "--delta", "0.05"], out)
+        (spec, m_grid, trials, walk), _ = seen["generalization_study"]
+        assert (spec.n, list(m_grid), trials) == (512, [2, 4, 8, 16], 3)
+        assert walk == WalkConfig(delta=0.05, seed=7)
