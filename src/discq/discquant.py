@@ -25,7 +25,16 @@ The default data stream samples fresh teacher sequences for every step, but
 presamples them in chunks of ``STREAM_CHUNK`` steps: one draw of uniforms
 per chunk, in the same order as per-step draws, and one sampler pass over
 the chunk's sequences, so the batches are exactly those of per-step
-sampling.  A caller-supplied stream is read one batch per step.
+sampling.  The teacher's side of the KL term is cached per chunk as well:
+one ``rows`` call builds every step's prefixes, and the teacher's forward
+runs on them stacked as (steps, rows, ·), ``_TEACHER_STACK`` steps at a
+time so that its activations stay small.  A stacked ``@`` multiplies each
+step's slice by the same weight views as a per-step call, so the teacher's
+log-probs and probs, and with them every KL value and gradient, are bit for
+bit those of per-step :func:`kl_term`; one flat (steps * rows)-row product
+would round differently.  Each step then runs only the student's forward
+and backward.  A caller-supplied stream is read, and its teacher side
+computed, one batch per step.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ import numpy as np
 
 from .grid import Bracket, QuantGrid, bracket_of, nearer_up
 from .optim import AdamW, warmup_cosine_lr
-from .toymodel import SampleBatch, ToyModel, _sample_tokens, kl_term
+from .toymodel import SampleBatch, ToyModel, _forward, _kl_core, _sample_tokens, kl_term
 
 # unused here; kept importable because bench/spans.py traces them at these names
 from .grid import interp_weights  # noqa: F401
@@ -45,6 +54,7 @@ from .toymodel import sample_sequences  # noqa: F401
 Array = np.ndarray
 
 STREAM_CHUNK = 128  # steps of the default stream sampled per pass
+_TEACHER_STACK = 32  # steps per stacked teacher forward (about 1 MiB of activations at default sizes)
 
 
 class _Identity:
@@ -147,21 +157,43 @@ def finalize(x, bracket: Bracket, tau: float) -> Array:
     return np.where(take_up, bracket.w_up, bracket.w_down)
 
 
-def _teacher_stream(teacher: ToyModel, cfg: DiscQuantConfig):
-    """``cfg.iterations`` teacher-sampled batches, presampled in chunks.
+def _teacher_chunks(teacher: ToyModel, cfg: DiscQuantConfig):
+    """``cfg.iterations`` steps of teacher samples as one batch per chunk.
 
-    ``rng.random((k, seq_length, batch_size))`` holds the uniforms of k
-    per-step ``sample_sequences(teacher, batch_size, seq_length, rng=rng)``
-    calls in their order; a sampled row depends only on its own uniforms.
+    Each chunk holds up to ``STREAM_CHUNK`` steps' ``batch_size`` sequences,
+    step by step.  ``rng.random((k, seq_length, batch_size))`` holds the
+    uniforms of k per-step ``sample_sequences(teacher, batch_size,
+    seq_length, rng=rng)`` calls in their order; a sampled row depends only
+    on its own uniforms.  Yields ``(chunk, k)``.
     """
     rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 0x57E4]))
     size, length = cfg.batch_size, cfg.seq_length
     for start in range(0, cfg.iterations, STREAM_CHUNK):
         k = min(STREAM_CHUNK, cfg.iterations - start)
         uniforms = rng.random((k, length, size)).transpose(1, 0, 2).reshape(length, k * size)
-        seqs = _sample_tokens(teacher, uniforms)
-        for j in range(k):
-            yield SampleBatch(sequences=seqs[j * size:(j + 1) * size])
+        yield SampleBatch(sequences=_sample_tokens(teacher, uniforms)), k
+
+
+def _teacher_stream(teacher: ToyModel, cfg: DiscQuantConfig):
+    """``cfg.iterations`` teacher-sampled batches, presampled in chunks."""
+    for chunk, k in _teacher_chunks(teacher, cfg):
+        yield from map(SampleBatch, np.split(chunk.sequences, k))
+
+
+def _kl_inputs(teacher: ToyModel, batches):
+    """Per step: prefixes and the teacher's log-probs and probs on them.
+
+    ``batches`` yields ``(batch, k)``, a batch holding k steps' rows in step
+    order and in equal shares.  One ``rows`` call serves all k steps, and
+    the teacher's forward runs on stacks of up to ``_TEACHER_STACK`` steps,
+    shaped (steps, rows, ·), so each step's slices equal what
+    :func:`kl_term` computes from that step's own batch.
+    """
+    for batch, k in batches:
+        prefixes = batch.rows(teacher.arch)[0].reshape(k, -1, teacher.arch.context)
+        for stack in np.split(prefixes, range(_TEACHER_STACK, k, _TEACHER_STACK)):
+            cache = _forward(teacher, stack)
+            yield from zip(stack, cache["logp"], cache["p"])
 
 
 def optimize(teacher: ToyModel, grid: QuantGrid, cfg: DiscQuantConfig,
@@ -175,7 +207,9 @@ def optimize(teacher: ToyModel, grid: QuantGrid, cfg: DiscQuantConfig,
     teacher-sampled batches and is read one batch per step; exhausting it
     raises ``ValueError``.  The default stream is presampled in chunks of
     ``STREAM_CHUNK`` steps from the same uniforms, drawn in the same order,
-    as per-step sampling, so its batches equal per-step samples exactly.
+    as per-step sampling, so its batches equal per-step samples exactly, and
+    the teacher's distributions on each chunk are computed once, bit for bit
+    as per step (see the module docstring).
     """
     transform = transform or _Identity
     wq = transform.to_q(teacher.params)
@@ -186,19 +220,20 @@ def optimize(teacher: ToyModel, grid: QuantGrid, cfg: DiscQuantConfig,
     cvec = cstar(y)
     x = init_x(cfg.init, bracket, cfg.seed)
     opt = AdamW(bracket.n, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    stream = iter(data_stream) if data_stream is not None else _teacher_stream(teacher, cfg)
+    kl_inputs = _kl_inputs(teacher, _teacher_chunks(teacher, cfg) if data_stream is None
+                           else ((batch, 1) for batch in data_stream))
 
     # lam weights one term; the other is multiplied by 1.0, which is exact
     w_lin, w_kl = (cfg.lam, 1.0) if cfg.lambda_on == "linear" else (1.0, cfg.lam)
     trace_linear, trace_kl, trace_frac = [], [], []
     for step in range(1, cfg.iterations + 1):
         try:
-            batch = next(stream)
+            prefixes, t_logp, t_p = next(kl_inputs)
         except StopIteration:
             raise ValueError("data stream exhausted before the final iteration") from None
         wq_x = bracket.w_down * (1.0 - x) + bracket.w_up * x
         student = teacher.with_params(transform.from_q(wq_x))
-        kl_value, kl_grad_model = kl_term(teacher, student, batch)
+        kl_value, kl_grad_model = _kl_core(student, prefixes, t_logp, t_p)
         kl_grad_x = np.clip(transform.grad_to_q(kl_grad_model) * bracket.delta,
                             -cfg.clamp, cfg.clamp)
         grad = w_lin * cvec + w_kl * kl_grad_x

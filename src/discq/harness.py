@@ -131,21 +131,30 @@ class ExperimentConfig:
         return cls(experiment=experiment, params=params, **raw)
 
 
-def _params_from_dict(cls, raw: dict):
+def _params_from_dict(cls, raw: dict, key: str = "params"):
     """Build a params dataclass from parsed JSON, field by field.
 
     A field whose default is a tuple takes the given list as a tuple; one
-    whose default is a config dataclass is built from the given dict by that
-    default's class.
+    whose default is a config dataclass is built from the given dict the
+    same way.  A value that is not an object where one is due, a list that
+    is not a list, or an unknown key raises ``ValueError`` naming its
+    dotted config key (``key`` names ``raw``).
     """
     if not isinstance(raw, dict):
-        raise ValueError(f"config key 'params' must be an object, got {raw!r}")
+        raise ValueError(f"config key '{key}' must be an object, got {raw!r}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(raw) - set(fields)
+    if unknown:
+        raise ValueError(f"unknown config keys {sorted(f'{key}.{k}' for k in unknown)}")
     raw = dict(raw)
-    for f in dataclasses.fields(cls):
-        if raw.get(f.name) is not None and isinstance(f.default, tuple):
-            raw[f.name] = tuple(raw[f.name])
-        elif f.name in raw and dataclasses.is_dataclass(f.default):
-            raw[f.name] = type(f.default)(**raw[f.name])
+    for name, value in raw.items():
+        default = fields[name].default
+        if value is not None and isinstance(default, tuple):
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"config key '{key}.{name}' must be a list, got {value!r}")
+            raw[name] = tuple(value)
+        elif dataclasses.is_dataclass(default):
+            raw[name] = _params_from_dict(type(default), value, f"{key}.{name}")
     return cls(**raw)
 
 

@@ -15,6 +15,7 @@ dynamic range, which is its entire purpose).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,12 +38,22 @@ def next_power_of_two(k: int) -> int:
     return out
 
 
+_STAGED_MAX = 64  # longest transform done by stage matrices; longer ones use the butterfly
+
+
 def fwht(a: Array, axis: int = -1) -> Array:
     """Unnormalized fast Walsh-Hadamard transform along ``axis``.
 
-    O(dim log dim) butterfly recursion; the implied matrix is the Sylvester
-    Hadamard matrix H_dim.  Stages alternate between two buffers, viewed as
-    (before, blocks, 2, half, after) around the transformed axis.
+    The implied matrix is the Sylvester Hadamard matrix H_dim, applied in
+    log2(dim) butterfly stages; stage ``half`` maps each pair (u, v) that
+    sits ``half`` apart to (u + v, u - v).  Up to ``_STAGED_MAX`` a stage is
+    one matmul with a cached +-1/0 stage matrix whose rows hold two
+    nonzeros, so each output is still one rounded add of two entries (the
+    +-1 products and the added zeros are exact) and equals the butterfly's
+    for finite inputs; only a -0.0 + -0.0 may come out +0.0.  One dense H_dim
+    product would round differently.  Longer transforms run the butterfly,
+    alternating between two buffers viewed as (before, blocks, 2, half,
+    after) around the axis.
     """
     a = np.asarray(a, dtype=np.float64)
     axis = range(a.ndim)[axis]
@@ -52,6 +63,16 @@ def fwht(a: Array, axis: int = -1) -> Array:
     if n == 1:
         return a.copy()
     before, after = math.prod(a.shape[:axis]), math.prod(a.shape[axis + 1:])
+    if n <= _STAGED_MAX:
+        x = a.reshape(before, n, after)
+        if after == 1:
+            x = x[:, :, 0]
+            for stage in _stage_matrices(n):
+                x = x @ stage.T
+        else:
+            for stage in _stage_matrices(n):
+                x = stage @ x
+        return x.reshape(a.shape)
     bufs = (np.empty(a.shape), np.empty(a.shape))
     src, half, k = a, 1, 0
     while half < n:
@@ -61,6 +82,22 @@ def fwht(a: Array, axis: int = -1) -> Array:
         np.subtract(s[:, :, 0], s[:, :, 1], out=d[:, :, 1])
         src, half, k = bufs[k], 2 * half, 1 - k
     return src
+
+
+@functools.lru_cache(maxsize=None)
+def _stage_matrices(n: int) -> tuple[Array, ...]:
+    """The butterfly's stages as read-only n x n matrices, ``half`` = 1, 2, ..., n/2."""
+    rows = np.arange(n)
+    stages = []
+    half = 1
+    while half < n:
+        stage = np.zeros((n, n))
+        stage[rows, rows] = np.where(rows & half, -1.0, 1.0)  # u - v on the v rows
+        stage[rows, rows ^ half] = 1.0
+        stage.flags.writeable = False
+        stages.append(stage)
+        half *= 2
+    return tuple(stages)
 
 
 @dataclass(frozen=True)

@@ -171,14 +171,20 @@ def random_model(arch: ToyArch = ToyArch(), seed: int = 0, scale: float = 1.0) -
 
 
 def _log_softmax(logits: Array) -> Array:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _forward(model: ToyModel, prefixes: Array) -> dict:
-    """``acts`` holds the flattened embeddings, then each hidden layer's output."""
+    """``acts`` holds the flattened embeddings, then each hidden layer's output.
+
+    ``prefixes`` is (rows, context), or a stack (k, rows, context) whose
+    slices come out bit-identical to k separate calls: ``@`` multiplies each
+    slice by the same weight views, one product per slice.  Flattening the
+    stack into one (k * rows)-row product would round differently.
+    """
     v = model.views()
-    acts = [v["embed"][prefixes].reshape(prefixes.shape[0], -1)]
+    acts = [v["embed"][prefixes].reshape(*prefixes.shape[:-1], -1)]
     for w, b in _HIDDEN[:model.arch.layers]:
         acts.append(np.tanh(acts[-1] @ v[w].T + v[b]))
     logits = acts[-1] @ v["wout"].T + v["bout"]
@@ -349,11 +355,16 @@ def kl_term(teacher: ToyModel, student: ToyModel, batch: SampleBatch) -> tuple[f
         raise ValueError("teacher and student must share an architecture")
     prefixes, _ = batch.rows(teacher.arch)
     tc = _forward(teacher, prefixes)
+    return _kl_core(student, prefixes, tc["logp"], tc["p"])
+
+
+def _kl_core(student: ToyModel, prefixes: Array, t_logp: Array,
+             t_p: Array) -> tuple[float, Array]:
+    """:func:`kl_term` from the teacher's log-probs and probs on ``prefixes``."""
     sc = _forward(student, prefixes)
-    nrows = prefixes.shape[0]
-    value = float((tc["p"] * (tc["logp"] - sc["logp"])).sum(axis=1).mean())
+    value = float((t_p * (t_logp - sc["logp"])).sum(axis=1).mean())
     _check_finite(value, "KL value")
-    grad = _backward(student, sc, (sc["p"] - tc["p"]) / nrows)
+    grad = _backward(student, sc, (sc["p"] - t_p) / prefixes.shape[0])
     return value, grad
 
 

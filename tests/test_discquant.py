@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from discq.discquant import (STREAM_CHUNK, DiscQuantConfig, NonFiniteObjective,
-                             _teacher_stream, cstar, finalize, init_x, optimize)
+                             _kl_inputs, _teacher_chunks, _teacher_stream, cstar,
+                             finalize, init_x, optimize)
+from discq.incoherence import ModelIncoherence
 from discq.grid import bracket_of, build_block_scaling, explicit_grid, rtn
 from discq.pipeline import quantize_model
 from discq.serialize import child_seed as _child_seed
-from discq.toymodel import ToyArch, kl_term, random_model, sample_sequences
+from discq.toymodel import ToyArch, _forward, kl_term, random_model, sample_sequences
 
 from oracles import per_step_teacher_stream
 
@@ -103,6 +105,39 @@ class TestTeacherStream:
         assert len(batches) == iterations
         for batch, seqs in zip(batches, reference):
             np.testing.assert_array_equal(batch.sequences, seqs)
+
+
+class TestTeacherCache:
+    @pytest.mark.parametrize("arch", [ToyArch(), ToyArch(layers=2)])
+    @pytest.mark.parametrize("batch_size", [1, 3, 4])
+    def test_stacked_teacher_equals_per_step_forward(self, arch, batch_size):
+        teacher = random_model(arch, seed=50 + batch_size)
+        iterations = STREAM_CHUNK + 45  # a partial last chunk and stack
+        cfg = DiscQuantConfig(iterations=iterations, warmup=1, batch_size=batch_size,
+                              seed=batch_size)
+        cached = list(_kl_inputs(teacher, _teacher_chunks(teacher, cfg)))
+        batches = list(_teacher_stream(teacher, cfg))
+        assert len(cached) == len(batches) == iterations
+        for (prefixes, logp, p), batch in zip(cached, batches):
+            rows, _ = batch.rows(arch)
+            step = _forward(teacher, rows)
+            assert prefixes.tobytes() == rows.tobytes()
+            assert logp.tobytes() == step["logp"].tobytes()
+            assert p.tobytes() == step["p"].tobytes()
+
+    @pytest.mark.parametrize("incoherent", [False, True])
+    @pytest.mark.parametrize("arch", [ToyArch(), ToyArch(layers=2)])
+    def test_default_stream_equals_caller_stream(self, arch, incoherent):
+        teacher = random_model(arch, seed=60)
+        transform = ModelIncoherence(arch, seed=4) if incoherent else None
+        wq = transform.to_q(teacher.params) if incoherent else teacher.params
+        grid = build_block_scaling(wq, bits=3, groupsize=16)
+        cfg = DiscQuantConfig(iterations=STREAM_CHUNK + 9, warmup=8, batch_size=3, seed=8)
+        cached = optimize(teacher, grid, cfg, transform=transform)
+        fed = optimize(teacher, grid, cfg, transform=transform,
+                       data_stream=list(_teacher_stream(teacher, cfg)))
+        for name in ("x", "trace_kl", "trace_linear", "quantized"):
+            assert getattr(cached, name).tobytes() == getattr(fed, name).tobytes(), name
 
 
 class TestOptimize:

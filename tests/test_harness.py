@@ -302,6 +302,22 @@ class TestConfigErrors:
         with pytest.raises(ValueError, match="'params'"):
             ExperimentConfig.from_dict({"experiment": "comparison", "params": params})
 
+    @pytest.mark.parametrize("params, key", [
+        ({"arch": None}, "'params.arch'"),
+        ({"discquant": {"lamda": 3}}, "'params.discquant.lamda'"),
+        ({"bogus": 1}, "'params.bogus'"),
+        ({"walk": [0.1]}, "'params.walk'"),
+        ({"methods": 3}, "'params.methods'"),
+    ])
+    def test_malformed_params_key_is_a_value_error(self, params, key):
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig.from_dict({"experiment": "comparison", "params": params})
+
+    def test_nested_walk_config_still_loads(self):
+        cfg = ExperimentConfig.from_dict({"experiment": "scaling",
+                                          "params": {"walk": {"delta": 0.1}}})
+        assert cfg.params.walk == WalkConfig(delta=0.1)
+
 
 RECORD_KEYS = ["schema_version", "experiment", "artifact_version", "config", "rows",
                "summary", "wall_clock"]

@@ -10,8 +10,8 @@ from discq.incoherence import (RHT, ModelIncoherence, fwht, is_power_of_two,
 from discq.toymodel import (ToyArch, forward_next_token, kl_term, random_model,
                             sample_sequences)
 
-from oracles import (layerwise_from_q, layerwise_to_q, naive_hadamard_apply,
-                     stack_fwht)
+from oracles import (buffered_fwht, layerwise_from_q, layerwise_to_q,
+                     naive_hadamard_apply, stack_fwht)
 
 
 class TestFwht:
@@ -42,6 +42,29 @@ class TestFwht:
         out = fwht(a, axis=axis)
         np.testing.assert_array_equal(out, stack_fwht(a, axis=axis))
         assert not np.shares_memory(out, a)
+
+    @pytest.mark.parametrize("dim", [1, 2, 4, 8, 16, 32, 64, 128, 256])
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_matches_buffered_butterfly_bytes(self, dim, axis):
+        shape = [3, 5, 2]
+        shape[axis] = dim
+        a = np.random.default_rng(dim).standard_normal(shape)
+        a[np.random.default_rng(dim + 1).random(shape) < 0.3] = 0.0
+        fiber = [0, 0, 0]
+        fiber[axis] = slice(None)
+        a[tuple(fiber)] = 0.0  # one whole transformed line of zeros
+        assert fwht(a, axis=axis).tobytes() == buffered_fwht(a, axis=axis).tobytes()
+
+    def test_negative_zero_may_come_out_positive(self):
+        # known difference from the butterfly: -0.0 + -0.0 is -0.0 there,
+        # while a stage matmul may sum the same two entries to +0.0
+        a = np.array([[-0.0, -0.0], [-0.0, 1.5], [2.0, -0.0], [0.0, 0.0]])
+        for axis in (0, 1):
+            out, ref = fwht(a, axis=axis), buffered_fwht(a, axis=axis)
+            assert np.signbit(ref).any()
+            np.testing.assert_array_equal(out, ref)
+            flipped = np.signbit(out) != np.signbit(ref)
+            assert np.all(out[flipped] == 0.0)
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
