@@ -31,18 +31,26 @@ definition above:
   ``_DOWNDATE_FLOOR`` (rank loss), every ``_REFRESH_EVERY`` downdates (to
   bound drift), and at every freeze once ``free <= 2 k``, so saturation
   (rank >= free) is always decided by the eigenvalue rank test.
-* Steps are drawn and screened in blocks; a block is interrupted at the first
-  row that lands a coordinate within ``eps`` of a face, and that single step
-  is shortened (or minimally extended, when the band was entered without
-  crossing) so the binding coordinate lands exactly on its face.  All motion
-  is therefore a scalar multiple of a null-space direction and the constraint
-  residual is preserved to machine precision.  A coordinate is frozen only at
-  a face it moves toward; a coordinate drifting within the band away from its
-  face stays free until a later step carries it onto the face.
+* Steps are drawn, projected and screened in blocks of ``_BLOCK`` rows.
+  The first row that moves a coordinate toward a face it ends within
+  ``eps`` of (or beyond) stops the block, and that one step is shortened (or
+  minimally extended) to the smallest face time over all free coordinates,
+  so the first coordinate to reach a face lands exactly on it and none
+  overshoots.  All motion is thus a multiple of a null-space direction and
+  the residual stays at round-off.  A coordinate drifting within the band
+  away from its face stays free.
+* The rows after a freeze are carried into the next block, not redrawn:
+  whether row k stops the block depends only on rows up to k, so the raw
+  rows after it are still i.i.d. N(0, I), independent of the walk so far,
+  also on the coordinates left free.  Projected anew they are fresh steps.
+* A single freeze moves the last free coordinate into the frozen one's slot
+  (free set, basis, position and carried rows alike); several at once go
+  through boolean masks and a refresh.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +58,8 @@ import numpy as np
 Array = np.ndarray
 
 RESIDUAL_LIMIT = 1e-6  # enforced on every phase output
-_BLOCK_MIN, _BLOCK_MAX = 8, 256
+_BLOCK = 8  # Gaussian rows drawn at a time
+_TRIL = np.tril(np.ones((_BLOCK, _BLOCK)))  # partial sums by matmul: np.cumsum is 8x slower here
 _REFRESH_EVERY = 64  # downdates between full basis refreshes
 _DOWNDATE_FLOOR = 1e-3  # smaller 1 - bᵀ K b means rank loss: refresh
 
@@ -82,7 +91,7 @@ class ConstraintSet:
             raise ValueError("constraint rows must be finite")
         if mat.shape[1] != y.shape[0] and mat.size:
             raise ValueError("matrix/y dimension mismatch")
-        if np.any(y < 0) or np.any(y > 1):
+        if not np.all((y >= 0) & (y <= 1)):  # NaN fails both
             raise ValueError("y must lie in [0, 1]^n")
         if mat.size == 0:
             mat = mat.reshape(0, y.shape[0])
@@ -171,12 +180,24 @@ def _rowspace_basis(rows: Array) -> Array:
     return (evecs[:, keep] / np.sqrt(evals[keep])).T @ rows
 
 
+def _without(a: Array, gone) -> Array:
+    """``a`` without the last-axis entries ``gone``, an index or a boolean mask.
+
+    An index is removed by moving the last entry into its place.
+    """
+    if isinstance(gone, int):
+        a[..., gone] = a[..., -1]
+        return a[..., :-1]
+    return a[..., ~gone]
+
+
 class _KeptProjector:
     """Projection onto the null space of ``m_unit[:, free]`` as ``free`` shrinks.
 
     ``basis`` holds the k rows of the last refresh's orthonormal basis,
     restricted to the free columns, and ``_k`` the inverse of their Gram
     matrix; see the module notes for the downdate and the refresh triggers.
+    ``free`` is taken over, not copied: a single drop reorders it in place.
     """
 
     def __init__(self, m_unit: Array, free: Array):
@@ -197,91 +218,72 @@ class _KeptProjector:
     def project(self, g: Array) -> Array:
         return g - ((g @ self.basis.T) @ self._k) @ self.basis
 
-    def drop(self, gone: Array):
-        """Freeze the free coordinates selected by the boolean mask ``gone``."""
-        b = self.basis[:, gone]
-        self.free = self.free[~gone]
-        self.basis = self.basis[:, ~gone]
-        if (b.shape[1] == 1 and self._downdates < _REFRESH_EVERY
+    def drop(self, gone):
+        """Freeze the free coordinate at index ``gone``, or those a boolean mask selects."""
+        if not isinstance(gone, int) and np.count_nonzero(gone) == 1:
+            gone = int(np.flatnonzero(gone)[0])
+        b = self.basis[:, gone].copy()
+        self.free, self.basis = _without(self.free, gone), _without(self.basis, gone)
+        if (b.ndim == 1 and self._downdates < _REFRESH_EVERY
                 and self.free.size > 2 * self.basis.shape[0]):
-            u = self._k @ b[:, 0]
-            den = 1.0 - float(b[:, 0] @ u)
+            u = self._k @ b
+            den = 1.0 - float(b @ u)
             if den > _DOWNDATE_FLOOR:
-                self._k += np.outer(u, u) / den
+                u /= math.sqrt(den)
+                self._k += u[:, None] * u
                 self._downdates += 1
                 return
         self._refresh()
 
 
-def _resolve_step(xf: Array, s: Array, eps: float):
-    """Resolve one proposed step ``xf -> xf + s`` against the face bands.
-
-    Returns ``(landed, None)`` when the full step is safe, or
-    ``(landed, face_mask)`` when the step was rescaled so that at least one
-    coordinate lands exactly on the face it was moving toward.
-    """
-    prop = xf + s
-    toward = ((s > 0) & (prop >= 1.0 - eps)) | ((s < 0) & (prop <= eps))
-    if not np.any(toward):
-        # only band-sitters moving away from their face; no crossing possible
-        return prop, None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_face = np.where(s > 0, (1.0 - xf) / s, np.where(s < 0, -xf / s, np.inf))
-    t = float(t_face.min())
-    landed = xf + t * s
-    on_face = t_face == t
-    landed[on_face & (s > 0)] = 1.0
-    landed[on_face & (s < 0)] = 0.0
-    return landed, on_face
-
-
 def _run_phase(m_unit: Array, x: Array, frozen: Array, cfg: WalkConfig,
                rng: np.random.Generator) -> PhaseResult:
     x = x.copy()
-    frozen = frozen.copy()
-    # coordinates already sitting exactly on a face need no walk
-    at_face = ~frozen & ((x == 0.0) | (x == 1.0))
-    frozen |= at_face
+    frozen = frozen | (x == 0.0) | (x == 1.0)  # on a face already: no walk
     start_frozen = int(frozen.sum())
 
     free = np.flatnonzero(~frozen)
-    if free.size == 0:
-        return PhaseResult(x, frozen, True, 0)
     proj = _KeptProjector(m_unit, free)
     if proj.saturated:
         return PhaseResult(x, frozen, True, 0)
 
     xf = x[free]
-    steps_left = cfg.steps_per_phase
-    block = _BLOCK_MIN
-    eps, delta = cfg.eps, cfg.delta
-    while steps_left > 0:
-        nsteps = min(block, steps_left)
-        gauss = rng.standard_normal((nsteps, free.size))
-        moves = delta * proj.project(gauss)
-        path = xf + np.cumsum(moves, axis=0)
-        in_band = (path <= eps) | (path >= 1.0 - eps)
-        for k in np.flatnonzero(in_band.any(axis=1)):
-            cur = path[k - 1] if k > 0 else xf
-            landed, on_face = _resolve_step(cur, moves[k], eps)
-            if on_face is None:
-                continue  # full step stands; later path rows remain valid
-            xf = landed
-            steps_left -= int(k) + 1
-            # write back, freeze, shrink the free set and the projector
-            x[free] = xf
-            frozen[free[on_face]] = True
-            proj.drop(on_face)
+    delta, band, steps_left = cfg.delta, 0.5 - cfg.eps, cfg.steps_per_phase
+    partial_sums = delta * _TRIL
+    raw = xf[None, :0]
+    with np.errstate(divide="ignore"):
+        while steps_left > 0:
+            if not raw.size:
+                raw = rng.standard_normal((min(_BLOCK, steps_left), free.size))
+            rows = len(raw)
+            g = proj.project(raw)
+            path = partial_sums[:rows, :rows] @ g + xf
+            # the first row that moves a coordinate toward a face it ends
+            # within eps of (or beyond); a coordinate with g == 0 never counts
+            hits = ((path - 0.5) * g > band * np.abs(g)).any(axis=1)
+            k = int(hits.argmax())
+            if not hits[k]:
+                xf = path[-1]
+                steps_left -= rows
+                raw = raw[:0]
+                continue
+            # shorten (or minimally extend) step k so that the first
+            # coordinate to reach a face lands on it; |±0| / 0 is inf
+            cur, s = (path[k - 1] if k else xf), delta * g[k]
+            t_face = np.abs(((s > 0) - cur) / s)
+            j = int(t_face.argmin())
+            on_face = t_face == t_face[j]
+            xf = cur + t_face[j] * s
+            steps_left -= k + 1
+            raw = raw[k + 1:]
+            gone = j if np.count_nonzero(on_face) == 1 else on_face
+            x[free[gone]] = s[gone] > 0
+            frozen[free[gone]] = True
+            xf, raw = _without(xf, gone), _without(raw, gone)
+            proj.drop(gone)
             free = proj.free
-            xf = x[free]
             if proj.saturated:
-                steps_left = 0  # no free direction left: stop walking
-            block = _BLOCK_MIN
-            break
-        else:  # no step of the block froze a coordinate: keep the whole block
-            xf = path[-1]
-            steps_left -= nsteps
-            block = min(block * 2, _BLOCK_MAX)
+                break
     x[free] = xf
     return PhaseResult(x, frozen, False, int(frozen.sum()) - start_frozen)
 
@@ -306,7 +308,7 @@ def lm_phase(cs: ConstraintSet, x_in, frozen, cfg: WalkConfig) -> PhaseResult:
     """
     x_in = np.asarray(x_in, dtype=np.float64)
     frozen = np.asarray(frozen, dtype=bool)
-    if np.any(x_in < 0) or np.any(x_in > 1):
+    if not np.all((x_in >= 0) & (x_in <= 1)):  # NaN fails both
         raise ValueError("x_in must lie in [0, 1]^n")
     if cs.residual(x_in) > 1e-8:
         raise ValueError("x_in violates the constraints beyond 1e-8")
@@ -352,8 +354,6 @@ def lm_round(cs: ConstraintSet, cfg: WalkConfig) -> WalkResult:
             counts.append(phase.newly_frozen)
             if after <= target:
                 return result(attempt, counts)
-        elif phase.saturated:
-            break
     raise MaxPhasesExceeded(
         f"no vertex with <= {target} fractional coordinates within "
         f"{cfg.max_phases} phases", result(cfg.max_phases, counts))

@@ -6,7 +6,10 @@ vertices, and dense matrix products for transforms.  None of it shares code
 with the paths it verifies, except the last group: earlier, loop-based
 implementations of vectorized paths, kept as bit-exact references.  They
 reuse the library's forward pass and transforms because the paths they pin
-must agree with them to the last bit, not to a tolerance.
+must agree with them to the last bit, not to a tolerance.  The earlier walk
+phase is the exception: it draws its Gaussians differently, so it is a
+reference for the step law in distribution, and it reuses the library's
+kept projector, which is checked against Gram-Schmidt on its own.
 """
 
 from __future__ import annotations
@@ -199,3 +202,68 @@ def layerwise_from_q(incoherence, q: np.ndarray) -> np.ndarray:
                                      rows=shape[0], cols=shape[1], left=left, right=right)
             out[a:b] = untransform_layer(layer).ravel()
     return out
+
+
+def _resolve_step(xf: np.ndarray, s: np.ndarray, eps: float):
+    """One proposed step ``xf -> xf + s`` against the face bands."""
+    prop = xf + s
+    toward = ((s > 0) & (prop >= 1.0 - eps)) | ((s < 0) & (prop <= eps))
+    if not np.any(toward):
+        return prop, None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_face = np.where(s > 0, (1.0 - xf) / s, np.where(s < 0, -xf / s, np.inf))
+    t = float(t_face.min())
+    landed = xf + t * s
+    on_face = t_face == t
+    landed[on_face & (s > 0)] = 1.0
+    landed[on_face & (s < 0)] = 0.0
+    return landed, on_face
+
+
+def doubling_walk_phase(m_unit: np.ndarray, x: np.ndarray, frozen: np.ndarray,
+                        cfg, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One walk phase that restarts its Gaussian block after every freeze.
+
+    Blocks start at 8 rows and double up to 256 while no row freezes a
+    coordinate; the rows after a freeze are discarded.  Every proposed step
+    that enters a face band is resolved on its own.  Returns ``(x, frozen)``.
+    This is the same step law as ``lmwalk._run_phase`` with other draws, so
+    the two agree in distribution, not bit for bit.
+    """
+    from discq.lmwalk import _KeptProjector
+
+    x, frozen = x.copy(), frozen.copy()
+    frozen |= (x == 0.0) | (x == 1.0)
+    free = np.flatnonzero(~frozen)
+    if free.size == 0:
+        return x, frozen
+    proj = _KeptProjector(m_unit, free)
+    if proj.saturated:
+        return x, frozen
+    xf = x[free]
+    steps_left, block = cfg.steps_per_phase, 8
+    while steps_left > 0:
+        nsteps = min(block, steps_left)
+        moves = cfg.delta * proj.project(rng.standard_normal((nsteps, free.size)))
+        path = xf + np.cumsum(moves, axis=0)
+        in_band = (path <= cfg.eps) | (path >= 1.0 - cfg.eps)
+        for k in np.flatnonzero(in_band.any(axis=1)):
+            landed, on_face = _resolve_step(path[k - 1] if k > 0 else xf, moves[k], cfg.eps)
+            if on_face is None:
+                continue
+            steps_left -= int(k) + 1
+            x[free] = landed
+            frozen[free[on_face]] = True
+            proj.drop(on_face)
+            free = proj.free
+            xf = x[free]
+            if proj.saturated:
+                steps_left = 0
+            block = 8
+            break
+        else:
+            xf = path[-1]
+            steps_left -= nsteps
+            block = min(block * 2, 256)
+    x[free] = xf
+    return x, frozen

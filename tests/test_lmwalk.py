@@ -10,9 +10,9 @@ from discq.discquant import finalize
 from discq.lmwalk import (ConstraintSet, MaxPhasesExceeded, WalkConfig,
                           fractional_count, lm_phase, lm_round,
                           vertex_integrality_check, walk_variance_probe,
-                          _KeptProjector, _rowspace_basis)
+                          _KeptProjector, _rowspace_basis, _run_phase)
 
-from oracles import brute_force_vertices, gram_schmidt_projector
+from oracles import brute_force_vertices, doubling_walk_phase, gram_schmidt_projector
 
 
 def random_instance(n, m, seed, rng_y=None):
@@ -31,6 +31,21 @@ def rank_deficient_instance(n, seed):
 
 def unit(rows):
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+class TestConstraintSet:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_y_rejected(self, bad):
+        y = np.full(32, 0.5)
+        y[5] = bad
+        with pytest.raises(ValueError, match="y must lie"):
+            ConstraintSet(np.ones((1, 32)), y)
+
+    def test_all_nan_y_is_not_a_vertex(self):
+        # accepted, this y made lm_round return after 0 phases with
+        # fractional == 0 and an all-NaN x
+        with pytest.raises(ValueError, match="y must lie"):
+            lm_round(ConstraintSet(np.ones((1, 32)), np.full(32, np.nan)), WalkConfig())
 
 
 class TestProjector:
@@ -147,6 +162,33 @@ class TestPhase:
         frozen_bad[0] = True  # but y[0] is fractional
         with pytest.raises(ValueError):
             lm_phase(cs, cs.y, frozen_bad, WalkConfig(seed=0))
+
+    def test_non_finite_x_in_rejected(self):
+        # NaN passes both range comparisons and the residual test; it must be
+        # refused before the walk, not reported as a non-finite iterate after
+        cs = random_instance(32, 1, seed=14)
+        x_in = cs.y.copy()
+        x_in[3] = np.nan
+        with pytest.raises(ValueError, match="x_in must lie"):
+            lm_phase(cs, x_in, np.zeros(32, bool), WalkConfig(seed=0))
+
+    def test_tied_coordinates_freeze_together(self):
+        # equal positions and equal steps reach their face at the same time,
+        # so both freeze in one event (the several-at-once path)
+        class TwinColumns:
+            rng = np.random.default_rng(15)
+
+            def standard_normal(self, shape):
+                g = self.rng.standard_normal(shape)
+                g[:, 1:2] = g[:, :1]  # coordinates 0 and 1 hold slots 0 and 1 while free
+                return g
+
+        y = np.array([0.5, 0.5, 0.3, 0.7, 0.6, 0.2])
+        for _ in range(5):
+            res = _run_phase(np.zeros((0, 6)), y, np.zeros(6, bool),
+                             WalkConfig(steps_per_phase=20000), TwinColumns())
+            assert res.frozen[0] and res.frozen[1]
+            assert res.x[0] == res.x[1] and res.x[0] in (0.0, 1.0)
 
     def test_saturated_when_no_free_directions(self):
         # two coordinates, two independent constraints: null space is {0}
@@ -320,6 +362,51 @@ class TestVarianceProbe:
         cs = random_instance(16, 1, seed=10)
         with pytest.raises(ValueError):
             walk_variance_probe(cs, WalkConfig(seed=0), np.ones(16), trials=10)
+
+
+class TestStepLaw:
+    """The carried-block walk against the restart-after-freeze walk it replaced.
+
+    Both walks take the same steps in distribution and differ only in how
+    they draw them, so over 200 phases each, on independent seeds, the means
+    of <theta, x - y>^2 and of the freeze count must agree within 4 combined
+    standard errors (a false alarm has probability about 6e-5 per
+    comparison).  A 150-step budget stops the phases mid-walk, where freezes
+    are dense and their count varies; 1000 steps also reach the sparse tail
+    near saturation.
+    """
+
+    TRIALS = 200
+
+    @staticmethod
+    def moments(walk, cs, cfg, stream):
+        theta = np.random.default_rng(42).standard_normal(cs.n)
+        theta /= np.linalg.norm(theta)
+        m_unit, frozen = cs.unit_rows(), np.zeros(cs.n, bool)
+        second, freezes = [], []
+        for t in range(TestStepLaw.TRIALS):
+            x, done = walk(m_unit, cs.y, frozen, cfg, np.random.default_rng([stream, t]))
+            assert cs.residual(x, ord=2) <= 1e-9
+            second.append(float(theta @ (x - cs.y)) ** 2)
+            freezes.append(int(done.sum()))
+        return np.array(second), np.array(freezes)
+
+    @staticmethod
+    def carried_walk(m_unit, y, frozen, cfg, rng):
+        phase = _run_phase(m_unit, y, frozen, cfg, rng)
+        return phase.x, phase.frozen
+
+    @pytest.mark.parametrize("steps", [150, 1000])
+    @pytest.mark.parametrize("make", [lambda: random_instance(64, 4, seed=40),
+                                      lambda: rank_deficient_instance(64, seed=41)],
+                             ids=["gaussian", "rank_deficient"])
+    def test_matches_doubling_walk(self, make, steps):
+        cs, cfg = make(), WalkConfig(steps_per_phase=steps)
+        new = self.moments(self.carried_walk, cs, cfg, stream=1)
+        old = self.moments(doubling_walk_phase, cs, cfg, stream=2)
+        for a, b in zip(new, old):
+            se = np.hypot(a.std(ddof=1), b.std(ddof=1)) / np.sqrt(self.TRIALS)
+            assert abs(a.mean() - b.mean()) <= 4 * se, (a.mean(), b.mean(), se)
 
 
 class TestMartingale:
