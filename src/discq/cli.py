@@ -77,14 +77,11 @@ def _cmd_speclab(args) -> int:
         spec = SpectrumSpec(n=args.n, alpha=args.alpha)
         if args.study == "falpha":
             res = falpha_scaling_study(spec, args.m_grid, args.trials, seed=args.seed)
-            mean, median = "mean_error", "median_error"
+            rows = res.rows(seed=args.seed, alpha=args.alpha)
         else:
             res = generalization_study(spec, args.m_grid, args.trials,
                                        _config(WalkConfig, args), seed=args.seed)
-            mean, median = "mean_quad", "median_quad"
-        rows = [{"seed": args.seed, "alpha": args.alpha, "m": m,
-                 mean: float(res.means[i]), median: float(res.medians[i])}
-                for i, m in enumerate(res.m_grid)]
+            rows = res.rows("mean_quad", "median_quad", seed=args.seed, alpha=args.alpha)
         emit({"rows": rows}, "csv", args.out)
         print(f"slope={res.slope:.4f} stderr={res.stderr:.4f} -> {args.out}")
     else:  # jl

@@ -23,20 +23,19 @@ up under ``lambda_on="linear"`` recovers nearest rounding exactly.
 
 The default data stream samples fresh teacher sequences for every step, but
 presamples them in chunks of ``STREAM_CHUNK`` steps: one draw of uniforms
-per chunk, in the same order as per-step draws, and one sampler pass, a
-flat forward over all of the chunk's rows.  Its probabilities can differ
-from a per-step forward's in the last bits (up to 3.3e-16 on a 128-step
-probe), so a token can differ from per-step sampling's when its uniform
-falls inside that gap.  The teacher's side of the KL term is cached per
-chunk as well: one ``rows`` call builds every step's prefixes, and the
-teacher's forward runs on them stacked as (steps, rows, ·),
-``_TEACHER_STACK`` steps at a time so that its activations stay small.  A
-stacked ``@`` multiplies each step's slice by the same weight views as a
-per-step call, so the teacher's log-probs and probs, and with them every KL
-value and gradient, are bit for bit those of per-step :func:`kl_term`; one
-flat (steps * rows)-row product would round differently.  Each step then
-runs only the student's forward and backward.  A caller-supplied stream is
-read, and its teacher side computed, one batch per step.
+per chunk, in the same order as per-step draws, and one sampler pass whose
+forward runs the chunk's steps stacked as (steps, batch, ·).  A stacked
+``@`` multiplies each step's slice by the same weight views as a per-step
+call, so every step's tokens are those of per-step sampling; one flat
+(steps * batch)-row product would round differently.  The teacher's side of
+the KL term is cached per chunk the same way: one ``rows`` call builds
+every step's prefixes, and the teacher's forward runs on them stacked as
+(steps, rows, ·), ``_TEACHER_STACK`` steps at a time so that its
+activations stay small, so the teacher's log-probs and probs, and with them
+every KL value and gradient, are bit for bit those of per-step
+:func:`kl_term`.  Each step then runs only the student's forward and
+backward.  A caller-supplied stream is read, and its teacher side computed,
+one batch per step.
 """
 
 from __future__ import annotations
@@ -165,15 +164,16 @@ def _teacher_chunks(teacher: ToyModel, cfg: DiscQuantConfig):
     Each chunk holds up to ``STREAM_CHUNK`` steps' ``batch_size`` sequences,
     step by step.  ``rng.random((k, seq_length, batch_size))`` holds the
     uniforms of k per-step ``sample_sequences(teacher, batch_size,
-    seq_length, rng=rng)`` calls in their order; a sampled row depends only
-    on its own uniforms.  Yields ``(chunk, k)``.
+    seq_length, rng=rng)`` calls in their order, and the sampler runs the k
+    steps as a (k, batch_size) stack, so every step's sequences are those
+    of its per-step call.  Yields ``(chunk, k)``.
     """
     rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 0x57E4]))
     size, length = cfg.batch_size, cfg.seq_length
     for start in range(0, cfg.iterations, STREAM_CHUNK):
         k = min(STREAM_CHUNK, cfg.iterations - start)
-        uniforms = rng.random((k, length, size)).transpose(1, 0, 2).reshape(length, k * size)
-        yield SampleBatch(sequences=_sample_tokens(teacher, uniforms)), k
+        tokens = _sample_tokens(teacher, rng.random((k, length, size)).transpose(1, 0, 2))
+        yield SampleBatch(sequences=tokens.reshape(k * size, length)), k
 
 
 def _teacher_stream(teacher: ToyModel, cfg: DiscQuantConfig):
@@ -208,9 +208,8 @@ def optimize(teacher: ToyModel, grid: QuantGrid, cfg: DiscQuantConfig,
     space).  ``data_stream`` overrides the default stream of fresh
     teacher-sampled batches and is read one batch per step; exhausting it
     raises ``ValueError``.  The default stream is presampled in chunks of
-    ``STREAM_CHUNK`` steps from the same uniforms as per-step sampling, and
-    the teacher's distributions on each chunk are computed once, bit for bit
-    as per step; the module docstring says where a token can still differ.
+    ``STREAM_CHUNK`` steps, and the teacher's distributions on each chunk
+    are computed once; both are bit for bit those of per-step sampling.
     """
     transform = transform or _Identity
     wq = transform.to_q(teacher.params)

@@ -38,6 +38,20 @@ class GridAccountingError(ValueError):
     """Bit accounting requested for a grid kind that has none."""
 
 
+def groupsize_of(value) -> int | None:
+    """``groupsize`` as an int >= 1, or None for one scale per tensor.
+
+    Accepts None, ``"per-tensor"`` and Python or numpy integers.  A bool, a
+    float, any other string or a value below 1 raises :class:`GridConfigError`.
+    """
+    if value is None or isinstance(value, str) and value == PER_TENSOR:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise GridConfigError(f"groupsize must be an int >= 1, None or {PER_TENSOR!r}, "
+                              f"got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class QuantGrid:
     """A per-coordinate product grid. Use the builder functions below."""
@@ -54,8 +68,7 @@ class QuantGrid:
         if self.kind == "block_scaling":
             if self.bits is None or self.bits < 2:
                 raise GridConfigError(f"bits must be >= 2, got {self.bits}")
-            if self.groupsize is not None and self.groupsize < 1:
-                raise GridConfigError(f"groupsize must be >= 1, got {self.groupsize}")
+            object.__setattr__(self, "groupsize", groupsize_of(self.groupsize))
             if self.group_bounds is not None:
                 spans = list(self.group_bounds)
                 if spans[0][0] != 0 or spans[-1][1] != self.n or any(
@@ -161,7 +174,7 @@ def build_block_scaling(w, bits: int, groupsize, blocks=None) -> QuantGrid:
     Each group's scale is ``max |w_j| / (2^(bits-1) - 1)``, at least the
     smallest positive float; an all-zero group gets the sentinel scale 1
     (every representable multiple of any scale collapses to the needed 0).
-    ``groupsize`` may be an integer, the string ``"per-tensor"``, or None.
+    ``groupsize`` is read by :func:`groupsize_of`.
 
     ``blocks`` optionally partitions the vector into spans (e.g. the layers
     of a model) that groups never straddle: per-tensor then means one scale
@@ -170,12 +183,7 @@ def build_block_scaling(w, bits: int, groupsize, blocks=None) -> QuantGrid:
     w = np.asarray(w, dtype=np.float64)
     if bits < 2:
         raise GridConfigError(f"bits must be >= 2, got {bits}")
-    if groupsize == PER_TENSOR:
-        groupsize = None
-    if groupsize is not None:
-        groupsize = int(groupsize)
-        if groupsize < 1:
-            raise GridConfigError(f"groupsize must be >= 1, got {groupsize}")
+    groupsize = groupsize_of(groupsize)
     n = w.shape[0]
     lmax = (1 << (bits - 1)) - 1
     spans = [(0, n)] if blocks is None else [(int(a), int(b)) for a, b in blocks]
@@ -345,13 +353,12 @@ def grid_to_record(grid: QuantGrid) -> dict:
 
 def grid_from_record(rec: dict) -> QuantGrid:
     if rec["kind"] == "block_scaling":
-        gs = rec["groupsize"]
         bounds = rec.get("group_bounds")
         return QuantGrid(
             kind="block_scaling",
             n=rec["n"],
             bits=rec["bits"],
-            groupsize=None if gs == PER_TENSOR else int(gs),
+            groupsize=rec["groupsize"],
             scales=hex_to_floats(rec["scales"]),
             group_bounds=None if bounds is None else tuple(tuple(b) for b in bounds),
         )

@@ -27,7 +27,7 @@ from .serialize import child_seed, dump_record
 from .speclab import SpectrumSpec, falpha_scaling_study, generalization_study
 from .toymodel import (SampleBatch, ToyArch, ToyModel, first_order_study,
                        random_model, sample_sequences)
-from .grid import PER_TENSOR, explicit_grid, rtn
+from .grid import PER_TENSOR, explicit_grid, groupsize_of, rtn
 
 SCHEMA_VERSION = 1
 WORKERS_ENV = "DQ_WORKERS"
@@ -51,12 +51,7 @@ class ComparisonParams:
     def __post_init__(self):
         if not self.bits_levels or any(b < 2 for b in self.bits_levels):
             raise ValueError("bits levels must all be >= 2")
-        gs = self.groupsize
-        if gs == PER_TENSOR:
-            object.__setattr__(self, "groupsize", None)
-        elif gs is not None and (isinstance(gs, bool) or not isinstance(gs, int) or gs < 1):
-            raise ValueError(f"groupsize must be an int >= 1, None or {PER_TENSOR!r}, "
-                             f"got {gs!r}")
+        object.__setattr__(self, "groupsize", groupsize_of(self.groupsize))
         bad = set(self.methods) - set(METHODS)
         if bad:
             raise ValueError(f"unknown methods {sorted(bad)}")
@@ -356,15 +351,15 @@ def run_first_order(cfg: ExperimentConfig) -> Report:
     p: FirstOrderParams = cfg.params
     rows = _trial_rows(_first_order_trial, cfg)
     rows.sort(key=lambda r: (r["seed"], r["spacing"], r["method"], r["sample"]))
+    per_arm = {}  # (spacing, method) -> {seed: its rows, in sample order}
+    for r in rows:
+        per_arm.setdefault((r["spacing"], r["method"]), {}).setdefault(r["seed"], []).append(r)
     summary = {}
     methods = list(p.methods) + (["identity"] if p.include_zero_arm else [])
     for spacing in p.deltas:
         for method in methods:
             per_seed_corr, per_seed_slope = [], []
-            for trial in range(cfg.trials):
-                seed = child_seed(cfg.seed, trial)
-                sel = [r for r in rows if r["seed"] == seed
-                       and r["spacing"] == spacing and r["method"] == method]
+            for sel in per_arm[spacing, method].values():
                 df = np.array([r["loss_change"] for r in sel])
                 fo = np.array([r["first_order"] for r in sel])
                 corr = _pearson(df, fo)
@@ -390,21 +385,14 @@ def run_scaling(cfg: ExperimentConfig) -> Report:
             spec = SpectrumSpec(n=p.estimator_n, alpha=alpha)
             res = falpha_scaling_study(spec, p.estimator_m_grid, p.estimator_trials,
                                        seed=child_seed(cfg.seed, 0xA1))
-            for i, m in enumerate(res.m_grid):
-                rows.append({"seed": cfg.seed, "study": "estimator", "alpha": alpha,
-                             "m": m, "mean_error": float(res.means[i]),
-                             "median_error": float(res.medians[i])})
+            rows += res.rows(seed=cfg.seed, study="estimator", alpha=alpha)
             summary[f"estimator_slope_alpha{alpha}"] = res.slope
             summary[f"estimator_stderr_alpha{alpha}"] = res.stderr
     if p.run_generalization:
         spec = SpectrumSpec(n=p.gen_n, alpha=p.gen_alpha)
         res = generalization_study(spec, p.gen_m_grid, p.gen_trials, p.walk,
                                    seed=child_seed(cfg.seed, 0xA2))
-        for i, m in enumerate(res.m_grid):
-            rows.append({"seed": cfg.seed, "study": "generalization",
-                         "alpha": p.gen_alpha, "m": m,
-                         "mean_error": float(res.means[i]),
-                         "median_error": float(res.medians[i])})
+        rows += res.rows(seed=cfg.seed, study="generalization", alpha=p.gen_alpha)
         summary["generalization_slope"] = res.slope
         summary["generalization_stderr"] = res.stderr
     return Report(experiment="scaling", config=_config_echo(cfg), rows=rows,

@@ -159,16 +159,20 @@ class ScalingResult:
     medians: Array
     slope: float
     stderr: float
-    extra: dict
+
+    def rows(self, mean: str = "mean_error", median: str = "median_error",
+             **fixed) -> list[dict]:
+        """One report row per m: the ``fixed`` columns, then m, mean and median."""
+        return [{**fixed, "m": m, mean: float(self.means[i]), median: float(self.medians[i])}
+                for i, m in enumerate(self.m_grid)]
 
 
-def _fit(ms: list[int], values: Array, extra: dict) -> ScalingResult:
+def _fit(ms: list[int], values: Array) -> ScalingResult:
     """Per-m mean and median of the (m, trial) ``values``; log-log fit over positive m."""
     means = values.mean(axis=1)
     keep = [i for i, m in enumerate(ms) if m > 0]
     slope, stderr = _ols_loglog([ms[i] for i in keep], means[keep])
-    return ScalingResult(tuple(ms), means, np.median(values, axis=1), slope, stderr,
-                         extra=extra)
+    return ScalingResult(tuple(ms), means, np.median(values, axis=1), slope, stderr)
 
 
 def falpha_scaling_study(spec: SpectrumSpec, m_grid, trials: int, seed: int = 0) -> ScalingResult:
@@ -183,7 +187,7 @@ def falpha_scaling_study(spec: SpectrumSpec, m_grid, trials: int, seed: int = 0)
             trial_seed = child_seed(seed, i, t)
             emp = empirical_covariance(sample_gradients(spec, m, trial_seed))
             errors[i, t] = schatten1_error(emp, sigma)
-    return _fit(ms, errors, extra={})
+    return _fit(ms, errors)
 
 
 def generalization_study(spec: SpectrumSpec, m_grid, trials: int,
@@ -204,7 +208,6 @@ def generalization_study(spec: SpectrumSpec, m_grid, trials: int,
     if trials < 1:
         raise ValueError("need at least 1 trial")
     quad = np.zeros((len(ms), trials))
-    fractional = np.zeros((len(ms), trials), dtype=np.int64)
     for i, m in enumerate(ms):
         for t in range(trials):
             trial_seed = child_seed(seed, i, t)
@@ -216,8 +219,7 @@ def generalization_study(spec: SpectrumSpec, m_grid, trials: int,
             res = lm_round(ConstraintSet(grads, y),
                            replace(walk_cfg, seed=trial_seed))
             quad[i, t] = spec.quad_form(res.x - y)
-            fractional[i, t] = res.fractional
-    return _fit(ms, quad, extra={"fractional": fractional})
+    return _fit(ms, quad)
 
 
 def jl_spectrum(gradients: Array, d: int, seed: int = 0,

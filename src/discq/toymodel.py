@@ -294,20 +294,23 @@ def sample_sequences(model: ToyModel, count: int, length: int = 8, seed: int = 0
 
 
 def _sample_tokens(model: ToyModel, uniforms: Array) -> Array:
-    """Sample ``count`` sequences of ``length`` tokens by inverse CDF.
+    """Sample sequences of ``length`` tokens by inverse CDF.
 
-    ``uniforms`` has shape (length, count): row i drives position i of every
-    sequence.  Rows of the result depend only on their own column of
-    ``uniforms``, so one call over many sequences equals separate calls.
+    ``uniforms`` has shape (length, count), or (length, k, count) for k
+    stacked batches, and the tokens come out (count, length) or (k, count,
+    length): ``uniforms[i]`` drives position i of every sequence.  A sequence
+    depends only on its own uniforms, and a stacked batch runs through
+    :func:`_forward` as one slice of a stack, so its tokens equal a separate
+    call's bit for bit.
     """
     arch = model.arch
-    length, count = uniforms.shape
-    buf = np.full((count, arch.context + length), arch.pad_id, dtype=np.int64)
+    length = uniforms.shape[0]
+    buf = np.full((*uniforms.shape[1:], arch.context + length), arch.pad_id, dtype=np.int64)
     for i in range(length):
-        cache = _forward(model, buf[:, i:i + arch.context])
-        buf[:, arch.context + i] = (cache["p"].cumsum(axis=1)
-                                    < uniforms[i][:, None]).sum(axis=1)
-    return np.clip(buf[:, arch.context:], 0, arch.vocab - 1)
+        cache = _forward(model, buf[..., i:i + arch.context])
+        buf[..., arch.context + i] = (cache["p"].cumsum(axis=-1)
+                                      < uniforms[i][..., None]).sum(axis=-1)
+    return np.clip(buf[..., arch.context:], 0, arch.vocab - 1)
 
 
 def _ce_head(model: ToyModel, prefixes: Array, targets: Array) -> tuple[dict, Array, Array]:

@@ -61,6 +61,7 @@ def brute_force_vertices(matrix: np.ndarray, y: np.ndarray, tol: float = 1e-9) -
     m, n = matrix.shape
     rhs_full = matrix @ y
     seen: list[np.ndarray] = []
+    kept = np.empty((0, n))  # ``seen`` stacked, for one vectorized duplicate test
     for free in itertools.combinations(range(n), m):
         fixed = [j for j in range(n) if j not in free]
         m_free = matrix[:, list(free)]
@@ -76,8 +77,10 @@ def brute_force_vertices(matrix: np.ndarray, y: np.ndarray, tol: float = 1e-9) -
             x[list(free)] = np.clip(sol, 0.0, 1.0)
             if np.max(np.abs(matrix @ (x - y))) > 1e-7:
                 continue
-            if not any(np.allclose(x, v, atol=1e-7) for v in seen):
+            # np.allclose(x, v, atol=1e-7) against every kept vertex v at once
+            if not np.any(np.all(np.abs(x - kept) <= 1e-7 + 1e-5 * np.abs(kept), axis=1)):
                 seen.append(x)
+                kept = np.vstack([kept, x])
     return seen
 
 

@@ -13,7 +13,8 @@ from discq.incoherence import ModelIncoherence
 from discq.grid import bracket_of, build_block_scaling, explicit_grid, rtn
 from discq.pipeline import quantize_model
 from discq.serialize import child_seed as _child_seed
-from discq.toymodel import ToyArch, _forward, kl_term, random_model, sample_sequences
+from discq.toymodel import (ToyArch, _forward, _sample_tokens, kl_term, random_model,
+                            sample_sequences)
 
 from oracles import per_step_teacher_stream
 
@@ -105,6 +106,32 @@ class TestTeacherStream:
         assert len(batches) == iterations
         for batch, seqs in zip(batches, reference):
             np.testing.assert_array_equal(batch.sequences, seqs)
+
+
+def cdf_boundary_uniforms(model, length: int, count: int, seed: int) -> np.ndarray:
+    """(length, count) uniforms, each exactly on a cumulative probability of
+    a per-step sampler forward, so a last-bit change in the sampler's
+    probabilities flips tokens."""
+    arch = model.arch
+    rng = np.random.default_rng(seed)
+    uniforms = np.empty((length, count))
+    buf = np.full((count, arch.context + length), arch.pad_id, dtype=np.int64)
+    for i in range(length):
+        cdf = _forward(model, buf[:, i:i + arch.context])["p"].cumsum(axis=1)
+        uniforms[i] = cdf[np.arange(count), rng.integers(0, arch.vocab - 1, size=count)]
+        buf[:, arch.context + i] = (cdf < uniforms[i][:, None]).sum(axis=1)
+    return uniforms
+
+
+class TestStackedSampler:
+    @pytest.mark.parametrize("arch", [ToyArch(), ToyArch(layers=2)])
+    def test_stack_equals_per_step_calls_on_cdf_boundaries(self, arch):
+        teacher = random_model(arch, seed=70)
+        steps = [cdf_boundary_uniforms(teacher, 7, 4, seed) for seed in range(32)]
+        stacked = _sample_tokens(teacher, np.stack(steps, axis=1))
+        assert stacked.shape == (32, 4, 7)
+        for got, uniforms in zip(stacked, steps):
+            np.testing.assert_array_equal(got, _sample_tokens(teacher, uniforms))
 
 
 class TestTeacherCache:

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from discq.grid import (GridAccountingError, GridConfigError, InterpState,
+from discq.grid import (GridAccountingError, GridConfigError, InterpState, QuantGrid,
                         bits_per_param, bracket_of, build_block_scaling,
                         explicit_grid, grid_from_record, grid_to_record,
                         interp_weights, load_grid, rtn, save_grid)
+from discq.harness import ComparisonParams
 from discq.grid import nearer_up
 from discq.serialize import canonical_json, floats_to_hex, hex_to_floats
 
@@ -52,6 +53,38 @@ class TestBlockScaling:
         grid = build_block_scaling(np.array([1.0, -2.0, 0.5]), bits=3, groupsize="per-tensor")
         assert grid.groupsize is None
         assert grid.scales == pytest.approx([2.0 / 3.0])
+
+
+def _scales_for(groupsize) -> np.ndarray:
+    """Scales of a 32-coordinate grid: one per tensor, else two groups of 16."""
+    return np.ones(1 if groupsize is None or groupsize == "per-tensor" else 2)
+
+
+# every place that reads a groupsize, returning the groupsize it keeps
+_GROUPSIZE_READERS = {
+    "build_block_scaling": lambda gs: build_block_scaling(
+        np.arange(1.0, 33.0), bits=3, groupsize=gs).groupsize,
+    "QuantGrid": lambda gs: QuantGrid(kind="block_scaling", n=32, bits=3, groupsize=gs,
+                                      scales=_scales_for(gs)).groupsize,
+    "grid_from_record": lambda gs: grid_from_record(
+        {"kind": "block_scaling", "bits": 3, "groupsize": gs, "n": 32,
+         "scales": floats_to_hex(_scales_for(gs))}).groupsize,
+    "ComparisonParams": lambda gs: ComparisonParams(groupsize=gs).groupsize,
+}
+
+
+@pytest.mark.parametrize("read", _GROUPSIZE_READERS.values(), ids=_GROUPSIZE_READERS.keys())
+class TestGroupsizeRule:
+    @pytest.mark.parametrize("value", [2.5, True, "16", 0, -3], ids=repr)
+    def test_rejected(self, read, value):
+        with pytest.raises(GridConfigError, match="groupsize"):
+            read(value)
+
+    @pytest.mark.parametrize("value, kept", [(16, 16), (np.int64(16), 16), (None, None),
+                                             ("per-tensor", None)], ids=repr)
+    def test_accepted(self, read, value, kept):
+        got = read(value)
+        assert got == kept and type(got) is type(kept)
 
 
 class TestBracket:

@@ -191,6 +191,18 @@ class TestScaling:
         assert report.summary["generalization_slope"] < 0
 
 
+    def test_row_layout(self):
+        cfg = ExperimentConfig(
+            experiment="scaling", seed=5, trials=1,
+            params=ScalingParams(estimator_alphas=(2.5,), estimator_n=64,
+                                 estimator_m_grid=(8, 16, 32, 64), estimator_trials=20,
+                                 gen_n=128, gen_m_grid=(1, 2, 4, 8), gen_trials=1))
+        report = run_scaling(cfg)
+        assert [r["study"] for r in report.rows] == ["estimator"] * 4 + ["generalization"] * 4
+        for row in report.rows:
+            assert list(row) == ["seed", "study", "alpha", "m", "mean_error", "median_error"]
+
+
 class TestEmit:
     def make_report(self):
         rows = [{"seed": 1, "value": 0.1, "note": None},
@@ -247,6 +259,20 @@ class TestCli:
                        "--m-grid", "8,16,32,64", "--trials", "20", "--out", str(out)])
         assert rc == 0
         assert len(out.read_text().splitlines()) == 5
+
+    @pytest.mark.parametrize("study, flags, header", [
+        ("falpha", ["--alpha", "2.5", "--n", "64", "--m-grid", "8,16,32,64", "--trials", "20"],
+         "seed,alpha,m,mean_error,median_error"),
+        ("gen", ["--alpha", "2.0", "--n", "128", "--m-grid", "1,2,4,8", "--trials", "1"],
+         "seed,alpha,m,mean_quad,median_quad"),
+    ], ids=["falpha", "gen"])
+    def test_speclab_csv_header(self, tmp_path, study, flags, header):
+        out = tmp_path / f"{study}.csv"
+        assert cli_main(["speclab", study, *flags, "--seed", "2", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == header
+        assert [line.split(",")[:3] for line in lines[1:]] == [
+            ["2", flags[1], m] for m in flags[5].split(",")]
 
     def test_teacher_then_quantize_and_jl(self, tmp_path):
         ckpt = tmp_path / "teacher.json"
