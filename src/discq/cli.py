@@ -16,7 +16,7 @@ from .grid import PER_TENSOR
 from .harness import ExperimentConfig, ScalingParams, emit, run_experiment
 from .incoherence import ModelIncoherence
 from .lmwalk import ConstraintSet, WalkConfig, lm_round
-from .pipeline import quantize_model
+from .pipeline import METHODS, quantize_model
 from .serialize import dump_record, floats_to_hex
 from .speclab import (SpectrumSpec, falpha_scaling_study, generalization_study,
                       jl_spectrum)
@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
                        argument_default=argparse.SUPPRESS)
     p.add_argument("--bits", type=int, required=True)
     p.add_argument("--groupsize", type=int, default=None)
-    p.add_argument("--method", choices=("rtn", "discquant", "lmwalk"), default="discquant")
+    p.add_argument("--method", choices=METHODS, default="discquant")
     p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--lr", type=float)
     p.add_argument("--iters", dest="iterations", metavar="ITERS", type=int)

@@ -52,6 +52,13 @@ def groupsize_of(value) -> int | None:
     return int(value)
 
 
+def _group_spans(spans, groupsize: int | None) -> list[tuple[int, int]]:
+    """Each (lo, hi) span cut into runs of ``groupsize``, the last maybe short; None: one run."""
+    if groupsize is None:
+        return list(spans)
+    return [(at, min(at + groupsize, hi)) for lo, hi in spans for at in range(lo, hi, groupsize)]
+
+
 @dataclass(frozen=True)
 class QuantGrid:
     """A per-coordinate product grid. Use the builder functions below."""
@@ -69,15 +76,18 @@ class QuantGrid:
             if self.bits is None or self.bits < 2:
                 raise GridConfigError(f"bits must be >= 2, got {self.bits}")
             object.__setattr__(self, "groupsize", groupsize_of(self.groupsize))
-            if self.group_bounds is not None:
+            if self.group_bounds is None:
+                spans = _group_spans([(0, self.n)], self.groupsize)
+            else:
                 spans = list(self.group_bounds)
                 if spans[0][0] != 0 or spans[-1][1] != self.n or any(
                         a >= b for a, b in spans) or any(
                         s0[1] != s1[0] for s0, s1 in zip(spans, spans[1:])):
                     raise GridConfigError("group bounds must partition [0, n)")
+            object.__setattr__(self, "_spans", spans)  # every group's (lo, hi)
             if self.scales is None or not np.all(np.asarray(self.scales) > 0):
                 raise GridConfigError("scales must be strictly positive")
-            if len(self.scales) != self._num_groups():
+            if len(self.scales) != len(spans):
                 raise GridConfigError("one scale per group required")
         elif self.kind == "explicit":
             if self.points is None or len(self.points) != self.n:
@@ -90,27 +100,11 @@ class QuantGrid:
         else:
             raise GridConfigError(f"unknown grid kind {self.kind!r}")
 
-    def _num_groups(self) -> int:
-        if self.group_bounds is not None:
-            return len(self.group_bounds)
-        if self.groupsize is None:
-            return 1
-        return -(-self.n // self.groupsize)  # ceil division; last group may be short
-
-    def group_index(self) -> Array:
-        """Group id of every coordinate (all zeros for per-tensor)."""
-        if self.kind != "block_scaling":
-            raise GridConfigError("group_index is defined for block_scaling grids")
-        if self.group_bounds is not None:
-            lengths = [hi - lo for lo, hi in self.group_bounds]
-            return np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
-        if self.groupsize is None:
-            return np.zeros(self.n, dtype=np.int64)
-        return np.arange(self.n, dtype=np.int64) // self.groupsize
-
     def coordinate_scales(self) -> Array:
-        """Per-coordinate scale (block_scaling only)."""
-        return np.asarray(self.scales)[self.group_index()]
+        """Per-coordinate scale: each group's scale repeated over its span."""
+        if self.kind != "block_scaling":
+            raise GridConfigError("coordinate_scales is defined for block_scaling grids")
+        return np.repeat(np.asarray(self.scales), [hi - lo for lo, hi in self._spans])
 
     def level_bound(self) -> int:
         """Largest integer level, 2^(bits-1) - 1."""
@@ -187,12 +181,7 @@ def build_block_scaling(w, bits: int, groupsize, blocks=None) -> QuantGrid:
     n = w.shape[0]
     lmax = (1 << (bits - 1)) - 1
     spans = [(0, n)] if blocks is None else [(int(a), int(b)) for a, b in blocks]
-    bounds = []
-    for lo, hi in spans:
-        if groupsize is None:
-            bounds.append((lo, hi))
-        else:
-            bounds.extend((at, min(at + groupsize, hi)) for at in range(lo, hi, groupsize))
+    bounds = _group_spans(spans, groupsize)
     scales = np.empty(len(bounds))
     for g, (lo, hi) in enumerate(bounds):
         peak = float(np.max(np.abs(w[lo:hi]))) if hi > lo else 0.0
@@ -209,8 +198,7 @@ def explicit_grid(points, n: int | None = None) -> QuantGrid:
     ``points`` is either a single sorted array shared by all ``n`` coordinates
     or a sequence of per-coordinate sorted arrays.
     """
-    first = np.asarray(points[0]) if not np.isscalar(points[0]) else None
-    if first is None:  # one shared list
+    if np.isscalar(points[0]):  # one shared list
         if n is None:
             raise GridConfigError("n required when sharing one point list")
         shared = np.asarray(points, dtype=np.float64)
@@ -282,7 +270,7 @@ def bracket_of(w, grid: QuantGrid) -> Bracket:
     if w.shape[0] != grid.n:
         raise ValueError(f"weights have length {w.shape[0]}, grid expects {grid.n}")
     if grid.kind == "block_scaling":
-        down, up = _bracket_block(w.copy(), grid)
+        down, up = _bracket_block(w, grid)
     else:
         down, up = _bracket_explicit(w, grid)
     return Bracket(w_down=down, w_up=up, delta=up - down, w=w)

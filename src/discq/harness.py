@@ -57,6 +57,9 @@ class ComparisonParams:
             raise ValueError(f"unknown methods {sorted(bad)}")
         if self.heldout < 1:
             raise ValueError("heldout batch must be nonempty")
+        for name in ("seq_length", "walk_samples"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not 0.0 <= self.data_mix <= 1.0:
             raise ValueError("data_mix must lie in [0, 1]")
 
@@ -77,6 +80,8 @@ class FirstOrderParams:
             raise ValueError("list spacings from coarsest to finest")
         if self.sequences < 2:
             raise ValueError("need at least 2 sequences")
+        if self.seq_length < 1:
+            raise ValueError("seq_length must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -209,9 +209,12 @@ class ModelIncoherence:
             self.blocks.append((name, a, b, shape, left, right, at, at + size))
             at += size
         self.n_q = at
+        self.n_params = arch.n_params
 
     def to_q(self, w: Array) -> Array:
         w = np.asarray(w, dtype=np.float64)
+        if w.shape != (self.n_params,):
+            raise ValueError(f"weights must have length {self.n_params}, got {w.shape}")
         out = np.empty(self.n_q)
         for name, a, b, shape, left, right, qa, qb in self.blocks:
             if left is None:
@@ -224,7 +227,9 @@ class ModelIncoherence:
 
     def from_q(self, q: Array) -> Array:
         q = np.asarray(q, dtype=np.float64)
-        out = np.empty(max(b for _, _, b, *_ in self.blocks))
+        if q.shape != (self.n_q,):
+            raise ValueError(f"q vectors must have length {self.n_q}, got {q.shape}")
+        out = np.empty(self.n_params)
         for name, a, b, shape, left, right, qa, qb in self.blocks:
             if left is None:
                 out[a:b] = q[qa:qb]

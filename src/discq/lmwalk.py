@@ -376,6 +376,6 @@ def walk_variance_probe(cs: ConstraintSet, cfg: WalkConfig, theta, trials: int) 
     total = 0.0
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 0xBEE, t]))
-        phase = _run_phase(m_unit, cs.y, frozen0, cfg, rng)
+        phase = _checked_phase(cs, m_unit, cs.y, frozen0, cfg, rng)
         total += float(theta @ (phase.x - cs.y)) ** 2
     return total / trials

@@ -168,10 +168,9 @@ class ScalingResult:
 
 
 def _fit(ms: list[int], values: Array) -> ScalingResult:
-    """Per-m mean and median of the (m, trial) ``values``; log-log fit over positive m."""
+    """Per-m mean and median of the (m, trial) ``values``; log-log fit of the nonzero means."""
     means = values.mean(axis=1)
-    keep = [i for i, m in enumerate(ms) if m > 0]
-    slope, stderr = _ols_loglog([ms[i] for i in keep], means[keep])
+    slope, stderr = _ols_loglog(ms, means)
     return ScalingResult(tuple(ms), means, np.median(values, axis=1), slope, stderr)
 
 

@@ -15,6 +15,7 @@ from discq.grid import (GridAccountingError, GridConfigError, InterpState, Quant
 from discq.harness import ComparisonParams
 from discq.grid import nearer_up
 from discq.serialize import canonical_json, floats_to_hex, hex_to_floats
+from discq.toymodel import ToyArch, random_model
 
 from oracles import nearest_point_bruteforce
 
@@ -85,6 +86,59 @@ class TestGroupsizeRule:
     def test_accepted(self, read, value, kept):
         got = read(value)
         assert got == kept and type(got) is type(kept)
+
+
+def _scales_by_coordinate(w, bits, groupsize, blocks):
+    """Each coordinate's group scale, max |w| / lmax or 1 if all zero, found one at a time."""
+    lmax = 2 ** (bits - 1) - 1
+    out = np.empty(len(w))
+    for j in range(len(w)):
+        lo, hi = next((a, b) for a, b in blocks if a <= j < b)
+        if groupsize is not None:
+            lo += (j - lo) // groupsize * groupsize
+            hi = min(lo + groupsize, hi)
+        peak = np.max(np.abs(w[lo:hi]))
+        out[j] = peak / lmax if peak > 0 else 1.0
+    return out
+
+
+class TestGroupSpans:
+    """coordinate_scales() against an independent per-group scale."""
+
+    @pytest.mark.parametrize("groupsize", [1, 3, 16, None])
+    @pytest.mark.parametrize("blocks", [None, [(0, 7), (7, 20), (20, 29)]],
+                             ids=["no-blocks", "blocks"])
+    def test_matches_per_group_peak(self, groupsize, blocks):
+        w = np.random.default_rng(31).standard_normal(29)  # 29 leaves short last groups
+        grid = build_block_scaling(w, bits=3, groupsize=groupsize, blocks=blocks)
+        want = _scales_by_coordinate(w, 3, groupsize, blocks or [(0, 29)])
+        np.testing.assert_array_equal(grid.coordinate_scales(), want)
+
+    @pytest.mark.parametrize("arch", [ToyArch(), ToyArch(layers=2)])
+    def test_default_arch_layout(self, arch):
+        blocks = [(a, b) for a, b, _ in arch.layout().values()]
+        w = random_model(arch, seed=32).params
+        grid = build_block_scaling(w, bits=3, groupsize=16, blocks=blocks)
+        np.testing.assert_array_equal(grid.coordinate_scales(),
+                                      _scales_by_coordinate(w, 3, 16, blocks))
+
+    @pytest.mark.parametrize("groupsize", [1, 16, None])
+    def test_empty_vector(self, groupsize):
+        grid = build_block_scaling(np.zeros(0), bits=3, groupsize=groupsize)
+        assert grid.coordinate_scales().shape == (0,)
+
+    def test_scale_count_checked_against_groups(self):
+        QuantGrid(kind="block_scaling", n=10, bits=3, groupsize=3, scales=np.ones(4))
+        for count in (3, 5):
+            with pytest.raises(GridConfigError, match="one scale per group"):
+                QuantGrid(kind="block_scaling", n=10, bits=3, groupsize=3, scales=np.ones(count))
+        with pytest.raises(GridConfigError, match="one scale per group"):
+            QuantGrid(kind="block_scaling", n=10, bits=3, groupsize=3, scales=np.ones(4),
+                      group_bounds=((0, 4), (4, 10)))
+
+    def test_explicit_grid_raises(self):
+        with pytest.raises(GridConfigError):
+            explicit_grid([0.0, 1.0], n=3).coordinate_scales()
 
 
 class TestBracket:

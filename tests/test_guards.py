@@ -1,17 +1,22 @@
 """Names that code outside the package looks up in discq still resolve.
 
 The benchmark's tracer (``bench/spans.py``) wraps discq functions at the
-names their callers look them up by, and the demos import from discq.  A
-refactor that drops or moves one of those names would otherwise fail only
-in ``bench/selftest.py`` or when a demo is run by hand.
+names their callers look them up by, the demos import from discq, and the
+README shows ``dq`` command lines.  A refactor that drops or moves one of
+those names or flags would otherwise fail only in ``bench/selftest.py``, or
+when a demo or a README command is run by hand.
 """
 
 import ast
 import importlib
 import importlib.util
+import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from discq.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -51,3 +56,17 @@ def test_demo_imports_resolve(path):
                     importlib.import_module(alias.name)
                     checked += 1
     assert checked, f"{path.name} imports nothing from discq"
+
+
+def _readme_commands() -> list[str]:
+    """Every ``dq`` line in README's fenced blocks, continuation lines joined."""
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [" ".join(line.split()) for line in lines if line.strip().startswith("dq ")]
+
+
+@pytest.mark.parametrize("command", _readme_commands())
+def test_readme_command_parses(command):
+    args = build_parser().parse_args(shlex.split(command)[1:])
+    assert callable(args.fn)

@@ -54,6 +54,15 @@ class TestConfig:
                                params=ComparisonParams(groupsize="per-tensor"))
         assert _config_echo(cfg)["params"]["groupsize"] is None
 
+    @pytest.mark.parametrize("params, field", [
+        (lambda: ComparisonParams(seq_length=0), "seq_length"),
+        (lambda: ComparisonParams(walk_samples=0), "walk_samples"),
+        (lambda: FirstOrderParams(seq_length=0), "seq_length"),
+    ], ids=["comparison.seq_length", "comparison.walk_samples", "first_order.seq_length"])
+    def test_empty_sizes_rejected_up_front(self, params, field):
+        with pytest.raises(ValueError, match=field):
+            params()
+
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ValueError, match="trails"):
             ExperimentConfig.from_dict({"experiment": "comparison", "trails": 3})

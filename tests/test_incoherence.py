@@ -202,6 +202,17 @@ class TestModelIncoherence:
         np.testing.assert_array_equal(tr.from_q(q), layerwise_from_q(tr, q))
         np.testing.assert_array_equal(tr.grad_to_q(w), layerwise_to_q(tr, w))
 
+    @pytest.mark.parametrize("arch", [ToyArch(), ToyArch(layers=2)])
+    def test_wrong_length_rejected(self, arch):
+        tr = ModelIncoherence(arch, seed=3)
+        for transport in (tr.to_q, tr.grad_to_q):
+            for n in (arch.n_params - 1, arch.n_params + 7):
+                with pytest.raises(ValueError, match=f"length {arch.n_params}"):
+                    transport(np.ones(n))
+        for n in (tr.n_q - 1, tr.n_q + 9):
+            with pytest.raises(ValueError, match=f"length {tr.n_q}"):
+                tr.from_q(np.ones(n))
+
 
 class TestPipeline:
     def test_fine_grid_keeps_kl_tiny_both_arms(self):

@@ -1,11 +1,14 @@
 """Constrained-walk behavior: projection, freezing, integrality, variance."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discq.grid import bracket_of, build_block_scaling
+from discq import lmwalk
 from discq.discquant import finalize
 from discq.lmwalk import (ConstraintSet, MaxPhasesExceeded, WalkConfig,
                           fractional_count, lm_phase, lm_round,
@@ -362,6 +365,21 @@ class TestVarianceProbe:
         cs = random_instance(16, 1, seed=10)
         with pytest.raises(ValueError):
             walk_variance_probe(cs, WalkConfig(seed=0), np.ones(16), trials=10)
+
+    @pytest.mark.parametrize("spoil", [
+        lambda x: np.full_like(x, np.nan),
+        lambda x: x + 1e-3,  # off the constraints by far more than the limit
+    ], ids=["non-finite", "residual"])
+    def test_every_phase_is_checked(self, monkeypatch, spoil):
+        cs = random_instance(64, 2, seed=11)
+
+        def spoiled_phase(*args):
+            result = _run_phase(*args)
+            return dataclasses.replace(result, x=spoil(result.x))
+
+        monkeypatch.setattr(lmwalk, "_run_phase", spoiled_phase)
+        with pytest.raises(FloatingPointError):
+            walk_variance_probe(cs, WalkConfig(seed=0), np.ones(64), trials=30)
 
 
 class TestStepLaw:
