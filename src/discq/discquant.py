@@ -45,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Bracket, QuantGrid, bracket_of, nearer_up
+from .incoherence import Identity
 from .optim import AdamW, warmup_cosine_lr
 from .toymodel import SampleBatch, ToyModel, _forward, _kl_core, _sample_tokens, kl_term
 
@@ -56,17 +57,6 @@ Array = np.ndarray
 
 STREAM_CHUNK = 128  # steps of the default stream sampled per pass
 _TEACHER_STACK = 32  # steps per stacked teacher forward (about 1 MiB of activations at default sizes)
-
-
-class _Identity:
-    """Trivial weight-space adapter: quantization space == model space."""
-
-    @staticmethod
-    def to_q(w):
-        return w
-
-    from_q = to_q
-    grad_to_q = to_q
 
 
 @dataclass(frozen=True)
@@ -204,14 +194,14 @@ def optimize(teacher: ToyModel, grid: QuantGrid, cfg: DiscQuantConfig,
     """Round the teacher's weights on ``grid`` by projected SGD, then snap.
 
     ``grid`` must be built over the teacher weights as seen in quantization
-    space (identity by default; pass ``transform`` to round in a transformed
-    space).  ``data_stream`` overrides the default stream of fresh
-    teacher-sampled batches and is read one batch per step; exhausting it
-    raises ``ValueError``.  The default stream is presampled in chunks of
+    space (an ``incoherence.Identity`` by default; pass ``transform`` to round
+    in a transformed space).  ``data_stream`` overrides the default stream of
+    fresh teacher-sampled batches and is read one batch per step; exhausting
+    it raises ``ValueError``.  The default stream is presampled in chunks of
     ``STREAM_CHUNK`` steps, and the teacher's distributions on each chunk
     are computed once; both are bit for bit those of per-step sampling.
     """
-    transform = transform or _Identity
+    transform = transform or Identity(teacher.arch)
     wq = transform.to_q(teacher.params)
     if grid.n != wq.shape[0]:
         raise ValueError(f"grid covers {grid.n} coordinates, weights have {wq.shape[0]}")

@@ -80,7 +80,7 @@ class QuantGrid:
                 spans = _group_spans([(0, self.n)], self.groupsize)
             else:
                 spans = list(self.group_bounds)
-                if spans[0][0] != 0 or spans[-1][1] != self.n or any(
+                if not spans or spans[0][0] != 0 or spans[-1][1] != self.n or any(
                         a >= b for a, b in spans) or any(
                         s0[1] != s1[0] for s0, s1 in zip(spans, spans[1:])):
                     raise GridConfigError("group bounds must partition [0, n)")
@@ -172,7 +172,9 @@ def build_block_scaling(w, bits: int, groupsize, blocks=None) -> QuantGrid:
 
     ``blocks`` optionally partitions the vector into spans (e.g. the layers
     of a model) that groups never straddle: per-tensor then means one scale
-    per span, and integer group runs restart at every span boundary.
+    per span, and integer group runs restart at every span boundary.  The
+    spans must be nonempty and partition ``[0, n)``, else
+    :class:`GridConfigError`.
     """
     w = np.asarray(w, dtype=np.float64)
     if bits < 2:
@@ -181,6 +183,8 @@ def build_block_scaling(w, bits: int, groupsize, blocks=None) -> QuantGrid:
     n = w.shape[0]
     lmax = (1 << (bits - 1)) - 1
     spans = [(0, n)] if blocks is None else [(int(a), int(b)) for a, b in blocks]
+    if blocks is not None and any(a >= b for a, b in spans):
+        raise GridConfigError(f"blocks must be nonempty spans, got {spans}")
     bounds = _group_spans(spans, groupsize)
     scales = np.empty(len(bounds))
     for g, (lo, hi) in enumerate(bounds):
@@ -196,8 +200,11 @@ def explicit_grid(points, n: int | None = None) -> QuantGrid:
     """Build an explicit grid.
 
     ``points`` is either a single sorted array shared by all ``n`` coordinates
-    or a sequence of per-coordinate sorted arrays.
+    or a sequence of per-coordinate sorted arrays; an empty ``points`` raises
+    :class:`GridConfigError`.
     """
+    if len(points) == 0:
+        raise GridConfigError("explicit grid needs at least one point")
     if np.isscalar(points[0]):  # one shared list
         if n is None:
             raise GridConfigError("n required when sharing one point list")

@@ -33,6 +33,12 @@ SCHEMA_VERSION = 1
 WORKERS_ENV = "DQ_WORKERS"
 
 
+def _check_int(key: str, value) -> None:
+    """Raise ``ValueError`` naming ``key`` unless ``value`` is an int (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"config key '{key}' must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ComparisonParams:
     bits_levels: tuple[int, ...] = (2, 3, 4)
@@ -49,6 +55,8 @@ class ComparisonParams:
     walk: WalkConfig = _MODEL_WALK
 
     def __post_init__(self):
+        for k, bits in enumerate(self.bits_levels):
+            _check_int(f"params.bits_levels[{k}]", bits)
         if not self.bits_levels or any(b < 2 for b in self.bits_levels):
             raise ValueError("bits levels must all be >= 2")
         object.__setattr__(self, "groupsize", groupsize_of(self.groupsize))
@@ -110,6 +118,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"experiment must be one of {tuple(EXPERIMENTS)}")
+        _check_int("seed", self.seed)
+        _check_int("trials", self.trials)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         expected = EXPERIMENTS[self.experiment][0]
@@ -297,6 +307,8 @@ def pipeline_with_incoherence(teacher, bits: int, groupsize, method: str,
             "kl_incoherent": rotated.heldout_kl,
             "flags": list(rotated.flags),
         })
+    if not rows:
+        raise ValueError("seeds must name at least one trial")
     kl_plain = [r["kl_plain"] for r in rows]
     kl_rot = [r["kl_incoherent"] for r in rows]
     return {

@@ -38,22 +38,23 @@ def next_power_of_two(k: int) -> int:
     return out
 
 
-_STAGED_MAX = 64  # longest transform done by stage matrices; longer ones use the butterfly
+_STAGED_MAX = 64  # longest stage matrix; a longer axis is split into blocks of this length
 
 
 def fwht(a: Array, axis: int = -1) -> Array:
     """Unnormalized fast Walsh-Hadamard transform along ``axis``.
 
-    The implied matrix is the Sylvester Hadamard matrix H_dim, applied in
-    log2(dim) butterfly stages; stage ``half`` maps each pair (u, v) that
-    sits ``half`` apart to (u + v, u - v).  Up to ``_STAGED_MAX`` a stage is
-    one matmul with a cached +-1/0 stage matrix whose rows hold two
-    nonzeros, so each output is still one rounded add of two entries (the
-    +-1 products and the added zeros are exact) and equals the butterfly's
-    for finite inputs; only a -0.0 + -0.0 may come out +0.0.  One dense H_dim
-    product would round differently.  Longer transforms run the butterfly,
-    alternating between two buffers viewed as (before, blocks, 2, half,
-    after) around the axis.
+    The implied matrix is the Sylvester Hadamard matrix H_n, applied in
+    log2(n) butterfly stages; stage ``half`` maps each pair (u, v) that sits
+    ``half`` apart to (u + v, u - v).  Each stage is one matmul with a
+    cached +-1/0 stage matrix whose rows hold two nonzeros, so each output is
+    still one rounded add of two entries (the +-1 products and the added
+    zeros are exact) and equals the butterfly's for finite inputs; only a
+    -0.0 + -0.0 may come out +0.0, and a non-finite input spreads NaN through
+    the zero products.  One dense H_n product would round differently.  An
+    axis longer than ``_STAGED_MAX`` is viewed as (n / 64, 64): the stages
+    ``half`` < 64 run on the inner factor, then a recursive call runs the
+    rest along the block index, in the butterfly's own stage order.
     """
     a = np.asarray(a, dtype=np.float64)
     axis = range(a.ndim)[axis]
@@ -63,25 +64,18 @@ def fwht(a: Array, axis: int = -1) -> Array:
     if n == 1:
         return a.copy()
     before, after = math.prod(a.shape[:axis]), math.prod(a.shape[axis + 1:])
-    if n <= _STAGED_MAX:
-        x = a.reshape(before, n, after)
-        if after == 1:
-            x = x[:, :, 0]
-            for stage in _stage_matrices(n):
-                x = x @ stage.T
-        else:
-            for stage in _stage_matrices(n):
-                x = stage @ x
-        return x.reshape(a.shape)
-    bufs = (np.empty(a.shape), np.empty(a.shape))
-    src, half, k = a, 1, 0
-    while half < n:
-        s = src.reshape(before, n // (2 * half), 2, half, after)
-        d = bufs[k].reshape(s.shape)
-        np.add(s[:, :, 0], s[:, :, 1], out=d[:, :, 0])
-        np.subtract(s[:, :, 0], s[:, :, 1], out=d[:, :, 1])
-        src, half, k = bufs[k], 2 * half, 1 - k
-    return src
+    inner = min(n, _STAGED_MAX)
+    x = a.reshape(before * (n // inner), inner, after)
+    if after == 1:
+        x = x[:, :, 0]
+        for stage in _stage_matrices(inner):
+            x = x @ stage.T
+    else:
+        for stage in _stage_matrices(inner):
+            x = stage @ x
+    if n > inner:
+        x = fwht(x.reshape(before, n // inner, inner * after), axis=1)
+    return x.reshape(a.shape)
 
 
 @functools.lru_cache(maxsize=None)
@@ -183,7 +177,38 @@ def untransform_layer(layer: TransformedLayer) -> Array:
     return back[:layer.rows, :layer.cols]
 
 
-class ModelIncoherence:
+class Identity:
+    """Rounding in model space: q-space is the weights, and every map returns its input.
+
+    ``blocks`` holds one ``(name, start, stop, shape, left, right, q_start,
+    q_stop)`` tuple per parameter block, here with no RHTs and q-spans equal
+    to the model spans.
+    """
+
+    def __init__(self, arch: ToyArch):
+        self.arch = arch
+        self.n_params = arch.n_params
+        self.blocks = []
+        at = 0
+        for idx, (name, (a, b, shape)) in enumerate(arch.layout().items()):
+            left, right = self._rhts(idx, shape)
+            size = b - a if left is None else left.dim * right.dim
+            self.blocks.append((name, a, b, shape, left, right, at, at + size))
+            at += size
+        self.n_q = at
+
+    def _rhts(self, idx: int, shape: tuple) -> tuple[RHT | None, RHT | None]:
+        """Block ``idx``'s (left, right) RHTs; (None, None) passes it through."""
+        return None, None
+
+    @staticmethod
+    def to_q(w):
+        return w
+
+    from_q = grad_to_q = to_q
+
+
+class ModelIncoherence(Identity):
     """Per-layer transforms for a toy model's flat parameter vector.
 
     Every 2-D parameter block is conjugated by seeded RHTs (padded to powers
@@ -194,22 +219,14 @@ class ModelIncoherence:
     """
 
     def __init__(self, arch: ToyArch, seed: int = 0):
-        self.arch = arch
         self.seed = int(seed)
-        self.blocks = []  # (name, start, stop, shape, left | None, right | None)
-        at = 0
-        for idx, (name, (a, b, shape)) in enumerate(arch.layout().items()):
-            if len(shape) == 2:
-                left = RHT.from_seed(next_power_of_two(shape[0]), child_seed(self.seed, idx, 0))
-                right = RHT.from_seed(next_power_of_two(shape[1]), child_seed(self.seed, idx, 1))
-                size = left.dim * right.dim
-            else:
-                left = right = None
-                size = b - a
-            self.blocks.append((name, a, b, shape, left, right, at, at + size))
-            at += size
-        self.n_q = at
-        self.n_params = arch.n_params
+        super().__init__(arch)
+
+    def _rhts(self, idx: int, shape: tuple) -> tuple[RHT | None, RHT | None]:
+        if len(shape) != 2:
+            return None, None
+        return tuple(RHT.from_seed(next_power_of_two(side), child_seed(self.seed, idx, k))
+                     for k, side in enumerate(shape))
 
     def to_q(self, w: Array) -> Array:
         w = np.asarray(w, dtype=np.float64)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import discquant, grid as gridmod, lmwalk, toymodel
+from .incoherence import Identity, ModelIncoherence
 from .serialize import child_seed
 
 Array = np.ndarray
@@ -39,10 +40,8 @@ def _walk_constraints(teacher: toymodel.ToyModel, bracket, transform, m: int,
     batch = toymodel.sample_sequences(teacher, m, seq_length,
                                       seed=child_seed(seed, 0xDA))
     rows = toymodel.gradient_rows(teacher, batch)
-    length = batch.sequences.shape[1]
-    per_seq = rows.reshape(m, length, -1).mean(axis=1)
-    if transform is not None:
-        per_seq = np.stack([transform.grad_to_q(r) for r in per_seq])
+    per_seq = rows.reshape(m, -1, rows.shape[1]).mean(axis=1)
+    per_seq = np.stack([transform.grad_to_q(r) for r in per_seq])
     return lmwalk.ConstraintSet(per_seq * bracket.delta, bracket.position())
 
 
@@ -55,22 +54,19 @@ def quantize_model(teacher: toymodel.ToyModel, bits: int, groupsize, method: str
                    data_stream=None) -> QuantizeOutcome:
     """Round a whole model onto a block-scaling grid with one of the rounders.
 
-    ``transform`` (an object with to_q / from_q / grad_to_q) moves the
-    rounding into an orthogonally transformed weight space; scales are then
-    computed on the transformed weights.
+    ``transform`` (an :class:`~discq.incoherence.Identity` by default, or a
+    :class:`~discq.incoherence.ModelIncoherence`) names the weight space the
+    rounding runs in; scales are computed on the weights as seen there, one
+    run of groups per block.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
-    if transform is None:
-        wq = teacher.params
-        blocks = [(a, b) for a, b, _ in teacher.arch.layout().values()]
-    else:
-        wq = transform.to_q(teacher.params)
-        blocks = [(qa, qb) for *_, qa, qb in transform.blocks]
+    transform = transform or Identity(teacher.arch)
+    wq = transform.to_q(teacher.params)
     qgrid = gridmod.build_block_scaling(wq, bits=bits, groupsize=groupsize,
-                                        blocks=blocks)
+                                        blocks=[(qa, qb) for *_, qa, qb in transform.blocks])
     flags = ()
-    if transform is not None and qgrid.groupsize is not None:
+    if isinstance(transform, ModelIncoherence) and qgrid.groupsize is not None:
         flags = ("groupwise-scales-with-incoherence",)
 
     fractional = 0
@@ -92,8 +88,7 @@ def quantize_model(teacher: toymodel.ToyModel, bits: int, groupsize, method: str
         fractional = result.fractional
         rounded_q = discquant.finalize(result.x, bracket, tau=1e-3)
 
-    params = rounded_q if transform is None else transform.from_q(rounded_q)
-    model = teacher.with_params(params)
+    model = teacher.with_params(transform.from_q(rounded_q))
     heldout_kl = None
     if heldout is not None:
         heldout_kl, _ = toymodel.kl_term(teacher, model, heldout)

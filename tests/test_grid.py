@@ -140,6 +140,22 @@ class TestGroupSpans:
         with pytest.raises(GridConfigError):
             explicit_grid([0.0, 1.0], n=3).coordinate_scales()
 
+    @pytest.mark.parametrize("groupsize", [1, 2, 16, None])
+    def test_empty_block_rejected(self, groupsize):
+        with pytest.raises(GridConfigError, match="nonempty"):
+            build_block_scaling(np.ones(8), bits=3, groupsize=groupsize,
+                                blocks=[(0, 4), (4, 4), (4, 8)])
+
+    @pytest.mark.parametrize("n", [0, 3])
+    @pytest.mark.parametrize("groupsize", [2, None])
+    def test_no_blocks_rejected(self, n, groupsize):
+        with pytest.raises(GridConfigError, match="partition"):
+            build_block_scaling(np.ones(n), bits=3, groupsize=groupsize, blocks=[])
+
+    def test_empty_explicit_grid_rejected(self):
+        with pytest.raises(GridConfigError):
+            explicit_grid([])
+
 
 class TestBracket:
     def test_interior_point(self):

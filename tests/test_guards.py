@@ -2,9 +2,9 @@
 
 The benchmark's tracer (``bench/spans.py``) wraps discq functions at the
 names their callers look them up by, the demos import from discq, and the
-README shows ``dq`` command lines.  A refactor that drops or moves one of
-those names or flags would otherwise fail only in ``bench/selftest.py``, or
-when a demo or a README command is run by hand.
+README shows ``dq`` command lines and Python blocks.  A refactor that drops
+or moves one of those names or flags would otherwise fail only in
+``bench/selftest.py``, or when a demo or a README example is run by hand.
 """
 
 import ast
@@ -56,6 +56,17 @@ def test_demo_imports_resolve(path):
                     importlib.import_module(alias.name)
                     checked += 1
     assert checked, f"{path.name} imports nothing from discq"
+
+
+def _readme_python_blocks() -> list[str]:
+    return re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                      flags=re.M | re.S)
+
+
+@pytest.mark.parametrize("block", _readme_python_blocks(),
+                         ids=lambda block: block.splitlines()[0][:40])
+def test_readme_python_block_runs(block):
+    exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
 
 
 def _readme_commands() -> list[str]:

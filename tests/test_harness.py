@@ -348,6 +348,25 @@ class TestConfigErrors:
         with pytest.raises(ValueError, match=key):
             ExperimentConfig.from_dict({"experiment": "comparison", "params": params})
 
+    @pytest.mark.parametrize("raw, key", [
+        ({"seed": 1.5}, "'seed'"),
+        ({"seed": True}, "'seed'"),
+        ({"trials": True}, "'trials'"),
+        ({"trials": "8"}, "'trials'"),
+        ({"trials": 2.0}, "'trials'"),
+        ({"params": {"bits_levels": [2.5]}}, r"'params\.bits_levels\[0\]'"),
+        ({"params": {"bits_levels": [3, True]}}, r"'params\.bits_levels\[1\]'"),
+        ({"params": {"bits_levels": ["3"]}}, r"'params\.bits_levels\[0\]'"),
+    ])
+    def test_non_int_value_is_a_value_error(self, raw, key):
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig.from_dict({"experiment": "comparison", **raw})
+
+    def test_numpy_ints_accepted(self):
+        cfg = ExperimentConfig(experiment="comparison", seed=np.int64(3), trials=np.int32(2),
+                               params=ComparisonParams(bits_levels=(np.int64(3),)))
+        assert _config_echo(cfg)["seed"] == 3
+
     def test_nested_walk_config_still_loads(self):
         cfg = ExperimentConfig.from_dict({"experiment": "scaling",
                                           "params": {"walk": {"delta": 0.1}}})

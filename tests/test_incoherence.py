@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from discq.harness import pipeline_with_incoherence
-from discq.incoherence import (RHT, ModelIncoherence, fwht, is_power_of_two,
+from discq.incoherence import (RHT, Identity, ModelIncoherence, fwht, is_power_of_two,
                                next_power_of_two, rht_apply, rht_inverse,
                                transform_layer, untransform_layer)
+from discq.pipeline import quantize_model
 from discq.toymodel import (ToyArch, forward_next_token, kl_term, random_model,
                             sample_sequences)
 
@@ -43,7 +44,7 @@ class TestFwht:
         np.testing.assert_array_equal(out, stack_fwht(a, axis=axis))
         assert not np.shares_memory(out, a)
 
-    @pytest.mark.parametrize("dim", [1, 2, 4, 8, 16, 32, 64, 128, 256])
+    @pytest.mark.parametrize("dim", [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 4096, 8192])
     @pytest.mark.parametrize("axis", [0, 1, -1])
     def test_matches_buffered_butterfly_bytes(self, dim, axis):
         shape = [3, 5, 2]
@@ -214,7 +215,36 @@ class TestModelIncoherence:
                 tr.from_q(np.ones(n))
 
 
+class TestIdentity:
+    @pytest.mark.parametrize("arch", [ToyArch(), ToyArch(layers=2)])
+    def test_blocks_are_the_model_layout(self, arch):
+        tr = Identity(arch)
+        assert tr.n_q == tr.n_params == arch.n_params
+        assert [(name, a, b, shape) for name, a, b, shape, *_ in tr.blocks] == \
+            [(name, a, b, shape) for name, (a, b, shape) in arch.layout().items()]
+        for _, a, b, _, left, right, qa, qb in tr.blocks:
+            assert (left, right, qa, qb) == (None, None, a, b)
+
+    def test_maps_return_their_input(self):
+        tr = Identity(ToyArch())
+        w = random_model(seed=16).params
+        assert tr.to_q(w) is w and tr.from_q(w) is w and tr.grad_to_q(w) is w
+
+    @pytest.mark.parametrize("method", ["rtn", "lmwalk"])
+    def test_quantize_model_default_is_identity(self, method):
+        teacher = random_model(seed=17)
+        plain = quantize_model(teacher, 3, 16, method, seed=2)
+        same = quantize_model(teacher, 3, 16, method, seed=2, transform=Identity(teacher.arch))
+        assert plain.model.params.tobytes() == same.model.params.tobytes()
+        assert plain.flags == same.flags == ()
+
+
 class TestPipeline:
+    def test_no_seeds_rejected(self):
+        with pytest.raises(ValueError, match="seeds"):
+            pipeline_with_incoherence(random_model(seed=23), bits=3, groupsize=None,
+                                      method="rtn", seeds=[])
+
     def test_fine_grid_keeps_kl_tiny_both_arms(self):
         teacher = random_model(seed=20)
         out = pipeline_with_incoherence(teacher, bits=14, groupsize=None,
