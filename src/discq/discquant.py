@@ -47,7 +47,8 @@ import numpy as np
 from .grid import Bracket, QuantGrid, bracket_of, nearer_up
 from .incoherence import Identity
 from .optim import AdamW, warmup_cosine_lr
-from .toymodel import SampleBatch, ToyModel, _forward, _kl_core, _sample_tokens, kl_term
+from .toymodel import (SampleBatch, ToyModel, _forward, _kl_core, _sample_tokens,
+                       _swap_uniform, kl_term)
 
 # unused here; kept importable because bench/spans.py traces them at these names
 from .grid import interp_weights  # noqa: F401
@@ -148,27 +149,30 @@ def finalize(x, bracket: Bracket, tau: float) -> Array:
     return np.where(take_up, bracket.w_up, bracket.w_down)
 
 
-def _teacher_chunks(teacher: ToyModel, cfg: DiscQuantConfig):
-    """``cfg.iterations`` steps of teacher samples as one batch per chunk.
+def _teacher_chunks(teacher: ToyModel, cfg: DiscQuantConfig, mix: float = 0.0):
+    """``cfg.iterations`` steps of calibration sequences as one batch per chunk.
 
     Each chunk holds up to ``STREAM_CHUNK`` steps' ``batch_size`` sequences,
     step by step.  ``rng.random((k, seq_length, batch_size))`` holds the
-    uniforms of k per-step ``sample_sequences(teacher, batch_size,
-    seq_length, rng=rng)`` calls in their order, and the sampler runs the k
-    steps as a (k, batch_size) stack, so every step's sequences are those
-    of its per-step call.  Yields ``(chunk, k)``.
+    (seq_length, batch_size) uniforms of k per-step samplings from ``rng``
+    in their order, and the sampler runs the k steps as a (k, batch_size)
+    stack, so every step's sequences are those of its per-step sampling.
+    A ``mix`` share of each chunk's sequences is then swapped for uniform
+    ones, drawn from ``rng`` after the chunk's uniforms; at mix 0 nothing
+    more is drawn.  Yields ``(chunk, k)``.
     """
     rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 0x57E4]))
     size, length = cfg.batch_size, cfg.seq_length
     for start in range(0, cfg.iterations, STREAM_CHUNK):
         k = min(STREAM_CHUNK, cfg.iterations - start)
         tokens = _sample_tokens(teacher, rng.random((k, length, size)).transpose(1, 0, 2))
+        _swap_uniform(tokens, mix, teacher.arch.vocab, rng)
         yield SampleBatch(sequences=tokens.reshape(k * size, length)), k
 
 
-def _teacher_stream(teacher: ToyModel, cfg: DiscQuantConfig):
-    """``cfg.iterations`` teacher-sampled batches, presampled in chunks."""
-    for chunk, k in _teacher_chunks(teacher, cfg):
+def _teacher_stream(teacher: ToyModel, cfg: DiscQuantConfig, mix: float = 0.0):
+    """``cfg.iterations`` calibration batches, presampled in chunks."""
+    for chunk, k in _teacher_chunks(teacher, cfg, mix):
         yield from map(SampleBatch, np.split(chunk.sequences, k))
 
 

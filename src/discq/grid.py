@@ -240,30 +240,18 @@ def _bracket_block(w: Array, grid: QuantGrid):
 
 
 def _bracket_explicit(w: Array, grid: QuantGrid):
-    down = np.empty_like(w)
-    up = np.empty_like(w)
-    shared = all(p is grid.points[0] for p in grid.points)
-    if shared:
+    if all(p is grid.points[0] for p in grid.points):  # one shared list
         pts = grid.points[0]
         i = np.searchsorted(pts, w, side="left")
-        exact = (i < len(pts)) & (pts[np.minimum(i, len(pts) - 1)] == w)
-        below = i == 0
-        above = i == len(pts)
-        down = np.where(below, pts[0], pts[np.maximum(i - 1, 0)])
-        up = np.where(above, pts[-1], pts[np.minimum(i, len(pts) - 1)])
-        down = np.where(exact, up, down)
-        return down, up
-    for j in range(grid.n):
-        pts = grid.points[j]
+        hi = np.minimum(i, len(pts) - 1)
+        lo = np.where((i == 0) | (i == len(pts)) | (pts[hi] == w), hi, i - 1)
+        return pts[lo], pts[hi]
+    down, up = np.empty_like(w), np.empty_like(w)
+    for j, pts in enumerate(grid.points):
         i = int(np.searchsorted(pts, w[j], side="left"))
-        if i < len(pts) and pts[i] == w[j]:
-            down[j] = up[j] = pts[i]
-        elif i == 0:
-            down[j] = up[j] = pts[0]
-        elif i == len(pts):
-            down[j] = up[j] = pts[-1]
-        else:
-            down[j], up[j] = pts[i - 1], pts[i]
+        hi = min(i, len(pts) - 1)
+        lo = hi if i in (0, len(pts)) or pts[i] == w[j] else i - 1
+        down[j], up[j] = pts[lo], pts[hi]
     return down, up
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -25,8 +26,7 @@ from .lmwalk import WalkConfig
 from .pipeline import _MODEL_WALK, METHODS, quantize_model
 from .serialize import child_seed, dump_record
 from .speclab import SpectrumSpec, falpha_scaling_study, generalization_study
-from .toymodel import (SampleBatch, ToyArch, ToyModel, first_order_study,
-                       random_model, sample_sequences)
+from .toymodel import ToyArch, first_order_study, random_model, sample_sequences
 from .grid import PER_TENSOR, explicit_grid, groupsize_of, rtn
 
 SCHEMA_VERSION = 1
@@ -39,17 +39,41 @@ def _check_int(key: str, value) -> None:
         raise ValueError(f"config key '{key}' must be an int, got {value!r}")
 
 
+# the JSON values a field of each declared scalar type takes, besides int (see _check_int)
+_JSON_TYPES = {float: (int, float), bool: bool, str: str}
+
+
+def _json_value(key: str, value, hint):
+    """``value``, parsed from JSON, checked against the declared type ``hint``.
+
+    A list for ``tuple[T, ...]`` comes back a tuple; null fits ``X | None``,
+    and only a bool fits ``bool``.  A mismatch raises ``ValueError`` naming ``key``.
+    """
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"config key '{key}' must be a list, got {value!r}")
+        return tuple(_json_value(f"{key}[{k}]", item, args[0]) for k, item in enumerate(value))
+    if type(None) in args:
+        return None if value is None else _json_value(key, value, args[0])
+    if hint is int:
+        _check_int(key, value)
+    elif isinstance(value, bool) != (hint is bool) or not isinstance(value, _JSON_TYPES[hint]):
+        raise ValueError(f"config key '{key}' must be a {hint.__name__}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ComparisonParams:
     bits_levels: tuple[int, ...] = (2, 3, 4)
     groupsize: int | None = 16
     methods: tuple[str, ...] = ("rtn", "discquant")
     heldout: int = 256
-    seq_length: int = 8
+    seq_length: int = 8  # held-out length; calibration uses discquant.seq_length
     walk_samples: int = 48
     incoherence: bool = False
     incoh_seed: int = 0
-    data_mix: float = 0.0  # fraction of quantization data taken from a second source
+    data_mix: float = 0.0  # share of calibration sequences drawn uniformly at random
     arch: ToyArch = ToyArch()
     discquant: DiscQuantConfig = DiscQuantConfig()
     walk: WalkConfig = _MODEL_WALK
@@ -144,27 +168,25 @@ class ExperimentConfig:
 def _params_from_dict(cls, raw: dict, key: str = "params"):
     """Build a params dataclass from parsed JSON, field by field.
 
-    A field whose default is a tuple takes the given list as a tuple; one
-    whose default is a config dataclass is built from the given dict the
-    same way.  A value that is not an object where one is due, a list that
-    is not a list, or an unknown key raises ``ValueError`` naming its
-    dotted config key (``key`` names ``raw``).
+    A field whose declared type is a config dataclass is built from the
+    given dict the same way; every other value is checked against its
+    field's declared type (:func:`_json_value`), apart from ``groupsize``,
+    which ``grid.groupsize_of`` reads.  A value that is not an object where
+    one is due, a value of the wrong type, or an unknown key raises
+    ``ValueError`` naming its dotted config key (``key`` names ``raw``).
     """
     if not isinstance(raw, dict):
         raise ValueError(f"config key '{key}' must be an object, got {raw!r}")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(raw) - set(fields)
+    hints = typing.get_type_hints(cls)
+    unknown = set(raw) - set(hints)
     if unknown:
         raise ValueError(f"unknown config keys {sorted(f'{key}.{k}' for k in unknown)}")
     raw = dict(raw)
     for name, value in raw.items():
-        default = fields[name].default
-        if value is not None and isinstance(default, tuple):
-            if not isinstance(value, (list, tuple)):
-                raise ValueError(f"config key '{key}.{name}' must be a list, got {value!r}")
-            raw[name] = tuple(value)
-        elif dataclasses.is_dataclass(default):
-            raw[name] = _params_from_dict(type(default), value, f"{key}.{name}")
+        if dataclasses.is_dataclass(hints[name]):
+            raw[name] = _params_from_dict(hints[name], value, f"{key}.{name}")
+        elif name != "groupsize":
+            raw[name] = _json_value(f"{key}.{name}", value, hints[name])
     return cls(**raw)
 
 
@@ -216,19 +238,6 @@ def _trial_rows(fn, cfg: ExperimentConfig) -> list[dict]:
     return [row for chunk in chunks for row in chunk]
 
 
-def _mixed_stream(teacher: ToyModel, cfg: DiscQuantConfig, mix: float, seed: int):
-    """Fresh batches, a ``mix`` fraction of sequences from a uniform source."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x313]))
-    arch = teacher.arch
-    while True:
-        batch = sample_sequences(teacher, cfg.batch_size, cfg.seq_length, rng=rng)
-        seqs = batch.sequences.copy()
-        swap = rng.random(cfg.batch_size) < mix
-        if np.any(swap):
-            seqs[swap] = rng.integers(0, arch.vocab, size=(int(swap.sum()), cfg.seq_length))
-        yield SampleBatch(sequences=seqs)
-
-
 def _comparison_trial(args) -> list[dict]:
     cfg, trial = args
     p: ComparisonParams = cfg.params
@@ -244,16 +253,11 @@ def _comparison_trial(args) -> list[dict]:
             row = {"seed": seed, "trial": trial, "bits": bits, "method": method,
                    "groupsize": PER_TENSOR if p.groupsize is None else p.groupsize,
                    "incoherence": p.incoherence}
-            stream = None
-            if method == "discquant" and p.data_mix > 0.0:
-                stream = _mixed_stream(teacher, p.discquant, p.data_mix,
-                                       child_seed(seed, 0x312))
             try:
                 outcome = quantize_model(
                     teacher, bits, p.groupsize, method, seed=seed,
                     transform=transform, dq_cfg=p.discquant, walk_cfg=p.walk,
-                    walk_samples=p.walk_samples, heldout=heldout,
-                    data_stream=stream)
+                    walk_samples=p.walk_samples, heldout=heldout, data_mix=p.data_mix)
                 row.update(bits_per_param=outcome.bits_per_param,
                            heldout_kl=outcome.heldout_kl,
                            fractional=outcome.fractional,
@@ -347,11 +351,8 @@ def _first_order_trial(args) -> list[dict]:
             elif method == "identity":
                 rounded = teacher.params
             else:
-                report = dq_optimize(
-                    teacher, qgrid,
-                    dataclasses.replace(DiscQuantConfig(), iterations=256, warmup=32,
-                                        seed=child_seed(seed, 0xD0)))
-                rounded = report.quantized
+                dq_cfg = DiscQuantConfig(iterations=256, warmup=32, seed=child_seed(seed, 0xD0))
+                rounded = dq_optimize(teacher, qgrid, dq_cfg).quantized
             pairs = first_order_study(teacher, qgrid, rounded, batch)
             for idx, (df, first) in enumerate(pairs):
                 rows.append({"seed": seed, "trial": trial, "spacing": spacing,

@@ -46,7 +46,5 @@ def warmup_cosine_lr(peak: float, warmup: int, total: int, step: int) -> float:
         raise ValueError(f"step {step} outside [1, {total}]")
     if warmup and step <= warmup:
         return peak * step / warmup
-    if total == warmup:
-        return peak
     frac = (step - warmup) / (total - warmup)
     return peak * 0.5 * (1.0 + math.cos(math.pi * frac))

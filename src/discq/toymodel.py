@@ -285,11 +285,9 @@ def forward_next_token(model: ToyModel, prefix) -> Array:
     return _forward(model, _prefix_window(model.arch, prefix))["p"][0]
 
 
-def sample_sequences(model: ToyModel, count: int, length: int = 8, seed: int = 0,
-                     rng: np.random.Generator | None = None) -> SampleBatch:
+def sample_sequences(model: ToyModel, count: int, length: int = 8, seed: int = 0) -> SampleBatch:
     """Autoregressively sample token sequences from the model itself."""
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xDA7A]))
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xDA7A]))
     return SampleBatch(sequences=_sample_tokens(model, rng.random((length, count))))
 
 
@@ -311,6 +309,13 @@ def _sample_tokens(model: ToyModel, uniforms: Array) -> Array:
         buf[..., arch.context + i] = (cache["p"].cumsum(axis=-1)
                                       < uniforms[i][..., None]).sum(axis=-1)
     return np.clip(buf[..., arch.context:], 0, arch.vocab - 1)
+
+
+def _swap_uniform(tokens: Array, share: float, vocab: int, rng: np.random.Generator):
+    """Swap a ``share`` of the sequences in ``tokens`` (..., length) for uniform ones, in place."""
+    if share > 0:
+        swap = rng.random(tokens.shape[:-1]) < share
+        tokens[swap] = rng.integers(0, vocab, size=(int(swap.sum()), tokens.shape[-1]))
 
 
 def _ce_head(model: ToyModel, prefixes: Array, targets: Array) -> tuple[dict, Array, Array]:
@@ -358,15 +363,16 @@ def kl_term(teacher: ToyModel, student: ToyModel, batch: SampleBatch) -> tuple[f
         raise ValueError("teacher and student must share an architecture")
     prefixes, _ = batch.rows(teacher.arch)
     tc = _forward(teacher, prefixes)
-    return _kl_core(student, prefixes, tc["logp"], tc["p"])
+    value, grad = _kl_core(student, prefixes, tc["logp"], tc["p"])
+    _check_finite(value, "KL value")
+    return value, grad
 
 
 def _kl_core(student: ToyModel, prefixes: Array, t_logp: Array,
              t_p: Array) -> tuple[float, Array]:
-    """:func:`kl_term` from the teacher's log-probs and probs on ``prefixes``."""
+    """:func:`kl_term` from the teacher's log-probs and probs, without its finite check."""
     sc = _forward(student, prefixes)
     value = float((t_p * (t_logp - sc["logp"])).sum(axis=1).mean())
-    _check_finite(value, "KL value")
     grad = _backward(student, sc, (sc["p"] - t_p) / prefixes.shape[0])
     return value, grad
 

@@ -11,6 +11,7 @@ from discq.discquant import (STREAM_CHUNK, DiscQuantConfig, NonFiniteObjective,
                              finalize, init_x, optimize)
 from discq.incoherence import ModelIncoherence
 from discq.grid import bracket_of, build_block_scaling, explicit_grid, rtn
+from discq.optim import warmup_cosine_lr
 from discq.pipeline import quantize_model
 from discq.serialize import child_seed as _child_seed
 from discq.toymodel import (ToyArch, _forward, _sample_tokens, kl_term, random_model,
@@ -106,6 +107,24 @@ class TestTeacherStream:
         assert len(batches) == iterations
         for batch, seqs in zip(batches, reference):
             np.testing.assert_array_equal(batch.sequences, seqs)
+
+    def test_full_mix_chunks_differ_from_unmixed(self):
+        teacher = random_model(seed=33)
+        cfg = DiscQuantConfig(iterations=STREAM_CHUNK + 5, warmup=1, batch_size=3, seed=2)
+        plain = list(_teacher_chunks(teacher, cfg))
+        mixed = list(_teacher_chunks(teacher, cfg, 1.0))
+        assert [k for _, k in mixed] == [k for _, k in plain]
+        for (got, _), (ref, _) in zip(mixed, plain):
+            assert got.sequences.shape == ref.sequences.shape
+            assert np.all((got.sequences >= 0) & (got.sequences < teacher.arch.vocab))
+            assert np.any(np.all(got.sequences != ref.sequences, axis=1))
+
+    def test_zero_mix_draws_nothing_extra(self):
+        teacher = random_model(seed=34)
+        cfg = DiscQuantConfig(iterations=2 * STREAM_CHUNK + 3, warmup=1, batch_size=2, seed=3)
+        for (got, _), (ref, _) in zip(_teacher_chunks(teacher, cfg, 0.0),
+                                      _teacher_chunks(teacher, cfg)):
+            np.testing.assert_array_equal(got.sequences, ref.sequences)
 
 
 def cdf_boundary_uniforms(model, length: int, count: int, seed: int) -> np.ndarray:
@@ -262,6 +281,20 @@ class TestOptimize:
             # an exploding teacher makes the KL ingredients overflow
             optimize(teacher.with_params(bad * 1e200), grid, tiny_cfg(seed=7))
 
+    def test_nonfinite_kl_raises_with_traces(self):
+        teacher = random_model(seed=17)
+        grid = build_block_scaling(teacher.params, bits=3, groupsize=16)
+        with pytest.raises(NonFiniteObjective, match="at step 1") as caught, \
+                np.errstate(all="ignore"):
+            optimize(teacher.with_params(teacher.params * 1e200), grid, tiny_cfg(seed=7))
+        assert caught.value.trace_kl.shape == caught.value.trace_linear.shape == (0,)
+
+
+class TestSchedule:
+    def test_warmup_spanning_every_step_ends_at_peak(self):
+        lrs = [warmup_cosine_lr(1.0, 4, 4, step) for step in range(1, 5)]
+        assert lrs == [0.25, 0.5, 0.75, 1.0]
+
 
 class TestPipelineCount:
     def test_fractional_is_counted_on_x(self):
@@ -274,6 +307,23 @@ class TestPipelineCount:
         np.testing.assert_array_equal(out.model.params, rep.model_params)
         expected = int(np.sum(np.minimum(rep.x, 1.0 - rep.x) > cfg.tau))
         assert out.fractional == expected > 0
+
+    def test_mixed_calibration_equals_fed_stream(self):
+        teacher = random_model(seed=19)
+        cfg = tiny_cfg(iterations=STREAM_CHUNK + 6, warmup=2)
+        out = quantize_model(teacher, 3, 16, "discquant", seed=5, dq_cfg=cfg, data_mix=0.25)
+        blocks = [(a, b) for a, b, _ in teacher.arch.layout().values()]
+        grid = build_block_scaling(teacher.params, bits=3, groupsize=16, blocks=blocks)
+        cfg = dataclasses.replace(cfg, seed=_child_seed(5, 0xD9))
+        rep = optimize(teacher, grid, cfg, data_stream=list(_teacher_stream(teacher, cfg, 0.25)))
+        assert out.model.params.tobytes() == rep.model_params.tobytes()
+        plain = quantize_model(teacher, 3, 16, "discquant", seed=5, dq_cfg=cfg)
+        assert plain.model.params.tobytes() != out.model.params.tobytes()
+
+    @pytest.mark.parametrize("mix", [-0.25, 1.5])
+    def test_data_mix_outside_unit_interval_rejected(self, mix):
+        with pytest.raises(ValueError, match="data_mix"):
+            quantize_model(random_model(seed=20), 3, 16, "lmwalk", data_mix=mix)
 
 
 class TestConfigValidation:

@@ -175,6 +175,16 @@ class TestBracket:
         assert br.w_down[0] == br.w_up[0] == 0.9
         assert br.w_down[1] == br.w_up[1] == 0.0
 
+    def test_per_coordinate_lists_clamp_and_match_shared(self):
+        pts = [0.0, 0.3, 0.6, 0.9]
+        w = np.array([1.7, -0.2, 0.45, 0.6])
+        per_coord = bracket_of(w, explicit_grid([list(pts) for _ in w]))
+        np.testing.assert_array_equal(per_coord.w_down, [0.9, 0.0, 0.3, 0.6])
+        np.testing.assert_array_equal(per_coord.w_up, [0.9, 0.0, 0.6, 0.6])
+        shared = bracket_of(w, explicit_grid(pts, n=len(w)))
+        np.testing.assert_array_equal(per_coord.w_down, shared.w_down)
+        np.testing.assert_array_equal(per_coord.w_up, shared.w_up)
+
     def test_block_scaling_exact_hits(self):
         w = np.array([0.9, -0.3, 0.1, 0.6])
         grid = build_block_scaling(w, bits=3, groupsize=4)

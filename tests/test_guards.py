@@ -2,14 +2,16 @@
 
 The benchmark's tracer (``bench/spans.py``) wraps discq functions at the
 names their callers look them up by, the demos import from discq, and the
-README shows ``dq`` command lines and Python blocks.  A refactor that drops
-or moves one of those names or flags would otherwise fail only in
-``bench/selftest.py``, or when a demo or a README example is run by hand.
+README shows ``dq`` command lines, ``dq run`` configs and Python blocks.  A
+refactor that drops or moves one of those names, flags or config keys would
+otherwise fail only in ``bench/selftest.py``, or when a demo or a README
+example is run by hand.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
 import re
 import shlex
 from pathlib import Path
@@ -17,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from discq.cli import build_parser
+from discq.harness import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -67,6 +70,24 @@ def _readme_python_blocks() -> list[str]:
                          ids=lambda block: block.splitlines()[0][:40])
 def test_readme_python_block_runs(block):
     exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
+
+
+def _readme_experiment_configs() -> list[dict]:
+    """Every README ``json`` block that is a ``dq run`` config."""
+    blocks = re.findall(r"^```json\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        flags=re.M | re.S)
+    return [raw for raw in map(json.loads, blocks) if "experiment" in raw]
+
+
+def test_readme_has_experiment_configs():
+    assert _readme_experiment_configs()
+
+
+@pytest.mark.parametrize("raw", _readme_experiment_configs(),
+                         ids=lambda raw: json.dumps(raw)[:40])
+def test_readme_experiment_config_loads(raw):
+    cfg = ExperimentConfig.from_dict(raw)
+    assert cfg.experiment == raw["experiment"]
 
 
 def _readme_commands() -> list[str]:

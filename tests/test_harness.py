@@ -146,6 +146,20 @@ class TestComparison:
         parallel = run_comparison(cfg).rows
         assert sequential == parallel
 
+    @staticmethod
+    def walk_rows(**over):
+        rows = run_comparison(tiny_comparison(trials=1, methods=("lmwalk",), walk_samples=16,
+                                              arch=ToyArch(hidden=8, emb=4), **over)).rows
+        assert all(r["error"] is None for r in rows)
+        return rows
+
+    def test_walk_rows_follow_data_mix(self):
+        assert self.walk_rows(data_mix=0.25) != self.walk_rows(data_mix=0.0)
+
+    def test_walk_rows_follow_calibration_length(self):
+        short = DiscQuantConfig(iterations=40, warmup=8, batch_size=2, seq_length=6)
+        assert self.walk_rows(discquant=short) != self.walk_rows()
+
     def test_arm_failure_recorded_not_fatal(self):
         # walk arm needs m <= n/16; a huge sample count trips the precondition
         cfg = tiny_comparison(methods=("rtn", "lmwalk"), walk_samples=2000)
@@ -168,6 +182,16 @@ class TestFirstOrder:
         zero_rows = [r for r in report.rows if r["method"] == "identity"]
         assert all(r["loss_change"] == 0 and r["first_order"] == 0 for r in zero_rows)
         assert report.summary["median_corr_spacing0.1_identity"] is None
+
+    def test_discquant_arm(self):
+        cfg = ExperimentConfig(
+            experiment="first_order", seed=2, trials=1,
+            params=FirstOrderParams(deltas=(0.1,), sequences=4, methods=("rtn", "discquant")))
+        report = run_first_order(cfg)
+        dq_rows = [r for r in report.rows if r["method"] == "discquant"]
+        assert len(dq_rows) == len(report.rows) // 2 == 4 * 8
+        assert all(np.isfinite([r["loss_change"], r["first_order"]]).all() for r in dq_rows)
+        assert report.summary["median_corr_spacing0.1_discquant"] > 0.9
 
     def test_correlation_tightens_with_spacing(self):
         cfg = ExperimentConfig(
@@ -361,6 +385,32 @@ class TestConfigErrors:
     def test_non_int_value_is_a_value_error(self, raw, key):
         with pytest.raises(ValueError, match=key):
             ExperimentConfig.from_dict({"experiment": "comparison", **raw})
+
+    @pytest.mark.parametrize("params, key", [
+        ({"heldout": 8.5}, "'params.heldout'"),
+        ({"arch": {"hidden": 8.0}}, "'params.arch.hidden'"),
+        ({"walk_samples": True}, "'params.walk_samples'"),
+        ({"incoh_seed": 1.5}, "'params.incoh_seed'"),
+        ({"incoherence": 1}, "'params.incoherence'"),
+        ({"discquant": {"iterations": 16.0}}, "'params.discquant.iterations'"),
+        ({"walk": {"max_phases": 3.0}}, "'params.walk.max_phases'"),
+        ({"walk": {"steps_per_phase": 2.5}}, "'params.walk.steps_per_phase'"),
+        ({"walk": {"eps": True}}, "'params.walk.eps'"),
+        ({"data_mix": "0.25"}, "'params.data_mix'"),
+        ({"discquant": {"lambda_on": 1}}, "'params.discquant.lambda_on'"),
+        ({"methods": ["rtn", 3]}, r"'params\.methods\[1\]'"),
+    ])
+    def test_value_of_wrong_type_is_a_value_error(self, params, key):
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig.from_dict({"experiment": "comparison", "params": params})
+
+    def test_declared_types_accept_json_values(self):
+        cfg = ExperimentConfig.from_dict({"experiment": "comparison", "params": {
+            "data_mix": 0, "groupsize": None, "incoherence": True,
+            "walk": {"delta": 1, "eps": None, "steps_per_phase": None},
+            "discquant": {"lam": 50, "lambda_on": "linear"}}})
+        assert cfg.params.walk == WalkConfig(delta=1.0)
+        assert (cfg.params.data_mix, cfg.params.discquant.lam) == (0.0, 50.0)
 
     def test_numpy_ints_accepted(self):
         cfg = ExperimentConfig(experiment="comparison", seed=np.int64(3), trials=np.int32(2),
