@@ -46,8 +46,9 @@ _JSON_TYPES = {float: (int, float), bool: bool, str: str}
 def _json_value(key: str, value, hint):
     """``value``, parsed from JSON, checked against the declared type ``hint``.
 
-    A list for ``tuple[T, ...]`` comes back a tuple; null fits ``X | None``,
-    and only a bool fits ``bool``.  A mismatch raises ``ValueError`` naming ``key``.
+    A list for ``tuple[T, ...]`` comes back a tuple, and an int for ``float``
+    a float; null fits ``X | None``, and only a bool fits ``bool``.  A
+    mismatch raises ``ValueError`` naming ``key``.
     """
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:
@@ -60,7 +61,7 @@ def _json_value(key: str, value, hint):
         _check_int(key, value)
     elif isinstance(value, bool) != (hint is bool) or not isinstance(value, _JSON_TYPES[hint]):
         raise ValueError(f"config key '{key}' must be a {hint.__name__}, got {value!r}")
-    return value
+    return float(value) if hint is float else value
 
 
 @dataclass(frozen=True)
@@ -144,6 +145,7 @@ class ExperimentConfig:
             raise ValueError(f"experiment must be one of {tuple(EXPERIMENTS)}")
         _check_int("seed", self.seed)
         _check_int("trials", self.trials)
+        _json_value("outdir", self.outdir, str | None)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         expected = EXPERIMENTS[self.experiment][0]

@@ -11,11 +11,13 @@ Matrices whose sides are not powers of two are zero-padded up to the next
 power; padded rows/columns are dropped again on the way back.  Block scales
 are always recomputed on the transformed weights (the transform changes the
 dynamic range, which is its entire purpose).
+
+Each transform is applied as one dense product with its own matrix, which
+the butterfly :func:`fwht` builds once per transform and caches.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -38,23 +40,13 @@ def next_power_of_two(k: int) -> int:
     return out
 
 
-_STAGED_MAX = 64  # longest stage matrix; a longer axis is split into blocks of this length
-
-
 def fwht(a: Array, axis: int = -1) -> Array:
     """Unnormalized fast Walsh-Hadamard transform along ``axis``.
 
-    The implied matrix is the Sylvester Hadamard matrix H_n, applied in
-    log2(n) butterfly stages; stage ``half`` maps each pair (u, v) that sits
-    ``half`` apart to (u + v, u - v).  Each stage is one matmul with a
-    cached +-1/0 stage matrix whose rows hold two nonzeros, so each output is
-    still one rounded add of two entries (the +-1 products and the added
-    zeros are exact) and equals the butterfly's for finite inputs; only a
-    -0.0 + -0.0 may come out +0.0, and a non-finite input spreads NaN through
-    the zero products.  One dense H_n product would round differently.  An
-    axis longer than ``_STAGED_MAX`` is viewed as (n / 64, 64): the stages
-    ``half`` < 64 run on the inner factor, then a recursive call runs the
-    rest along the block index, in the butterfly's own stage order.
+    The implied matrix is the Sylvester Hadamard matrix H_n, applied as the
+    O(n log n) butterfly: stage ``half`` = 1, 2, ..., n/2 views the axis as
+    pairs of ``half``-long runs (u, v) and stacks u + v above u - v.  It
+    builds :meth:`RHT.matrix`; the transport itself is a dense product.
     """
     a = np.asarray(a, dtype=np.float64)
     axis = range(a.ndim)[axis]
@@ -64,34 +56,12 @@ def fwht(a: Array, axis: int = -1) -> Array:
     if n == 1:
         return a.copy()
     before, after = math.prod(a.shape[:axis]), math.prod(a.shape[axis + 1:])
-    inner = min(n, _STAGED_MAX)
-    x = a.reshape(before * (n // inner), inner, after)
-    if after == 1:
-        x = x[:, :, 0]
-        for stage in _stage_matrices(inner):
-            x = x @ stage.T
-    else:
-        for stage in _stage_matrices(inner):
-            x = stage @ x
-    if n > inner:
-        x = fwht(x.reshape(before, n // inner, inner * after), axis=1)
-    return x.reshape(a.shape)
-
-
-@functools.lru_cache(maxsize=None)
-def _stage_matrices(n: int) -> tuple[Array, ...]:
-    """The butterfly's stages as read-only n x n matrices, ``half`` = 1, 2, ..., n/2."""
-    rows = np.arange(n)
-    stages = []
-    half = 1
+    x, half = a, 1
     while half < n:
-        stage = np.zeros((n, n))
-        stage[rows, rows] = np.where(rows & half, -1.0, 1.0)  # u - v on the v rows
-        stage[rows, rows ^ half] = 1.0
-        stage.flags.writeable = False
-        stages.append(stage)
+        s = x.reshape(before, n // (2 * half), 2, half, after)
+        x = np.stack((s[:, :, 0] + s[:, :, 1], s[:, :, 0] - s[:, :, 1]), axis=2)
         half *= 2
-    return tuple(stages)
+    return x.reshape(a.shape)
 
 
 @dataclass(frozen=True)
@@ -117,17 +87,24 @@ class RHT:
         return cls(dim=dim, signs=signs, seed=int(seed))
 
     def matrix(self) -> Array:
-        """Explicit dim x dim matrix (test-scale sizes only)."""
-        return fwht(np.diag(self.signs), axis=0) / np.sqrt(self.dim)
+        """The dim x dim matrix, built once, cached on the instance and read-only."""
+        m = self.__dict__.get("_matrix")
+        if m is None:
+            m = fwht(np.diag(self.signs), axis=0) / np.sqrt(self.dim)
+            m.flags.writeable = False
+            self.__dict__["_matrix"] = m
+        return m
 
 
 def rht_apply(t: RHT, v: Array, axis: int = -1) -> Array:
-    """Apply the transform along ``axis``; preserves 2-norms to round-off."""
+    """Apply the transform along ``axis``; preserves 2-norms to round-off.
+
+    One dense product with :meth:`RHT.matrix` (cached, dim**2 * 8 bytes) for every dim.
+    """
     v = np.asarray(v, dtype=np.float64)
     if v.shape[axis] != t.dim:
         raise ValueError(f"axis length {v.shape[axis]} != transform dim {t.dim}")
-    signed = v * _shaped(t.signs, v.ndim, axis)
-    return fwht(signed, axis=axis) / np.sqrt(t.dim)
+    return np.swapaxes(np.swapaxes(v, axis, -1) @ t.matrix().T, axis, -1)
 
 
 def rht_inverse(t: RHT, v: Array, axis: int = -1) -> Array:
@@ -135,13 +112,7 @@ def rht_inverse(t: RHT, v: Array, axis: int = -1) -> Array:
     v = np.asarray(v, dtype=np.float64)
     if v.shape[axis] != t.dim:
         raise ValueError(f"axis length {v.shape[axis]} != transform dim {t.dim}")
-    return _shaped(t.signs, v.ndim, axis) * fwht(v, axis=axis) / np.sqrt(t.dim)
-
-
-def _shaped(signs: Array, ndim: int, axis: int) -> Array:
-    shape = [1] * ndim
-    shape[axis] = signs.shape[0]
-    return signs.reshape(shape)
+    return np.swapaxes(np.swapaxes(v, axis, -1) @ t.matrix(), axis, -1)
 
 
 @dataclass(frozen=True)

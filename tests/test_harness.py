@@ -381,6 +381,7 @@ class TestConfigErrors:
         ({"params": {"bits_levels": [2.5]}}, r"'params\.bits_levels\[0\]'"),
         ({"params": {"bits_levels": [3, True]}}, r"'params\.bits_levels\[1\]'"),
         ({"params": {"bits_levels": ["3"]}}, r"'params\.bits_levels\[0\]'"),
+        ({"outdir": 5}, "'outdir'"),
     ])
     def test_non_int_value_is_a_value_error(self, raw, key):
         with pytest.raises(ValueError, match=key):
@@ -411,6 +412,16 @@ class TestConfigErrors:
             "discquant": {"lam": 50, "lambda_on": "linear"}}})
         assert cfg.params.walk == WalkConfig(delta=1.0)
         assert (cfg.params.data_mix, cfg.params.discquant.lam) == (0.0, 50.0)
+
+    def test_int_and_float_spellings_echo_and_key_alike(self):
+        runs = []
+        for alphas in ([2], [2.0]):
+            cfg = ExperimentConfig.from_dict({"experiment": "scaling", "trials": 1, "params": {
+                "estimator_alphas": alphas, "estimator_n": 16, "estimator_m_grid": [2, 4, 8, 16],
+                "estimator_trials": 20, "run_generalization": False}})
+            runs.append((_config_echo(cfg), sorted(run_scaling(cfg).summary)))
+        assert runs[0] == runs[1]
+        assert "estimator_slope_alpha2.0" in runs[0][1]
 
     def test_numpy_ints_accepted(self):
         cfg = ExperimentConfig(experiment="comparison", seed=np.int64(3), trials=np.int32(2),

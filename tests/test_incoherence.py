@@ -34,6 +34,25 @@ class TestFwht:
         naive = naive_hadamard_apply(t.signs, v)
         np.testing.assert_allclose(fast, naive, atol=1e-10)
 
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_nd_axis_matches_naive_on_every_fiber(self, axis):
+        shape = [3, 5, 2]
+        shape[axis] = 16
+        t = RHT.from_seed(16, seed=9)
+        v = np.random.default_rng(9).standard_normal(shape)
+        out, inv = rht_apply(t, v, axis=axis), rht_inverse(t, v, axis=axis)
+        assert out.shape == inv.shape == v.shape
+        fibers = np.moveaxis(v, axis, -1)
+        for idx in np.ndindex(fibers.shape[:-1]):
+            np.testing.assert_allclose(np.moveaxis(out, axis, -1)[idx],
+                                       naive_hadamard_apply(t.signs, fibers[idx]), atol=1e-12)
+            # the inverse diag(signs) H / sqrt(d) is the naive map with unit signs, then signs
+            np.testing.assert_allclose(np.moveaxis(inv, axis, -1)[idx],
+                                       t.signs * naive_hadamard_apply(np.ones(16), fibers[idx]),
+                                       atol=1e-12)
+        np.testing.assert_allclose(rht_inverse(t, out, axis=axis), v, atol=1e-12)
+        np.testing.assert_allclose(rht_apply(t, inv, axis=axis), v, atol=1e-12)
+
     @pytest.mark.parametrize("dim", [1, 2, 4, 8, 16, 32, 64])
     @pytest.mark.parametrize("axis", [0, 1, -1])
     def test_matches_stacked_butterfly(self, dim, axis):
@@ -57,8 +76,9 @@ class TestFwht:
         assert fwht(a, axis=axis).tobytes() == buffered_fwht(a, axis=axis).tobytes()
 
     def test_negative_zero_may_come_out_positive(self):
-        # known difference from the butterfly: -0.0 + -0.0 is -0.0 there,
-        # while a stage matmul may sum the same two entries to +0.0
+        # fwht is itself the butterfly, so -0.0 + -0.0 stays -0.0; a transform
+        # built on matrix products may sum the same two entries to +0.0, which
+        # is all this allows
         a = np.array([[-0.0, -0.0], [-0.0, 1.5], [2.0, -0.0], [0.0, 0.0]])
         for axis in (0, 1):
             out, ref = fwht(a, axis=axis), buffered_fwht(a, axis=axis)
@@ -83,6 +103,14 @@ class TestOrthogonality:
     def test_explicit_matrix_orthogonal(self, dim):
         u = RHT.from_seed(dim, seed=7).matrix()
         np.testing.assert_allclose(u.T @ u, np.eye(dim), atol=1e-10)
+
+    def test_matrix_cached_read_only(self):
+        t = RHT.from_seed(32, seed=3)
+        m = t.matrix()
+        assert t.matrix() is m
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 0.0
 
     def test_norm_preservation(self):
         rng = np.random.default_rng(0)
