@@ -21,21 +21,21 @@ default here, and the placement the stock hyperparameters were tuned for)
 leaves room for the data to steer near-tied coordinates.  Cranking ``lam``
 up under ``lambda_on="linear"`` recovers nearest rounding exactly.
 
-The default data stream samples fresh teacher sequences for every step, but
-presamples them in chunks of ``STREAM_CHUNK`` steps: one draw of uniforms
-per chunk, in the same order as per-step draws, and one sampler pass whose
-forward runs the chunk's steps stacked as (steps, batch, ·).  A stacked
-``@`` multiplies each step's slice by the same weight views as a per-step
-call, so every step's tokens are those of per-step sampling; one flat
-(steps * batch)-row product would round differently.  The teacher's side of
+The calibration stream samples fresh teacher sequences for every step, a
+``data_mix`` share of them swapped for uniform ones, and presamples them in
+chunks of ``STREAM_CHUNK`` steps: one draw of uniforms per chunk, in the
+same order as per-step draws, and one sampler pass whose forward runs the
+chunk's steps stacked as (steps, batch, ·).  A stacked ``@`` multiplies
+each step's slice by the same weight views as a per-step call, so every
+step's tokens are those of per-step sampling; one flat (steps * batch)-row
+product would round differently.  The teacher's side of
 the KL term is cached per chunk the same way: one ``rows`` call builds
 every step's prefixes, and the teacher's forward runs on them stacked as
 (steps, rows, ·), ``_TEACHER_STACK`` steps at a time so that its
 activations stay small, so the teacher's log-probs and probs, and with them
 every KL value and gradient, are bit for bit those of per-step
 :func:`kl_term`.  Each step then runs only the student's forward and
-backward.  A caller-supplied stream is read, and its teacher side computed,
-one batch per step.
+backward.
 """
 
 from __future__ import annotations
@@ -170,12 +170,6 @@ def _teacher_chunks(teacher: ToyModel, cfg: DiscQuantConfig, mix: float = 0.0):
         yield SampleBatch(sequences=tokens.reshape(k * size, length)), k
 
 
-def _teacher_stream(teacher: ToyModel, cfg: DiscQuantConfig, mix: float = 0.0):
-    """``cfg.iterations`` calibration batches, presampled in chunks."""
-    for chunk, k in _teacher_chunks(teacher, cfg, mix):
-        yield from map(SampleBatch, np.split(chunk.sequences, k))
-
-
 def _kl_inputs(teacher: ToyModel, batches):
     """Per step: prefixes and the teacher's log-probs and probs on them.
 
@@ -193,18 +187,19 @@ def _kl_inputs(teacher: ToyModel, batches):
 
 
 def optimize(teacher: ToyModel, grid: QuantGrid, cfg: DiscQuantConfig,
-             data_stream=None, heldout: SampleBatch | None = None,
-             transform=None) -> RoundingReport:
+             heldout: SampleBatch | None = None, transform=None,
+             data_mix: float = 0.0) -> RoundingReport:
     """Round the teacher's weights on ``grid`` by projected SGD, then snap.
 
     ``grid`` must be built over the teacher weights as seen in quantization
     space (an ``incoherence.Identity`` by default; pass ``transform`` to round
-    in a transformed space).  ``data_stream`` overrides the default stream of
-    fresh teacher-sampled batches and is read one batch per step; exhausting
-    it raises ``ValueError``.  The default stream is presampled in chunks of
-    ``STREAM_CHUNK`` steps, and the teacher's distributions on each chunk
-    are computed once; both are bit for bit those of per-step sampling.
+    in a transformed space).  Each step reads ``cfg.batch_size`` teacher
+    samples, a ``data_mix`` share of them swapped for uniform ones, presampled
+    in chunks of ``STREAM_CHUNK`` steps; the teacher's distributions on each
+    chunk are computed once.  Both are bit for bit those of per-step sampling.
     """
+    if not 0.0 <= data_mix <= 1.0:
+        raise ValueError("data_mix must lie in [0, 1]")
     transform = transform or Identity(teacher.arch)
     wq = transform.to_q(teacher.params)
     if grid.n != wq.shape[0]:
@@ -214,17 +209,12 @@ def optimize(teacher: ToyModel, grid: QuantGrid, cfg: DiscQuantConfig,
     cvec = cstar(y)
     x = init_x(cfg.init, bracket, cfg.seed)
     opt = AdamW(bracket.n, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    kl_inputs = _kl_inputs(teacher, _teacher_chunks(teacher, cfg) if data_stream is None
-                           else ((batch, 1) for batch in data_stream))
+    kl_inputs = _kl_inputs(teacher, _teacher_chunks(teacher, cfg, data_mix))
 
     # lam weights one term; the other is multiplied by 1.0, which is exact
     w_lin, w_kl = (cfg.lam, 1.0) if cfg.lambda_on == "linear" else (1.0, cfg.lam)
     trace_linear, trace_kl, trace_frac = [], [], []
-    for step in range(1, cfg.iterations + 1):
-        try:
-            prefixes, t_logp, t_p = next(kl_inputs)
-        except StopIteration:
-            raise ValueError("data stream exhausted before the final iteration") from None
+    for step, (prefixes, t_logp, t_p) in enumerate(kl_inputs, start=1):
         wq_x = bracket.w_down * (1.0 - x) + bracket.w_up * x
         student = teacher.with_params(transform.from_q(wq_x))
         kl_value, kl_grad_model = _kl_core(student, prefixes, t_logp, t_p)

@@ -25,7 +25,8 @@ from .incoherence import ModelIncoherence
 from .lmwalk import WalkConfig
 from .pipeline import _MODEL_WALK, METHODS, quantize_model
 from .serialize import child_seed, dump_record
-from .speclab import SpectrumSpec, falpha_scaling_study, generalization_study
+from .speclab import (SpectrumSpec, _check_falpha_args, _check_generalization_args,
+                      falpha_scaling_study, generalization_study)
 from .toymodel import ToyArch, first_order_study, random_model, sample_sequences
 from .grid import PER_TENSOR, explicit_grid, groupsize_of, rtn
 
@@ -115,6 +116,9 @@ class FirstOrderParams:
             raise ValueError("need at least 2 sequences")
         if self.seq_length < 1:
             raise ValueError("seq_length must be >= 1")
+        bad = set(self.methods) - {"rtn", "discquant"}
+        if bad:
+            raise ValueError(f"unknown methods {sorted(bad)}")
 
 
 @dataclass(frozen=True)
@@ -130,6 +134,15 @@ class ScalingParams:
     walk: WalkConfig = WalkConfig(delta=0.04)
     run_estimator: bool = True
     run_generalization: bool = True
+
+    def __post_init__(self):
+        if self.run_estimator:
+            for alpha in self.estimator_alphas:
+                SpectrumSpec(n=self.estimator_n, alpha=alpha)
+            _check_falpha_args(self.estimator_m_grid, self.estimator_trials)
+        if self.run_generalization:
+            _check_generalization_args(SpectrumSpec(n=self.gen_n, alpha=self.gen_alpha),
+                                       self.gen_m_grid, self.gen_trials)
 
 
 @dataclass(frozen=True)

@@ -82,9 +82,8 @@ def quantize_model(teacher: toymodel.ToyModel, bits: int, groupsize, method: str
         rounded_q = gridmod.rtn(wq, qgrid)
     elif method == "discquant":
         cfg = dataclasses.replace(dq_cfg, seed=child_seed(seed, 0xD9))
-        stream = discquant._teacher_stream(teacher, cfg, data_mix) if data_mix else None
         report = discquant.optimize(teacher, qgrid, cfg, transform=transform,
-                                    data_stream=stream)
+                                    data_mix=data_mix)
         rounded_q = report.quantized
         fractional = int(np.count_nonzero(np.minimum(report.x, 1.0 - report.x) > cfg.tau))
     else:

@@ -146,6 +146,8 @@ def _check_m_grid(m_grid) -> list[int]:
         raise ValueError("m grid needs at least 4 points")
     if any(b <= a for a, b in zip(ms, ms[1:])):
         raise ValueError("m grid must be strictly increasing")
+    if ms[0] < 1:
+        raise ValueError("m grid must be positive")
     ratios = [b / a for a, b in zip(ms, ms[1:])]
     if max(ratios) > 1.25 * min(ratios):
         raise ValueError("m grid must be (approximately) geometrically spaced")
@@ -174,11 +176,17 @@ def _fit(ms: list[int], values: Array) -> ScalingResult:
     return ScalingResult(tuple(ms), means, np.median(values, axis=1), slope, stderr)
 
 
-def falpha_scaling_study(spec: SpectrumSpec, m_grid, trials: int, seed: int = 0) -> ScalingResult:
-    """Log-log slope of the mean Schatten-1 estimator error against m."""
+def _check_falpha_args(m_grid, trials: int) -> list[int]:
+    """The m grid of :func:`falpha_scaling_study`, checked with its trial count."""
     ms = _check_m_grid(m_grid)
     if trials < 20:
         raise ValueError("need at least 20 trials per grid point")
+    return ms
+
+
+def falpha_scaling_study(spec: SpectrumSpec, m_grid, trials: int, seed: int = 0) -> ScalingResult:
+    """Log-log slope of the mean Schatten-1 estimator error against m."""
+    ms = _check_falpha_args(m_grid, trials)
     sigma = spec.sigma()
     errors = np.empty((len(ms), trials))
     for i, m in enumerate(ms):
@@ -187,6 +195,18 @@ def falpha_scaling_study(spec: SpectrumSpec, m_grid, trials: int, seed: int = 0)
             emp = empirical_covariance(sample_gradients(spec, m, trial_seed))
             errors[i, t] = schatten1_error(emp, sigma)
     return _fit(ms, errors)
+
+
+def _check_generalization_args(spec: SpectrumSpec, m_grid, trials: int) -> list[int]:
+    """The m grid of :func:`generalization_study`, checked with ``spec`` and its trial count."""
+    ms = [int(m) for m in m_grid]
+    positive = [m for m in ms if m > 0]
+    _check_m_grid(positive)
+    if max(positive) > spec.n / 16:
+        raise ValueError("largest m exceeds n/16")
+    if trials < 1:
+        raise ValueError("need at least 1 trial")
+    return ms
 
 
 def generalization_study(spec: SpectrumSpec, m_grid, trials: int,
@@ -199,13 +219,7 @@ def generalization_study(spec: SpectrumSpec, m_grid, trials: int,
     test-sampling noise).  m = 0 entries, if present, contribute the exact
     value 0 and are excluded from the fit.
     """
-    ms = [int(m) for m in m_grid]
-    positive = [m for m in ms if m > 0]
-    _check_m_grid(positive)
-    if max(positive) > spec.n / 16:
-        raise ValueError("largest m exceeds n/16")
-    if trials < 1:
-        raise ValueError("need at least 1 trial")
+    ms = _check_generalization_args(spec, m_grid, trials)
     quad = np.zeros((len(ms), trials))
     for i, m in enumerate(ms):
         for t in range(trials):

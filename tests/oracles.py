@@ -145,6 +145,19 @@ def per_step_teacher_stream(teacher, cfg, steps: int) -> list[np.ndarray]:
             for _ in range(steps)]
 
 
+def _teacher_stream(teacher, cfg, mix: float = 0.0):
+    """The DiscQuant calibration stream, one ``SampleBatch`` per step.
+
+    It splits the library's presampled chunks, so it checks how they are
+    consumed, not how they are sampled.
+    """
+    from discq.discquant import _teacher_chunks
+    from discq.toymodel import SampleBatch
+
+    for chunk, k in _teacher_chunks(teacher, cfg, mix):
+        yield from map(SampleBatch, np.split(chunk.sequences, k))
+
+
 def stack_fwht(a: np.ndarray, axis: int = -1) -> np.ndarray:
     """Walsh-Hadamard butterfly that restacks its halves at every stage."""
     moved = np.moveaxis(np.asarray(a, dtype=np.float64), axis, -1).copy()

@@ -6,18 +6,19 @@ import itertools
 import numpy as np
 import pytest
 
+from discq import discquant
 from discq.discquant import (STREAM_CHUNK, DiscQuantConfig, NonFiniteObjective,
-                             _kl_inputs, _teacher_chunks, _teacher_stream, cstar,
-                             finalize, init_x, optimize)
+                             _kl_inputs, _teacher_chunks, cstar, finalize, init_x,
+                             optimize)
 from discq.incoherence import ModelIncoherence
 from discq.grid import bracket_of, build_block_scaling, explicit_grid, rtn
 from discq.optim import warmup_cosine_lr
 from discq.pipeline import quantize_model
 from discq.serialize import child_seed as _child_seed
-from discq.toymodel import (ToyArch, _forward, _sample_tokens, kl_term, random_model,
-                            sample_sequences)
+from discq.toymodel import (SampleBatch, ToyArch, _forward, _sample_tokens, kl_term,
+                            random_model, sample_sequences)
 
-from oracles import per_step_teacher_stream
+from oracles import _teacher_stream, per_step_teacher_stream
 
 
 class TestCstar:
@@ -173,15 +174,17 @@ class TestTeacherCache:
 
     @pytest.mark.parametrize("incoherent", [False, True])
     @pytest.mark.parametrize("arch", [ToyArch(), ToyArch(layers=2)])
-    def test_default_stream_equals_caller_stream(self, arch, incoherent):
+    def test_default_stream_equals_caller_stream(self, arch, incoherent, monkeypatch):
         teacher = random_model(arch, seed=60)
         transform = ModelIncoherence(arch, seed=4) if incoherent else None
         wq = transform.to_q(teacher.params) if incoherent else teacher.params
         grid = build_block_scaling(wq, bits=3, groupsize=16)
         cfg = DiscQuantConfig(iterations=STREAM_CHUNK + 9, warmup=8, batch_size=3, seed=8)
         cached = optimize(teacher, grid, cfg, transform=transform)
-        fed = optimize(teacher, grid, cfg, transform=transform,
-                       data_stream=list(_teacher_stream(teacher, cfg)))
+        stream = [(SampleBatch(s), 1)
+                  for s in per_step_teacher_stream(teacher, cfg, cfg.iterations)]
+        monkeypatch.setattr(discquant, "_teacher_chunks", lambda *args: iter(stream))
+        fed = optimize(teacher, grid, cfg, transform=transform)
         for name in ("x", "trace_kl", "trace_linear", "quantized"):
             assert getattr(cached, name).tobytes() == getattr(fed, name).tobytes(), name
 
@@ -259,12 +262,12 @@ class TestOptimize:
         np.testing.assert_array_equal(a.x, b.x)
         np.testing.assert_array_equal(a.quantized, b.quantized)
 
-    def test_exhausted_stream_rejected(self):
+    @pytest.mark.parametrize("mix", [-0.25, 1.5])
+    def test_data_mix_outside_unit_interval_rejected(self, mix):
         teacher = random_model(seed=15)
         grid = build_block_scaling(teacher.params, bits=3, groupsize=16)
-        stream = [sample_sequences(teacher, 2, seed=0)] * 3  # shorter than iterations
-        with pytest.raises(ValueError, match="exhausted"):
-            optimize(teacher, grid, tiny_cfg(seed=6), data_stream=stream)
+        with pytest.raises(ValueError, match="data_mix"):
+            optimize(teacher, grid, tiny_cfg(seed=6), data_mix=mix)
 
     def test_grid_size_mismatch_rejected(self):
         teacher = random_model(seed=16)
@@ -308,14 +311,17 @@ class TestPipelineCount:
         expected = int(np.sum(np.minimum(rep.x, 1.0 - rep.x) > cfg.tau))
         assert out.fractional == expected > 0
 
-    def test_mixed_calibration_equals_fed_stream(self):
+    def test_mixed_calibration_equals_fed_stream(self, monkeypatch):
         teacher = random_model(seed=19)
         cfg = tiny_cfg(iterations=STREAM_CHUNK + 6, warmup=2)
         out = quantize_model(teacher, 3, 16, "discquant", seed=5, dq_cfg=cfg, data_mix=0.25)
         blocks = [(a, b) for a, b, _ in teacher.arch.layout().values()]
         grid = build_block_scaling(teacher.params, bits=3, groupsize=16, blocks=blocks)
         cfg = dataclasses.replace(cfg, seed=_child_seed(5, 0xD9))
-        rep = optimize(teacher, grid, cfg, data_stream=list(_teacher_stream(teacher, cfg, 0.25)))
+        stream = [(batch, 1) for batch in _teacher_stream(teacher, cfg, 0.25)]
+        with monkeypatch.context() as patch:
+            patch.setattr(discquant, "_teacher_chunks", lambda *args: iter(stream))
+            rep = optimize(teacher, grid, cfg)
         assert out.model.params.tobytes() == rep.model_params.tobytes()
         plain = quantize_model(teacher, 3, 16, "discquant", seed=5, dq_cfg=cfg)
         assert plain.model.params.tobytes() != out.model.params.tobytes()

@@ -40,6 +40,12 @@ class TestConfig:
             FirstOrderParams(deltas=(0.01, 0.02))  # must go coarse -> fine
         with pytest.raises(ValueError):
             ComparisonParams(data_mix=1.5)
+        with pytest.raises(ValueError):
+            FirstOrderParams(methods=("lmwalk",))
+        with pytest.raises(ValueError):
+            ScalingParams(gen_m_grid=(8, 16, 32, 128))  # not geometric
+        with pytest.raises(ValueError):
+            ScalingParams(estimator_alphas=(0.5,))
 
     @pytest.mark.parametrize("groupsize", [0, -3, 2.5, "16", "per-row", True])
     def test_bad_groupsize_rejected_up_front(self, groupsize):

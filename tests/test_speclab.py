@@ -158,6 +158,8 @@ class TestFalphaScaling:
             falpha_scaling_study(spec, (8, 16, 32, 64), trials=5)  # too few trials
         with pytest.raises(ValueError):
             falpha_scaling_study(spec, (8, 16, 24, 640), trials=20)  # not geometric
+        with pytest.raises(ValueError, match="positive"):
+            falpha_scaling_study(spec, (0, 1, 2, 4), trials=20)
 
 
 class TestGeneralization:
