@@ -97,6 +97,7 @@ def _cmd_speclab(args) -> int:
 
 
 def _cmd_quantize(args) -> int:
+    dq_cfg = _config(DiscQuantConfig, args)
     if args.teacher:
         teacher = load_checkpoint(args.teacher)
     else:
@@ -107,7 +108,7 @@ def _cmd_quantize(args) -> int:
     heldout = sample_sequences(teacher, args.heldout, seed=args.seed + 1)
     outcome = quantize_model(teacher, args.bits, args.groupsize, args.method,
                              seed=args.seed, transform=transform,
-                             dq_cfg=_config(DiscQuantConfig, args), heldout=heldout)
+                             dq_cfg=dq_cfg, heldout=heldout)
     record = {
         "method": args.method,
         "bits": args.bits,

@@ -40,6 +40,7 @@ backward.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +48,8 @@ import numpy as np
 from .grid import Bracket, QuantGrid, bracket_of, nearer_up
 from .incoherence import Identity
 from .optim import AdamW, warmup_cosine_lr
-from .toymodel import (SampleBatch, ToyModel, _forward, _kl_core, _sample_tokens,
-                       _swap_uniform, kl_term)
+from .toymodel import (SampleBatch, ToyModel, _check_data_mix, _forward, _kl_core,
+                       _sample_tokens, _swap_uniform, kl_term)
 
 # unused here; kept importable because bench/spans.py traces them at these names
 from .grid import interp_weights  # noqa: F401
@@ -76,10 +77,15 @@ class DiscQuantConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
-        if self.lr <= 0 or self.clamp <= 0:
-            raise ValueError("lr and clamp must be positive")
+        # written so that NaN fails every bound; clamp = inf means no clamp
+        if not 0 <= self.lam < math.inf:
+            raise ValueError("lam must be finite and nonnegative")
+        if not 0 < self.lr < math.inf:
+            raise ValueError("lr must be finite and positive")
+        if not self.clamp > 0:
+            raise ValueError("clamp must be positive")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError("weight_decay must be finite and nonnegative")
         if self.batch_size < 1 or self.iterations < 1:
             raise ValueError("batch_size and iterations must be >= 1")
         if self.seq_length < 1:
@@ -198,8 +204,7 @@ def optimize(teacher: ToyModel, grid: QuantGrid, cfg: DiscQuantConfig,
     in chunks of ``STREAM_CHUNK`` steps; the teacher's distributions on each
     chunk are computed once.  Both are bit for bit those of per-step sampling.
     """
-    if not 0.0 <= data_mix <= 1.0:
-        raise ValueError("data_mix must lie in [0, 1]")
+    _check_data_mix(data_mix)
     transform = transform or Identity(teacher.arch)
     wq = transform.to_q(teacher.params)
     if grid.n != wq.shape[0]:
@@ -213,25 +218,28 @@ def optimize(teacher: ToyModel, grid: QuantGrid, cfg: DiscQuantConfig,
 
     # lam weights one term; the other is multiplied by 1.0, which is exact
     w_lin, w_kl = (cfg.lam, 1.0) if cfg.lambda_on == "linear" else (1.0, cfg.lam)
+    lin_grad = w_lin * cvec
     trace_linear, trace_kl, trace_frac = [], [], []
     for step, (prefixes, t_logp, t_p) in enumerate(kl_inputs, start=1):
         wq_x = bracket.w_down * (1.0 - x) + bracket.w_up * x
         student = teacher.with_params(transform.from_q(wq_x))
         kl_value, kl_grad_model = _kl_core(student, prefixes, t_logp, t_p)
-        kl_grad_x = np.clip(transform.grad_to_q(kl_grad_model) * bracket.delta,
-                            -cfg.clamp, cfg.clamp)
-        grad = w_lin * cvec + w_kl * kl_grad_x
+        grad = transform.grad_to_q(kl_grad_model) * bracket.delta
+        np.maximum(grad, -cfg.clamp, out=grad)  # clamp the KL gradient entrywise
+        np.minimum(grad, cfg.clamp, out=grad)
+        grad *= w_kl
+        grad += lin_grad
         lin_value, kl_weighted = w_lin * float(cvec @ x), w_kl * kl_value
         if not (np.isfinite(lin_value) and np.isfinite(kl_weighted)
-                and np.all(np.isfinite(grad))):
+                and np.isfinite(grad).all()):
             raise NonFiniteObjective(f"non-finite objective at step {step}",
                                      trace_linear, trace_kl)
         trace_linear.append(lin_value)
         trace_kl.append(kl_weighted)
-        x = np.clip(opt.step(x, grad, lr=warmup_cosine_lr(cfg.lr, cfg.warmup,
-                                                          cfg.iterations, step)),
-                    0.0, 1.0)
-        trace_frac.append(float(np.mean(np.minimum(x, 1.0 - x) > cfg.tau)))
+        x = opt.step(x, grad, lr=warmup_cosine_lr(cfg.lr, cfg.warmup, cfg.iterations, step))
+        np.maximum(x, 0.0, out=x)  # project onto the box
+        np.minimum(x, 1.0, out=x)
+        trace_frac.append(np.count_nonzero(np.minimum(x, 1.0 - x) > cfg.tau) / x.size)
 
     quantized = finalize(x, bracket, cfg.tau)
     model_params = transform.from_q(quantized)

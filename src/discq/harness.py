@@ -27,7 +27,8 @@ from .pipeline import _MODEL_WALK, METHODS, quantize_model
 from .serialize import child_seed, dump_record
 from .speclab import (SpectrumSpec, _check_falpha_args, _check_generalization_args,
                       falpha_scaling_study, generalization_study)
-from .toymodel import ToyArch, first_order_study, random_model, sample_sequences
+from .toymodel import (ToyArch, _check_data_mix, first_order_study, random_model,
+                       sample_sequences)
 from .grid import PER_TENSOR, explicit_grid, groupsize_of, rtn
 
 SCHEMA_VERSION = 1
@@ -94,8 +95,7 @@ class ComparisonParams:
         for name in ("seq_length", "walk_samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if not 0.0 <= self.data_mix <= 1.0:
-            raise ValueError("data_mix must lie in [0, 1]")
+        _check_data_mix(self.data_mix)
 
 
 @dataclass(frozen=True)

@@ -104,7 +104,7 @@ def rht_apply(t: RHT, v: Array, axis: int = -1) -> Array:
     v = np.asarray(v, dtype=np.float64)
     if v.shape[axis] != t.dim:
         raise ValueError(f"axis length {v.shape[axis]} != transform dim {t.dim}")
-    return np.swapaxes(np.swapaxes(v, axis, -1) @ t.matrix().T, axis, -1)
+    return (v.swapaxes(axis, -1) @ t.matrix().T).swapaxes(axis, -1)
 
 
 def rht_inverse(t: RHT, v: Array, axis: int = -1) -> Array:
@@ -112,7 +112,7 @@ def rht_inverse(t: RHT, v: Array, axis: int = -1) -> Array:
     v = np.asarray(v, dtype=np.float64)
     if v.shape[axis] != t.dim:
         raise ValueError(f"axis length {v.shape[axis]} != transform dim {t.dim}")
-    return np.swapaxes(np.swapaxes(v, axis, -1) @ t.matrix(), axis, -1)
+    return (v.swapaxes(axis, -1) @ t.matrix()).swapaxes(axis, -1)
 
 
 @dataclass(frozen=True)

@@ -26,14 +26,22 @@ class AdamW:
 
     def step(self, x: np.ndarray, grad: np.ndarray, lr: float | None = None) -> np.ndarray:
         lr = self.lr if lr is None else lr
+        # m and v update in place and the step is built in one new buffer; every
+        # operation rounds as in x - lr * mhat / (sqrt(vhat) + eps) - lr * wd * x
         self.t += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1 - self.beta2) * grad ** 2
-        mhat = self.m / (1 - self.beta1 ** self.t)
-        vhat = self.v / (1 - self.beta2 ** self.t)
-        out = x - lr * mhat / (np.sqrt(vhat) + self.eps)
+        tmp = (1 - self.beta1) * grad
+        self.m *= self.beta1
+        self.m += tmp
+        np.multiply(grad, grad, out=tmp)
+        tmp *= 1 - self.beta2
+        self.v *= self.beta2
+        self.v += tmp
+        out = self.m / (1 - self.beta1 ** self.t)
+        out *= lr
+        out /= np.sqrt(self.v / (1 - self.beta2 ** self.t)) + self.eps
+        np.subtract(x, out, out=out)
         if self.weight_decay:
-            out = out - lr * self.weight_decay * x
+            out -= lr * self.weight_decay * x
         return out
 
 

@@ -66,8 +66,7 @@ def quantize_model(teacher: toymodel.ToyModel, bits: int, groupsize, method: str
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
-    if not 0.0 <= data_mix <= 1.0:
-        raise ValueError("data_mix must lie in [0, 1]")
+    toymodel._check_data_mix(data_mix)
     transform = transform or Identity(teacher.arch)
     wq = transform.to_q(teacher.params)
     qgrid = gridmod.build_block_scaling(wq, bits=bits, groupsize=groupsize,

@@ -61,7 +61,11 @@ class ToyArch:
         """
         return _layout(self)
 
-    @property
+    def split(self, flat: Array) -> dict[str, Array]:
+        """Views of a flat (n_params,) vector, one per layout entry, in its shape."""
+        return {name: flat[a:b].reshape(shape) for name, (a, b, shape) in _layout(self).items()}
+
+    @functools.cached_property
     def n_params(self) -> int:
         return max(stop for _, stop, _ in self.layout().values())
 
@@ -97,8 +101,7 @@ class ToyModel:
         object.__setattr__(self, "params", p)
 
     def views(self) -> dict[str, Array]:
-        return {name: self.params[a:b].reshape(shape)
-                for name, (a, b, shape) in self.arch.layout().items()}
+        return self.arch.split(self.params)
 
     def with_params(self, params) -> "ToyModel":
         return ToyModel(self.arch, np.asarray(params, dtype=np.float64))
@@ -181,48 +184,57 @@ def _forward(model: ToyModel, prefixes: Array) -> dict:
     ``prefixes`` is (rows, context), or a stack (k, rows, context) whose
     slices come out bit-identical to k separate calls: ``@`` multiplies each
     slice by the same weight views, one product per slice.  Flattening the
-    stack into one (k * rows)-row product would round differently.
+    stack into one (k * rows)-row product would round differently.  Biases
+    are added to each product in place, which rounds as a separate ``+``.
+    ``views`` holds the model's weight views for the backward passes.
     """
     v = model.views()
     acts = [v["embed"][prefixes].reshape(*prefixes.shape[:-1], -1)]
     for w, b in _HIDDEN[:model.arch.layers]:
-        acts.append(np.tanh(acts[-1] @ v[w].T + v[b]))
-    logits = acts[-1] @ v["wout"].T + v["bout"]
+        h = acts[-1] @ v[w].T
+        h += v[b]
+        acts.append(np.tanh(h, out=h))
+    logits = acts[-1] @ v["wout"].T
+    logits += v["bout"]
     logp = _log_softmax(logits)
-    return {"prefixes": prefixes, "acts": acts, "logits": logits,
+    return {"prefixes": prefixes, "views": v, "acts": acts, "logits": logits,
             "logp": logp, "p": np.exp(logp)}
+
+
+def _embed_grad(index: Array, dx: Array, slots: int) -> Array:
+    """(slots, emb) sums of the rows ``dx`` (..., emb) by their ``index`` (...).
+
+    ``np.bincount`` adds each slot's terms in index order, as ``np.add.at``
+    would, so the sums are the same to the last bit.
+    """
+    emb = dx.shape[-1]
+    flat = (index[..., None] * emb + np.arange(emb)).ravel()
+    return np.bincount(flat, weights=dx.ravel(), minlength=slots * emb).reshape(slots, emb)
 
 
 def _backward(model: ToyModel, cache: dict, dlogits: Array) -> Array:
     """Accumulate d(loss)/d(params) given d(loss)/d(logits), summed over rows."""
-    arch, v = model.arch, model.views()
-    layout = arch.layout()
-    grad = np.zeros(arch.n_params)
-
-    def put(name, g):
-        a, b, _ = layout[name]
-        grad[a:b] = g.ravel()
-
+    arch, v = model.arch, cache["views"]
+    grad = np.empty(arch.n_params)
+    g = arch.split(grad)
     acts = cache["acts"]
-    put("wout", dlogits.T @ acts[-1])
-    put("bout", dlogits.sum(axis=0))
+    np.matmul(dlogits.T, acts[-1], out=g["wout"])
+    dlogits.sum(axis=0, out=g["bout"])
     dh = dlogits @ v["wout"]
     for i in reversed(range(arch.layers)):
         w, b = _HIDDEN[i]
         da = dh * (1.0 - acts[i + 1] ** 2)
-        put(w, da.T @ acts[i])
-        put(b, da.sum(axis=0))
+        np.matmul(da.T, acts[i], out=g[w])
+        da.sum(axis=0, out=g[b])
         dh = da @ v[w]
-    dx = dh.reshape(-1, arch.context, arch.emb)
-    dembed = np.zeros((arch.vocab + 1, arch.emb))
-    np.add.at(dembed, cache["prefixes"], dx)
-    put("embed", dembed)
+    g["embed"][...] = _embed_grad(cache["prefixes"], dh.reshape(-1, arch.context, arch.emb),
+                                  arch.vocab + 1)
     return grad
 
 
 def _per_row_grads(model: ToyModel, cache: dict, dlogits: Array) -> Array:
     """One gradient row per batch row; same math as _backward without the sum."""
-    arch, v = model.arch, model.views()
+    arch, v = model.arch, cache["views"]
     layout = arch.layout()
     nrows = dlogits.shape[0]
     grads = np.zeros((nrows, arch.n_params))
@@ -241,18 +253,16 @@ def _per_row_grads(model: ToyModel, cache: dict, dlogits: Array) -> Array:
         put(w, np.einsum("ri,rj->rij", da, acts[i]))
         put(b, da)
         dh = da @ v[w]
-    dx = dh.reshape(nrows, arch.context, arch.emb)
-    demb = np.zeros((nrows, arch.vocab + 1, arch.emb))
-    np.add.at(demb, (np.arange(nrows)[:, None], cache["prefixes"]), dx)
-    put("embed", demb)
+    slots = arch.vocab + 1
+    index = cache["prefixes"] + slots * np.arange(nrows)[:, None]
+    put("embed", _embed_grad(index, dh.reshape(nrows, arch.context, arch.emb), nrows * slots))
     return grads
 
 
 def _jvp_logits(model: ToyModel, cache: dict, tangent: Array) -> Array:
     """Directional derivative of the logits along a parameter tangent."""
-    arch, v = model.arch, model.views()
-    layout = arch.layout()
-    t = {name: tangent[a:b].reshape(shape) for name, (a, b, shape) in layout.items()}
+    arch, v = model.arch, cache["views"]
+    t = arch.split(tangent)
     acts = cache["acts"]
     dh = t["embed"][cache["prefixes"]].reshape(acts[0].shape)
     for i, (w, b) in enumerate(_HIDDEN[:arch.layers]):
@@ -309,6 +319,12 @@ def _sample_tokens(model: ToyModel, uniforms: Array) -> Array:
         buf[..., arch.context + i] = (cache["p"].cumsum(axis=-1)
                                       < uniforms[i][..., None]).sum(axis=-1)
     return np.clip(buf[..., arch.context:], 0, arch.vocab - 1)
+
+
+def _check_data_mix(share: float) -> None:
+    """The share of calibration sequences :func:`_swap_uniform` swaps must lie in [0, 1]."""
+    if not 0.0 <= share <= 1.0:
+        raise ValueError("data_mix must lie in [0, 1]")
 
 
 def _swap_uniform(tokens: Array, share: float, vocab: int, rng: np.random.Generator):
@@ -372,9 +388,9 @@ def _kl_core(student: ToyModel, prefixes: Array, t_logp: Array,
              t_p: Array) -> tuple[float, Array]:
     """:func:`kl_term` from the teacher's log-probs and probs, without its finite check."""
     sc = _forward(student, prefixes)
-    value = float((t_p * (t_logp - sc["logp"])).sum(axis=1).mean())
-    grad = _backward(student, sc, (sc["p"] - t_p) / prefixes.shape[0])
-    return value, grad
+    rows = prefixes.shape[0]
+    value = float((t_p * (t_logp - sc["logp"])).sum(axis=1).sum() / rows)
+    return value, _backward(student, sc, (sc["p"] - t_p) / rows)
 
 
 def hessian_quadratic_form(teacher: ToyModel, batch: SampleBatch, direction) -> float:

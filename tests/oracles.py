@@ -283,3 +283,101 @@ def doubling_walk_phase(m_unit: np.ndarray, x: np.ndarray, frozen: np.ndarray,
             block = min(block * 2, 256)
     x[free] = xf
     return x, frozen
+
+
+def allocating_forward(model, prefixes: np.ndarray) -> dict:
+    """The toy forward pass with every bias add and ``tanh`` in a new array."""
+    from discq.toymodel import _HIDDEN, _log_softmax
+
+    v = model.views()
+    acts = [v["embed"][prefixes].reshape(*prefixes.shape[:-1], -1)]
+    for w, b in _HIDDEN[:model.arch.layers]:
+        acts.append(np.tanh(acts[-1] @ v[w].T + v[b]))
+    logits = acts[-1] @ v["wout"].T + v["bout"]
+    logp = _log_softmax(logits)
+    return {"acts": acts, "logits": logits, "logp": logp, "p": np.exp(logp)}
+
+
+def add_at_backward(model, cache: dict, dlogits: np.ndarray) -> np.ndarray:
+    """Summed parameter gradient, block by block, embedding rows by ``np.add.at``."""
+    from discq.toymodel import _HIDDEN
+
+    arch, v = model.arch, model.views()
+    layout = arch.layout()
+    grad = np.zeros(arch.n_params)
+
+    def put(name, g):
+        a, b, _ = layout[name]
+        grad[a:b] = g.ravel()
+
+    acts = cache["acts"]
+    put("wout", dlogits.T @ acts[-1])
+    put("bout", dlogits.sum(axis=0))
+    dh = dlogits @ v["wout"]
+    for i in reversed(range(arch.layers)):
+        w, b = _HIDDEN[i]
+        da = dh * (1.0 - acts[i + 1] ** 2)
+        put(w, da.T @ acts[i])
+        put(b, da.sum(axis=0))
+        dh = da @ v[w]
+    dx = dh.reshape(-1, arch.context, arch.emb)
+    dembed = np.zeros((arch.vocab + 1, arch.emb))
+    np.add.at(dembed, cache["prefixes"], dx)
+    put("embed", dembed)
+    return grad
+
+
+def add_at_per_row_grads(model, cache: dict, dlogits: np.ndarray) -> np.ndarray:
+    """One gradient row per batch row, embedding rows by ``np.add.at``."""
+    from discq.toymodel import _HIDDEN
+
+    arch, v = model.arch, model.views()
+    layout = arch.layout()
+    nrows = dlogits.shape[0]
+    grads = np.zeros((nrows, arch.n_params))
+
+    def put(name, g):
+        a, b, _ = layout[name]
+        grads[:, a:b] = g.reshape(nrows, -1)
+
+    acts = cache["acts"]
+    put("wout", np.einsum("rv,rh->rvh", dlogits, acts[-1]))
+    put("bout", dlogits)
+    dh = dlogits @ v["wout"]
+    for i in reversed(range(arch.layers)):
+        w, b = _HIDDEN[i]
+        da = dh * (1.0 - acts[i + 1] ** 2)
+        put(w, np.einsum("ri,rj->rij", da, acts[i]))
+        put(b, da)
+        dh = da @ v[w]
+    dx = dh.reshape(nrows, arch.context, arch.emb)
+    demb = np.zeros((nrows, arch.vocab + 1, arch.emb))
+    np.add.at(demb, (np.arange(nrows)[:, None], cache["prefixes"]), dx)
+    put("embed", demb)
+    return grads
+
+
+class AllocatingAdamW:
+    """AdamW with every moment and step term in a new array."""
+
+    def __init__(self, n: int, lr: float = 1e-3, betas=(0.9, 0.999),
+                 eps: float = 1e-8, weight_decay: float = 0.0):
+        self.lr = lr
+        self.beta1, self.beta2 = betas
+        self.eps = eps
+        self.weight_decay = weight_decay
+        self.m = np.zeros(n)
+        self.v = np.zeros(n)
+        self.t = 0
+
+    def step(self, x: np.ndarray, grad: np.ndarray, lr: float | None = None) -> np.ndarray:
+        lr = self.lr if lr is None else lr
+        self.t += 1
+        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
+        self.v = self.beta2 * self.v + (1 - self.beta2) * grad ** 2
+        mhat = self.m / (1 - self.beta1 ** self.t)
+        vhat = self.v / (1 - self.beta2 ** self.t)
+        out = x - lr * mhat / (np.sqrt(vhat) + self.eps)
+        if self.weight_decay:
+            out = out - lr * self.weight_decay * x
+        return out

@@ -345,6 +345,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             DiscQuantConfig(init="midpoint")
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("lam", float("nan"), "lam must be finite"),
+        ("lam", float("inf"), "lam must be finite"),
+        ("lr", float("nan"), "lr must be finite"),
+        ("lr", float("inf"), "lr must be finite"),
+        ("clamp", float("nan"), "clamp must be positive"),
+        ("weight_decay", float("nan"), "weight_decay must be finite"),
+        ("weight_decay", float("inf"), "weight_decay must be finite"),
+        ("weight_decay", -1.0, "weight_decay must be finite and nonnegative"),
+    ])
+    def test_nonfinite_and_negative_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            DiscQuantConfig(**{field: value})
+
+    def test_infinite_clamp_accepted(self):
+        assert DiscQuantConfig(clamp=float("inf")).clamp == float("inf")
+
     @pytest.mark.parametrize("length", [0, -1])
     def test_seq_length_rejected(self, length):
         with pytest.raises(ValueError, match="seq_length must be >= 1"):

@@ -337,6 +337,12 @@ class TestCli:
         assert rc == 0
         assert load_record(rep)["incoherence"] == "on"
 
+    def test_quantize_rejects_nan_lr_before_any_work(self, tmp_path):
+        rep = tmp_path / "nan.json"
+        with pytest.raises(ValueError, match="lr must be finite"):
+            cli_main(["quantize", "--bits", "3", "--lr", "nan", "--out", str(rep)])
+        assert not rep.exists()
+
     def test_run_command_exit_codes(self, tmp_path):
         cfg = {"experiment": "comparison", "seed": 1, "trials": 1,
                "params": {"bits_levels": [3], "methods": ["rtn"], "heldout": 8,

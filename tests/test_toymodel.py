@@ -14,7 +14,12 @@ from discq.toymodel import (SampleBatch, ToyArch, ToyModel, ce_loss_rows,
                             sample_sequences, save_checkpoint,
                             train_to_convergence)
 
-from oracles import central_diff, direct_kl, loop_rows, per_position_sample
+from discq.optim import AdamW
+from discq.toymodel import _backward, _forward, _per_row_grads
+
+from oracles import (AllocatingAdamW, add_at_backward, add_at_per_row_grads,
+                     allocating_forward, central_diff, direct_kl, loop_rows,
+                     per_position_sample)
 
 
 def probe_indices(rng, n, count=32):
@@ -354,3 +359,57 @@ class TestLayout:
     def test_n_params_unchanged(self):
         assert ToyArch().n_params == 1720
         assert ToyArch(layers=2).n_params == 2776
+
+
+class TestKernelBytePins:
+    """The step kernels against their earlier allocating forms, to the last bit."""
+
+    ARCHS = [ToyArch(), ToyArch(layers=2, hidden=16)]
+
+    @staticmethod
+    def prefixes(arch):
+        # short sequences with repeated tokens, so prefix windows carry the pad
+        # token and the same token several times in one window and across rows
+        seqs = np.array([[3, 3, 3, 3, 3, 1], [0, 5, 0, 5, 0, 5], [7, 7, 2, 7, 7, 2]])
+        return SampleBatch(seqs % arch.vocab).rows(arch)[0]
+
+    @pytest.mark.parametrize("arch", ARCHS, ids=["layers1", "layers2"])
+    def test_forward(self, arch):
+        model = random_model(arch, seed=4)
+        prefixes = self.prefixes(arch)
+        for stack in (prefixes, np.stack([prefixes, prefixes[::-1]])):
+            got, ref = _forward(model, stack), allocating_forward(model, stack)
+            for key in ("logits", "logp", "p"):
+                assert got[key].tobytes() == ref[key].tobytes()
+            for a, b in zip(got["acts"], ref["acts"], strict=True):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("arch", ARCHS, ids=["layers1", "layers2"])
+    def test_backward_and_per_row_grads(self, arch):
+        model = random_model(arch, seed=5)
+        prefixes = self.prefixes(arch)
+        cache = _forward(model, prefixes)
+        t_p = _forward(random_model(arch, seed=8), prefixes)["p"]
+        rng = np.random.default_rng(6)
+        for dlogits in ((cache["p"] - t_p) / len(prefixes),
+                        rng.standard_normal(t_p.shape)):
+            assert (_backward(model, cache, dlogits).tobytes()
+                    == add_at_backward(model, cache, dlogits).tobytes())
+            assert (_per_row_grads(model, cache, dlogits).tobytes()
+                    == add_at_per_row_grads(model, cache, dlogits).tobytes())
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_adamw_steps(self, weight_decay):
+        rng = np.random.default_rng(9)
+        n = 257
+        opt = AdamW(n, lr=0.1, weight_decay=weight_decay)
+        ref = AllocatingAdamW(n, lr=0.1, weight_decay=weight_decay)
+        x = y = rng.random(n)
+        for step in range(1, 21):
+            grad = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 3, size=n)
+            grad[rng.random(n) < 0.1] = 0.0
+            lr = None if step % 2 else 0.1 * step / 20
+            x, y = opt.step(x, grad, lr=lr), ref.step(y, grad, lr=lr)
+            assert x.tobytes() == y.tobytes()
+            assert opt.m.tobytes() == ref.m.tobytes()
+            assert opt.v.tobytes() == ref.v.tobytes()
