@@ -24,7 +24,7 @@ from .discquant import DiscQuantConfig, optimize as dq_optimize
 from .incoherence import ModelIncoherence
 from .lmwalk import WalkConfig
 from .pipeline import _MODEL_WALK, METHODS, quantize_model
-from .serialize import child_seed, dump_record
+from .serialize import _check_int, child_seed, dump_record
 from .speclab import (SpectrumSpec, _check_falpha_args, _check_generalization_args,
                       falpha_scaling_study, generalization_study)
 from .toymodel import (ToyArch, _check_data_mix, first_order_study, random_model,
@@ -33,12 +33,6 @@ from .grid import PER_TENSOR, explicit_grid, groupsize_of, rtn
 
 SCHEMA_VERSION = 1
 WORKERS_ENV = "DQ_WORKERS"
-
-
-def _check_int(key: str, value) -> None:
-    """Raise ``ValueError`` naming ``key`` unless ``value`` is an int (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"config key '{key}' must be an int, got {value!r}")
 
 
 # the JSON values a field of each declared scalar type takes, besides int (see _check_int)

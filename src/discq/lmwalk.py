@@ -31,20 +31,32 @@ definition above:
   ``_DOWNDATE_FLOOR`` (rank loss), every ``_REFRESH_EVERY`` downdates (to
   bound drift), and at every freeze once ``free <= 2 k``, so saturation
   (rank >= free) is always decided by the eigenvalue rank test.
-* Steps are drawn, projected and screened in blocks of ``_BLOCK`` rows.
-  The first row that moves a coordinate toward a face it ends within
-  ``eps`` of (or beyond) stops the block, and that one step is shortened (or
-  minimally extended) to the smallest face time over all free coordinates,
-  so the first coordinate to reach a face lands exactly on it and none
-  overshoots.  All motion is thus a multiple of a null-space direction and
-  the residual stays at round-off.  A coordinate drifting within the band
-  away from its face stays free.
-* The rows after a freeze are carried into the next block, not redrawn:
-  whether row k stops the block depends only on rows up to k, so the raw
-  rows after it are still i.i.d. N(0, I), independent of the walk so far,
-  also on the coordinates left free.  Projected anew they are fresh steps.
+* Raw Gaussian rows are drawn ``_BLOCK`` at a time, and a screen projects
+  one or more of them together.  The first row that moves a coordinate
+  toward a face it ends within ``eps`` of (or beyond) stops the screen, and that one step
+  is shortened (or minimally extended) to the smallest face time over all
+  free coordinates, so the first coordinate to reach a face lands exactly
+  on it and none overshoots.  All motion is thus a multiple of a null-space
+  direction and the residual stays at round-off.  A coordinate drifting
+  within the band away from its face stays free.
+* The raw rows after a freeze are carried, not redrawn: whether row k stops
+  the screen depends only on rows up to k, so the raw rows after it are
+  still i.i.d. N(0, I), independent of the walk so far, also on the
+  coordinates left free.  Projected anew they are fresh steps.  New rows
+  are drawn only when the carried ones run out.
+* Right after a freeze only the first carried row is projected and
+  screened; otherwise all carried rows are.  The row right after a freeze
+  mostly freezes a coordinate too (82-98% of the time on the benchmark's
+  walks), so screening every carried row would mostly project rows that
+  are then thrown away.  How many rows one screen takes does not change
+  the walk: between freezes the projector is fixed, so the walk
+  takes the same raw rows, in the same order, through the same projector
+  either way.  Only round-off differs (a one-row product rounds unlike an
+  eight-row one), and the walk is chaotic in it: a y moved by 1e-15 gives
+  another rounding after a few hundred freezes.
 * A single freeze moves the last free coordinate into the frozen one's slot
-  (free set, basis, position and carried rows alike); several at once go
+  (free set, basis, position and carried rows alike, each in place); the
+  downdate reads the frozen column before the move.  Several at once go
   through boolean masks and a refresh.
 """
 
@@ -54,6 +66,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .serialize import _check_int
 
 Array = np.ndarray
 
@@ -87,6 +101,8 @@ class ConstraintSet:
     def __post_init__(self):
         mat = np.atleast_2d(np.asarray(self.matrix, dtype=np.float64))
         y = np.asarray(self.y, dtype=np.float64)
+        if y.ndim != 1:
+            raise ValueError(f"y must be 1-D, got shape {y.shape}")
         if mat.size and not np.all(np.isfinite(mat)):
             raise ValueError("constraint rows must be finite")
         if mat.shape[1] != y.shape[0] and mat.size:
@@ -138,9 +154,11 @@ class WalkConfig:
         steps = self.steps_per_phase
         if steps is None:
             steps = int(np.ceil(4.0 / self.delta ** 2))
+        object.__setattr__(self, "steps_per_phase", steps)
+        for name in ("steps_per_phase", "max_phases", "seed"):
+            _check_int(name, getattr(self, name))
         if steps < 1:
             raise ValueError("steps_per_phase must be >= 1")
-        object.__setattr__(self, "steps_per_phase", steps)
         if self.max_phases < 1:
             raise ValueError("max_phases must be >= 1")
 
@@ -222,18 +240,20 @@ class _KeptProjector:
         """Freeze the free coordinate at index ``gone``, or those a boolean mask selects."""
         if not isinstance(gone, int) and np.count_nonzero(gone) == 1:
             gone = int(np.flatnonzero(gone)[0])
-        b = self.basis[:, gone].copy()
-        self.free, self.basis = _without(self.free, gone), _without(self.basis, gone)
-        if (b.ndim == 1 and self._downdates < _REFRESH_EVERY
-                and self.free.size > 2 * self.basis.shape[0]):
+        # u = K b is taken before the last column moves into b's slot
+        den = 0.0
+        if (isinstance(gone, int) and self._downdates < _REFRESH_EVERY
+                and self.free.size > 2 * self.basis.shape[0] + 1):
+            b = self.basis[:, gone]
             u = self._k @ b
             den = 1.0 - float(b @ u)
-            if den > _DOWNDATE_FLOOR:
-                u /= math.sqrt(den)
-                self._k += u[:, None] * u
-                self._downdates += 1
-                return
-        self._refresh()
+        self.free, self.basis = _without(self.free, gone), _without(self.basis, gone)
+        if den > _DOWNDATE_FLOOR:
+            u /= math.sqrt(den)
+            self._k += u[:, None] * u
+            self._downdates += 1
+        else:
+            self._refresh()
 
 
 def _run_phase(m_unit: Array, x: Array, frozen: Array, cfg: WalkConfig,
@@ -250,13 +270,13 @@ def _run_phase(m_unit: Array, x: Array, frozen: Array, cfg: WalkConfig,
     xf = x[free]
     delta, band, steps_left = cfg.delta, 0.5 - cfg.eps, cfg.steps_per_phase
     partial_sums = delta * _TRIL
-    raw = xf[None, :0]
+    raw, screen = xf[None, :0], _BLOCK  # carried raw rows; how many to screen next
     with np.errstate(divide="ignore"):
         while steps_left > 0:
             if not raw.size:
                 raw = rng.standard_normal((min(_BLOCK, steps_left), free.size))
-            rows = len(raw)
-            g = proj.project(raw)
+            g = proj.project(raw[:screen])
+            rows = len(g)
             path = partial_sums[:rows, :rows] @ g + xf
             # the first row that moves a coordinate toward a face it ends
             # within eps of (or beyond); a coordinate with g == 0 never counts
@@ -265,7 +285,7 @@ def _run_phase(m_unit: Array, x: Array, frozen: Array, cfg: WalkConfig,
             if not hits[k]:
                 xf = path[-1]
                 steps_left -= rows
-                raw = raw[:0]
+                raw, screen = raw[rows:], _BLOCK
                 continue
             # shorten (or minimally extend) step k so that the first
             # coordinate to reach a face lands on it; |±0| / 0 is inf
@@ -275,7 +295,7 @@ def _run_phase(m_unit: Array, x: Array, frozen: Array, cfg: WalkConfig,
             on_face = t_face == t_face[j]
             xf = cur + t_face[j] * s
             steps_left -= k + 1
-            raw = raw[k + 1:]
+            raw, screen = raw[k + 1:], 1
             gone = j if np.count_nonzero(on_face) == 1 else on_face
             x[free[gone]] = s[gone] > 0
             frozen[free[gone]] = True

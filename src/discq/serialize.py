@@ -1,5 +1,6 @@
 """Hex-float records: bit-exact (de)serialization helpers shared by the
-package, and the counter-mode child-seed derivation every module uses."""
+package, the int check its configs share, and the counter-mode child-seed
+derivation every module uses."""
 
 from __future__ import annotations
 
@@ -32,6 +33,12 @@ def load_record(path) -> dict:
 def canonical_json(obj) -> str:
     """Deterministic JSON: insertion-ordered keys, shortest round-trip floats."""
     return json.dumps(obj, indent=2, allow_nan=False)
+
+
+def _check_int(key: str, value) -> None:
+    """Raise ``ValueError`` naming ``key`` unless ``value`` is an int (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{key!r} must be an int, got {value!r}")
 
 
 def child_seed(master: int, *key: int) -> int:

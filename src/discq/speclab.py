@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .lmwalk import ConstraintSet, WalkConfig, lm_round
-from .serialize import child_seed
+from .serialize import _check_int, child_seed
 
 Array = np.ndarray
 
@@ -34,10 +34,11 @@ class SpectrumSpec:
     family: str = "gaussian"
 
     def __post_init__(self):
-        if self.n < 1 or self.lam1 <= 0:
-            raise ValueError("need n >= 1 and lam1 > 0")
-        if self.alpha <= 1:
-            raise ValueError("alpha must exceed 1")
+        _check_int("n", self.n)
+        if self.n < 1 or not 0 < self.lam1 < np.inf:  # NaN fails both
+            raise ValueError("need n >= 1 and a finite lam1 > 0")
+        if not 1 < self.alpha < np.inf:
+            raise ValueError("alpha must be finite and exceed 1")
         if self.basis not in BASES:
             raise ValueError(f"basis must be one of {BASES}")
         if self.family not in FAMILIES:

@@ -7,9 +7,12 @@ with the paths it verifies, except the last group: earlier, loop-based
 implementations of vectorized paths, kept as bit-exact references.  They
 reuse the library's forward pass and transforms because the paths they pin
 must agree with them to the last bit, not to a tolerance.  The earlier walk
-phase is the exception: it draws its Gaussians differently, so it is a
-reference for the step law in distribution, and it reuses the library's
-kept projector, which is checked against Gram-Schmidt on its own.
+phases are the exception, and both reuse the library's kept projector,
+which is checked against Gram-Schmidt on its own.  The doubling walk draws
+its Gaussians differently, so it is a reference for the step law in
+distribution.  The block walk takes the same draws in the same order and
+differs in round-off only, so it agrees with the library's walk to a
+tolerance until round-off flips a freeze.
 """
 
 from __future__ import annotations
@@ -281,6 +284,60 @@ def doubling_walk_phase(m_unit: np.ndarray, x: np.ndarray, frozen: np.ndarray,
             xf = path[-1]
             steps_left -= nsteps
             block = min(block * 2, 256)
+    x[free] = xf
+    return x, frozen
+
+
+def block_walk_phase(m_unit: np.ndarray, x: np.ndarray, frozen: np.ndarray,
+                     cfg, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One walk phase that screens every carried row after a freeze.
+
+    Raw rows are drawn 8 at a time and carried across freezes, as in
+    ``lmwalk._run_phase``, but each screen projects all carried rows, not
+    one.  The walk takes the same raw rows in the same order, so the two
+    agree to round-off until round-off flips a freeze.  Returns ``(x, frozen)``.
+    """
+    from discq.lmwalk import _BLOCK, _TRIL, _KeptProjector, _without
+
+    x, frozen = x.copy(), frozen.copy()
+    frozen |= (x == 0.0) | (x == 1.0)
+    free = np.flatnonzero(~frozen)
+    proj = _KeptProjector(m_unit, free)
+    if proj.saturated:
+        return x, frozen
+    xf = x[free]
+    delta, band, steps_left = cfg.delta, 0.5 - cfg.eps, cfg.steps_per_phase
+    partial_sums = delta * _TRIL
+    raw = xf[None, :0]
+    with np.errstate(divide="ignore"):
+        while steps_left > 0:
+            if not raw.size:
+                raw = rng.standard_normal((min(_BLOCK, steps_left), free.size))
+            rows = len(raw)
+            g = proj.project(raw)
+            path = partial_sums[:rows, :rows] @ g + xf
+            hits = ((path - 0.5) * g > band * np.abs(g)).any(axis=1)
+            k = int(hits.argmax())
+            if not hits[k]:
+                xf = path[-1]
+                steps_left -= rows
+                raw = raw[:0]
+                continue
+            cur, s = (path[k - 1] if k else xf), delta * g[k]
+            t_face = np.abs(((s > 0) - cur) / s)
+            j = int(t_face.argmin())
+            on_face = t_face == t_face[j]
+            xf = cur + t_face[j] * s
+            steps_left -= k + 1
+            raw = raw[k + 1:]
+            gone = j if np.count_nonzero(on_face) == 1 else on_face
+            x[free[gone]] = s[gone] > 0
+            frozen[free[gone]] = True
+            xf, raw = _without(xf, gone), _without(raw, gone)
+            proj.drop(gone)
+            free = proj.free
+            if proj.saturated:
+                break
     x[free] = xf
     return x, frozen
 

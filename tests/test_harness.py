@@ -440,6 +440,14 @@ class TestConfigErrors:
                                params=ComparisonParams(bits_levels=(np.int64(3),)))
         assert _config_echo(cfg)["seed"] == 3
 
+    @pytest.mark.parametrize("params", [{"gen_alpha": float("nan")}, {"gen_alpha": float("inf")},
+                                        {"estimator_alphas": [float("nan")]}],
+                             ids=["gen_alpha_nan", "gen_alpha_inf", "estimator_alpha_nan"])
+    def test_nonfinite_alpha_rejected_at_load(self, params):
+        # a NaN passed both bounds, and the run failed at its first walk
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            ExperimentConfig.from_dict({"experiment": "scaling", "params": params})
+
     def test_nested_walk_config_still_loads(self):
         cfg = ExperimentConfig.from_dict({"experiment": "scaling",
                                           "params": {"walk": {"delta": 0.1}}})

@@ -15,7 +15,8 @@ from discq.lmwalk import (ConstraintSet, MaxPhasesExceeded, WalkConfig,
                           vertex_integrality_check, walk_variance_probe,
                           _KeptProjector, _rowspace_basis, _run_phase)
 
-from oracles import brute_force_vertices, doubling_walk_phase, gram_schmidt_projector
+from oracles import (block_walk_phase, brute_force_vertices, doubling_walk_phase,
+                     gram_schmidt_projector)
 
 
 def random_instance(n, m, seed, rng_y=None):
@@ -43,6 +44,12 @@ class TestConstraintSet:
         y[5] = bad
         with pytest.raises(ValueError, match="y must lie"):
             ConstraintSet(np.ones((1, 32)), y)
+
+    @pytest.mark.parametrize("shape", [(64, 1), (1, 64), ()], ids=["column", "row", "scalar"])
+    def test_y_not_1d_rejected(self, shape):
+        # a (64, 1) y was accepted, and lm_round then failed to broadcast
+        with pytest.raises(ValueError, match="1-D"):
+            ConstraintSet(np.ones((1, 64)), np.full(shape, 0.5))
 
     def test_all_nan_y_is_not_a_vertex(self):
         # accepted, this y made lm_round return after 0 phases with
@@ -383,15 +390,16 @@ class TestVarianceProbe:
 
 
 class TestStepLaw:
-    """The carried-block walk against the restart-after-freeze walk it replaced.
+    """The walk against the two walks it replaced.
 
-    Both walks take the same steps in distribution and differ only in how
-    they draw them, so over 200 phases each, on independent seeds, the means
-    of <theta, x - y>^2 and of the freeze count must agree within 4 combined
-    standard errors (a false alarm has probability about 6e-5 per
-    comparison).  A 150-step budget stops the phases mid-walk, where freezes
-    are dense and their count varies; 1000 steps also reach the sparse tail
-    near saturation.
+    The restart-after-freeze walk draws its steps differently; the block
+    walk screens every carried row after a freeze, not one.  All three take
+    the same steps in distribution, so over 200 phases each, on independent
+    seeds, the means of <theta, x - y>^2 and of the freeze count must agree
+    within 4 combined standard errors (a false alarm has probability about
+    6e-5 per comparison).  A 150-step budget stops the phases mid-walk,
+    where freezes are dense and their count varies; 1000 steps also reach
+    the sparse tail near saturation.
     """
 
     TRIALS = 200
@@ -414,17 +422,42 @@ class TestStepLaw:
         phase = _run_phase(m_unit, y, frozen, cfg, rng)
         return phase.x, phase.frozen
 
-    @pytest.mark.parametrize("steps", [150, 1000])
-    @pytest.mark.parametrize("make", [lambda: random_instance(64, 4, seed=40),
-                                      lambda: rank_deficient_instance(64, seed=41)],
-                             ids=["gaussian", "rank_deficient"])
-    def test_matches_doubling_walk(self, make, steps):
+    def assert_same_law(self, reference, make, steps, stream):
         cs, cfg = make(), WalkConfig(steps_per_phase=steps)
         new = self.moments(self.carried_walk, cs, cfg, stream=1)
-        old = self.moments(doubling_walk_phase, cs, cfg, stream=2)
+        old = self.moments(reference, cs, cfg, stream=stream)
         for a, b in zip(new, old):
             se = np.hypot(a.std(ddof=1), b.std(ddof=1)) / np.sqrt(self.TRIALS)
             assert abs(a.mean() - b.mean()) <= 4 * se, (a.mean(), b.mean(), se)
+
+    INSTANCES = pytest.mark.parametrize(
+        "make", [lambda: random_instance(64, 4, seed=40),
+                 lambda: rank_deficient_instance(64, seed=41)],
+        ids=["gaussian", "rank_deficient"])
+
+    @pytest.mark.parametrize("steps", [150, 1000])
+    @INSTANCES
+    def test_matches_doubling_walk(self, make, steps):
+        self.assert_same_law(doubling_walk_phase, make, steps, stream=2)
+
+    @pytest.mark.parametrize("steps", [150, 1000])
+    @INSTANCES
+    def test_matches_block_walk(self, make, steps):
+        self.assert_same_law(block_walk_phase, make, steps, stream=3)
+
+    @pytest.mark.parametrize("steps", [5, 20, 50])
+    def test_short_phase_pins_block_walk(self, steps):
+        # the same raw rows in the same order, so on phases short enough that
+        # round-off flips no freeze, the same coordinates freeze and x agrees
+        # to round-off; by 200 steps the two part, as the walk parts from
+        # itself when y moves by 1e-15
+        cs = random_instance(1024, 8, seed=43)
+        m_unit, frozen, cfg = cs.unit_rows(), np.zeros(cs.n, bool), WalkConfig(steps_per_phase=steps)
+        phase = _run_phase(m_unit, cs.y, frozen, cfg, np.random.default_rng([4, steps]))
+        x, done = block_walk_phase(m_unit, cs.y, frozen, cfg, np.random.default_rng([4, steps]))
+        assert phase.newly_frozen > 0
+        np.testing.assert_array_equal(phase.frozen, done)
+        np.testing.assert_allclose(phase.x, x, rtol=0, atol=1e-9)
 
 
 class TestMartingale:
@@ -469,6 +502,21 @@ class TestDeterminism:
         with pytest.raises(ValueError):
             WalkConfig(steps_per_phase=0)
         assert WalkConfig(delta=0.1).steps_per_phase == 400
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_phases", 2.5), ("max_phases", True), ("max_phases", 3.0),
+        ("steps_per_phase", 2.5), ("steps_per_phase", False),
+        ("seed", 1.5), ("seed", True), ("seed", "1"),
+    ])
+    def test_non_int_fields_rejected(self, field, value):
+        # 2.5 raised TypeError inside lm_round, seed 1.5 ran as seed 1 and
+        # max_phases=True ran one phase
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            WalkConfig(**{field: value})
+
+    def test_numpy_int_fields_accepted(self):
+        cfg = WalkConfig(steps_per_phase=np.int64(2500), max_phases=np.int32(50), seed=np.uint8(3))
+        assert lm_round(random_instance(64, 1, seed=14), cfg).fractional <= 16
 
     def test_counts_consistency(self):
         cs = random_instance(128, 3, seed=13)

@@ -31,6 +31,20 @@ class TestSpectrumSpec:
         with pytest.raises(ValueError):
             SpectrumSpec(n=8, alpha=2.0, family="cauchy")
 
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(alpha=float("nan")), "alpha"), (dict(alpha=float("inf")), "alpha"),
+        (dict(lam1=float("nan")), "lam1"), (dict(lam1=float("inf")), "lam1"),
+        (dict(n=2.5), "'n'"), (dict(n=True), "'n'"), (dict(n=8.0), "'n'"),
+    ], ids=["alpha_nan", "alpha_inf", "lam1_nan", "lam1_inf", "n_float", "n_bool", "n_whole_float"])
+    def test_nonfinite_or_non_int_rejected(self, kwargs, match):
+        # a NaN passed both bounds; n = 2.5 built 3 eigenvalues and then made
+        # sample_gradients raise TypeError
+        with pytest.raises(ValueError, match=match):
+            SpectrumSpec(**{"n": 8, "alpha": 2.0, **kwargs})
+
+    def test_numpy_int_n_accepted(self):
+        assert SpectrumSpec(n=np.int64(8), alpha=2.0).eigenvalues().shape == (8,)
+
 
 class TestSampling:
     def test_empirical_covariance_concentrates(self):
@@ -164,8 +178,11 @@ class TestFalphaScaling:
 
 class TestGeneralization:
     def test_quadratic_form_decreases_with_m(self):
+        # the same law: medians of 8 trials came out of order on 7 of 60
+        # seeds both for this walk and for the block walk it replaced
+        # (oracles.block_walk_phase); of 24 trials, on none and on 1 of 60
         spec = SpectrumSpec(n=256, alpha=2.0)
-        res = generalization_study(spec, (2, 4, 8, 16), trials=8,
+        res = generalization_study(spec, (2, 4, 8, 16), trials=24,
                                    walk_cfg=WalkConfig(delta=0.04), seed=0)
         meds = res.medians
         assert np.all(np.diff(meds) < 0)
