@@ -48,6 +48,7 @@ import numpy as np
 from .grid import Bracket, QuantGrid, bracket_of, nearer_up
 from .incoherence import Identity
 from .optim import AdamW, warmup_cosine_lr
+from .serialize import _check_int
 from .toymodel import (SampleBatch, ToyModel, _check_data_mix, _forward, _kl_core,
                        _sample_tokens, _swap_uniform, kl_term)
 
@@ -77,6 +78,8 @@ class DiscQuantConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("batch_size", "iterations", "warmup", "seq_length", "seed"):
+            _check_int(name, getattr(self, name))
         # written so that NaN fails every bound; clamp = inf means no clamp
         if not 0 <= self.lam < math.inf:
             raise ValueError("lam must be finite and nonnegative")

@@ -20,16 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .discquant import DiscQuantConfig, optimize as dq_optimize
-from .incoherence import ModelIncoherence
+from .discquant import DiscQuantConfig
+from .incoherence import Identity, ModelIncoherence
 from .lmwalk import WalkConfig
-from .pipeline import _MODEL_WALK, METHODS, quantize_model
-from .serialize import _check_int, child_seed, dump_record
+from .pipeline import _MODEL_WALK, METHODS, ROUNDERS, quantize_model
+from .serialize import _check_arms, _check_int, child_seed, dump_record
 from .speclab import (SpectrumSpec, _check_falpha_args, _check_generalization_args,
                       falpha_scaling_study, generalization_study)
 from .toymodel import (ToyArch, _check_data_mix, first_order_study, random_model,
                        sample_sequences)
-from .grid import PER_TENSOR, explicit_grid, groupsize_of, rtn
+from .grid import PER_TENSOR, explicit_grid, groupsize_of
 
 SCHEMA_VERSION = 1
 WORKERS_ENV = "DQ_WORKERS"
@@ -80,6 +80,8 @@ class ComparisonParams:
             _check_int(f"params.bits_levels[{k}]", bits)
         if not self.bits_levels or any(b < 2 for b in self.bits_levels):
             raise ValueError("bits levels must all be >= 2")
+        _check_arms("params.bits_levels", self.bits_levels)
+        _check_arms("params.methods", self.methods)
         object.__setattr__(self, "groupsize", groupsize_of(self.groupsize))
         bad = set(self.methods) - set(METHODS)
         if bad:
@@ -102,7 +104,7 @@ class FirstOrderParams:
     arch: ToyArch = ToyArch()
 
     def __post_init__(self):
-        if not self.deltas or any(d <= 0 for d in self.deltas):
+        if not self.deltas or any(not 0 < d < np.inf for d in self.deltas):
             raise ValueError("grid spacings must be positive")
         if any(b >= a for a, b in zip(self.deltas, self.deltas[1:])):
             raise ValueError("list spacings from coarsest to finest")
@@ -113,6 +115,11 @@ class FirstOrderParams:
         bad = set(self.methods) - {"rtn", "discquant"}
         if bad:
             raise ValueError(f"unknown methods {sorted(bad)}")
+        _check_arms("params.methods", self.arms)
+
+    @property
+    def arms(self) -> tuple[str, ...]:
+        return self.methods + (("identity",) if self.include_zero_arm else ())
 
 
 @dataclass(frozen=True)
@@ -131,6 +138,7 @@ class ScalingParams:
 
     def __post_init__(self):
         if self.run_estimator:
+            _check_arms("params.estimator_alphas", self.estimator_alphas)
             for alpha in self.estimator_alphas:
                 SpectrumSpec(n=self.estimator_n, alpha=alpha)
             _check_falpha_args(self.estimator_m_grid, self.estimator_trials)
@@ -350,18 +358,14 @@ def _first_order_trial(args) -> list[dict]:
     teacher = random_model(p.arch, seed=seed)
     batch = sample_sequences(teacher, p.sequences, p.seq_length,
                              seed=child_seed(seed, 0xF0))
-    methods = list(p.methods) + (["identity"] if p.include_zero_arm else [])
+    opts = {"dq_cfg": DiscQuantConfig(iterations=256, warmup=32, seed=child_seed(seed, 0xD0)),
+            "data_mix": 0.0}
     rows = []
     for spacing in p.deltas:
         qgrid = _uniform_grid_for(teacher.params, spacing, teacher.params.shape[0])
-        for method in methods:
-            if method == "rtn":
-                rounded = rtn(teacher.params, qgrid)
-            elif method == "identity":
-                rounded = teacher.params
-            else:
-                dq_cfg = DiscQuantConfig(iterations=256, warmup=32, seed=child_seed(seed, 0xD0))
-                rounded = dq_optimize(teacher, qgrid, dq_cfg).quantized
+        for method in p.arms:
+            rounded = teacher.params if method == "identity" else ROUNDERS[method](
+                teacher, teacher.params, qgrid, Identity(p.arch), opts)[0]
             pairs = first_order_study(teacher, qgrid, rounded, batch)
             for idx, (df, first) in enumerate(pairs):
                 rows.append({"seed": seed, "trial": trial, "spacing": spacing,
@@ -382,9 +386,8 @@ def run_first_order(cfg: ExperimentConfig) -> Report:
     for r in rows:
         per_arm.setdefault((r["spacing"], r["method"]), {}).setdefault(r["seed"], []).append(r)
     summary = {}
-    methods = list(p.methods) + (["identity"] if p.include_zero_arm else [])
     for spacing in p.deltas:
-        for method in methods:
+        for method in p.arms:
             per_seed_corr, per_seed_slope = [], []
             for sel in per_arm[spacing, method].values():
                 df = np.array([r["loss_change"] for r in sel])

@@ -18,9 +18,7 @@ from . import discquant, grid as gridmod, lmwalk, toymodel
 from .incoherence import Identity, ModelIncoherence
 from .serialize import child_seed
 
-Array = np.ndarray
 
-METHODS = ("rtn", "discquant", "lmwalk")
 # the walk's step for model rounding: quantize_model's and the comparison's default
 _MODEL_WALK = lmwalk.WalkConfig(delta=0.04)
 
@@ -34,17 +32,38 @@ class QuantizeOutcome:
     flags: tuple[str, ...] = ()
 
 
-def _walk_constraints(teacher: toymodel.ToyModel, bracket, transform, m: int,
-                      seq_length: int, mix: float, seed: int) -> lmwalk.ConstraintSet:
-    """Rows: per-sequence mean loss gradients, grid-spacing scaled."""
-    seed = child_seed(seed, 0xDA)
-    tokens = toymodel.sample_sequences(teacher, m, seq_length, seed=seed).sequences
+def _rtn(teacher, wq, qgrid, transform, opts):
+    return gridmod.rtn(wq, qgrid), 0
+
+
+def _discquant(teacher, wq, qgrid, transform, opts):
+    cfg = opts["dq_cfg"]
+    report = discquant.optimize(teacher, qgrid, cfg, transform=transform,
+                                data_mix=opts["data_mix"])
+    return report.quantized, int(np.count_nonzero(np.minimum(report.x, 1.0 - report.x) > cfg.tau))
+
+
+def _lmwalk(teacher, wq, qgrid, transform, opts):
+    """Walk on rows of per-sequence mean loss gradients, grid-spacing scaled."""
+    m, seed = opts["walk_samples"], opts["sample_seed"]
+    bracket = gridmod.bracket_of(wq, qgrid)
+    tokens = toymodel.sample_sequences(teacher, m, opts["dq_cfg"].seq_length, seed=seed).sequences
     swap_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x313]))
-    toymodel._swap_uniform(tokens, mix, teacher.arch.vocab, swap_rng)
+    toymodel._swap_uniform(tokens, opts["data_mix"], teacher.arch.vocab, swap_rng)
     rows = toymodel.gradient_rows(teacher, toymodel.SampleBatch(tokens))
     per_seq = rows.reshape(m, -1, rows.shape[1]).mean(axis=1)
     per_seq = np.stack([transform.grad_to_q(r) for r in per_seq])
-    return lmwalk.ConstraintSet(per_seq * bracket.delta, bracket.position())
+    cs = lmwalk.ConstraintSet(per_seq * bracket.delta, bracket.position())
+    result = lmwalk.lm_round(cs, opts["walk_cfg"])
+    return discquant.finalize(result.x, bracket, tau=1e-3), result.fractional
+
+
+# Every rounder maps (teacher, q-space weights, grid, transform, opts) to
+# (rounded q-space weights, fractional coordinates left before the final snap).
+# opts holds seeded configs; each call looks its callee up on the module at
+# call time, so wrappers installed there see it.
+ROUNDERS = {"rtn": _rtn, "discquant": _discquant, "lmwalk": _lmwalk}
+METHODS = tuple(ROUNDERS)
 
 
 def quantize_model(teacher: toymodel.ToyModel, bits: int, groupsize, method: str,
@@ -75,25 +94,12 @@ def quantize_model(teacher: toymodel.ToyModel, bits: int, groupsize, method: str
     if isinstance(transform, ModelIncoherence) and qgrid.groupsize is not None:
         flags = ("groupwise-scales-with-incoherence",)
 
-    fractional = 0
     dq_cfg = dq_cfg or discquant.DiscQuantConfig()
-    if method == "rtn":
-        rounded_q = gridmod.rtn(wq, qgrid)
-    elif method == "discquant":
-        cfg = dataclasses.replace(dq_cfg, seed=child_seed(seed, 0xD9))
-        report = discquant.optimize(teacher, qgrid, cfg, transform=transform,
-                                    data_mix=data_mix)
-        rounded_q = report.quantized
-        fractional = int(np.count_nonzero(np.minimum(report.x, 1.0 - report.x) > cfg.tau))
-    else:
-        bracket = gridmod.bracket_of(wq, qgrid)
-        cs = _walk_constraints(teacher, bracket, transform, walk_samples,
-                               dq_cfg.seq_length, data_mix, seed)
-        cfg = dataclasses.replace(walk_cfg, seed=child_seed(seed, 0x31))
-        result = lmwalk.lm_round(cs, cfg)
-        fractional = result.fractional
-        rounded_q = discquant.finalize(result.x, bracket, tau=1e-3)
-
+    opts = {"dq_cfg": dataclasses.replace(dq_cfg, seed=child_seed(seed, 0xD9)),
+            "walk_cfg": dataclasses.replace(walk_cfg, seed=child_seed(seed, 0x31)),
+            "sample_seed": child_seed(seed, 0xDA), "walk_samples": walk_samples,
+            "data_mix": data_mix}
+    rounded_q, fractional = ROUNDERS[method](teacher, wq, qgrid, transform, opts)
     model = teacher.with_params(transform.from_q(rounded_q))
     heldout_kl = None
     if heldout is not None:

@@ -41,6 +41,12 @@ def _check_int(key: str, value) -> None:
         raise ValueError(f"{key!r} must be an int, got {value!r}")
 
 
+def _check_arms(key: str, arms) -> None:
+    """Raise ``ValueError`` naming ``key`` if the arm list ``arms`` is empty or repeats one."""
+    if not arms or len(set(arms)) < len(arms):
+        raise ValueError(f"{key!r} must list distinct arms, got {list(arms)!r}")
+
+
 def child_seed(master: int, *key: int) -> int:
     """Counter-mode seed derivation; stable and collision-resistant."""
     ss = np.random.SeedSequence([int(master), *[int(k) for k in key]])

@@ -12,7 +12,10 @@ which is checked against Gram-Schmidt on its own.  The doubling walk draws
 its Gaussians differently, so it is a reference for the step law in
 distribution.  The block walk takes the same draws in the same order and
 differs in round-off only, so it agrees with the library's walk to a
-tolerance until round-off flips a freeze.
+tolerance until round-off flips a freeze.  The rounder chains at the end
+are the if/elif dispatch that ``quantize_model`` and the first-order study
+ran before both read ``pipeline.ROUNDERS``; they call the same rounders,
+so they pin the table's seeds and wiring byte for byte.
 """
 
 from __future__ import annotations
@@ -438,3 +441,96 @@ class AllocatingAdamW:
         if self.weight_decay:
             out = out - lr * self.weight_decay * x
         return out
+
+
+def _walk_constraints(teacher, bracket, transform, m: int, seq_length: int, mix: float,
+                      seed: int):
+    """Rows: per-sequence mean loss gradients, grid-spacing scaled."""
+    from discq import lmwalk, toymodel
+    from discq.serialize import child_seed
+
+    seed = child_seed(seed, 0xDA)
+    tokens = toymodel.sample_sequences(teacher, m, seq_length, seed=seed).sequences
+    swap_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x313]))
+    toymodel._swap_uniform(tokens, mix, teacher.arch.vocab, swap_rng)
+    rows = toymodel.gradient_rows(teacher, toymodel.SampleBatch(tokens))
+    per_seq = rows.reshape(m, -1, rows.shape[1]).mean(axis=1)
+    per_seq = np.stack([transform.grad_to_q(r) for r in per_seq])
+    return lmwalk.ConstraintSet(per_seq * bracket.delta, bracket.position())
+
+
+def chain_quantize_model(teacher, bits: int, groupsize, method: str, seed: int = 0,
+                         transform=None, dq_cfg=None, walk_cfg=None, walk_samples: int = 48,
+                         heldout=None, data_mix: float = 0.0):
+    """``quantize_model`` as an if/elif chain over the rounders, seeding each in its arm."""
+    import dataclasses
+
+    from discq import discquant, grid as gridmod, lmwalk, toymodel
+    from discq.incoherence import Identity, ModelIncoherence
+    from discq.pipeline import _MODEL_WALK, QuantizeOutcome
+    from discq.serialize import child_seed
+
+    walk_cfg = walk_cfg or _MODEL_WALK
+    transform = transform or Identity(teacher.arch)
+    wq = transform.to_q(teacher.params)
+    qgrid = gridmod.build_block_scaling(wq, bits=bits, groupsize=groupsize,
+                                        blocks=[(qa, qb) for *_, qa, qb in transform.blocks])
+    flags = ()
+    if isinstance(transform, ModelIncoherence) and qgrid.groupsize is not None:
+        flags = ("groupwise-scales-with-incoherence",)
+    fractional = 0
+    dq_cfg = dq_cfg or discquant.DiscQuantConfig()
+    if method == "rtn":
+        rounded_q = gridmod.rtn(wq, qgrid)
+    elif method == "discquant":
+        cfg = dataclasses.replace(dq_cfg, seed=child_seed(seed, 0xD9))
+        report = discquant.optimize(teacher, qgrid, cfg, transform=transform,
+                                    data_mix=data_mix)
+        rounded_q = report.quantized
+        fractional = int(np.count_nonzero(np.minimum(report.x, 1.0 - report.x) > cfg.tau))
+    else:
+        bracket = gridmod.bracket_of(wq, qgrid)
+        cs = _walk_constraints(teacher, bracket, transform, walk_samples,
+                               dq_cfg.seq_length, data_mix, seed)
+        cfg = dataclasses.replace(walk_cfg, seed=child_seed(seed, 0x31))
+        result = lmwalk.lm_round(cs, cfg)
+        fractional = result.fractional
+        rounded_q = discquant.finalize(result.x, bracket, tau=1e-3)
+    model = teacher.with_params(transform.from_q(rounded_q))
+    heldout_kl = None
+    if heldout is not None:
+        heldout_kl, _ = toymodel.kl_term(teacher, model, heldout)
+    return QuantizeOutcome(model=model, bits_per_param=gridmod.bits_per_param(qgrid),
+                           fractional=fractional, heldout_kl=heldout_kl, flags=flags)
+
+
+def chain_first_order_trial(cfg, trial: int) -> list[dict]:
+    """The first-order study's rows for one trial, each arm rounded in an if/elif chain."""
+    from discq.discquant import DiscQuantConfig, optimize
+    from discq.grid import rtn
+    from discq.harness import _uniform_grid_for
+    from discq.serialize import child_seed
+    from discq.toymodel import first_order_study, random_model, sample_sequences
+
+    p = cfg.params
+    seed = child_seed(cfg.seed, trial)
+    teacher = random_model(p.arch, seed=seed)
+    batch = sample_sequences(teacher, p.sequences, p.seq_length, seed=child_seed(seed, 0xF0))
+    methods = list(p.methods) + (["identity"] if p.include_zero_arm else [])
+    rows = []
+    for spacing in p.deltas:
+        qgrid = _uniform_grid_for(teacher.params, spacing, teacher.params.shape[0])
+        for method in methods:
+            if method == "rtn":
+                rounded = rtn(teacher.params, qgrid)
+            elif method == "identity":
+                rounded = teacher.params
+            else:
+                dq_cfg = DiscQuantConfig(iterations=256, warmup=32, seed=child_seed(seed, 0xD0))
+                rounded = optimize(teacher, qgrid, dq_cfg).quantized
+            pairs = first_order_study(teacher, qgrid, rounded, batch)
+            for idx, (df, first) in enumerate(pairs):
+                rows.append({"seed": seed, "trial": trial, "spacing": spacing,
+                             "method": method, "sample": idx,
+                             "loss_change": float(df), "first_order": float(first)})
+    return rows

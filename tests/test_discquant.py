@@ -18,7 +18,7 @@ from discq.serialize import child_seed as _child_seed
 from discq.toymodel import (SampleBatch, ToyArch, _forward, _sample_tokens, kl_term,
                             random_model, sample_sequences)
 
-from oracles import _teacher_stream, per_step_teacher_stream
+from oracles import _teacher_stream, chain_quantize_model, per_step_teacher_stream
 
 
 class TestCstar:
@@ -332,6 +332,27 @@ class TestPipelineCount:
             quantize_model(random_model(seed=20), 3, 16, "lmwalk", data_mix=mix)
 
 
+class TestRounderTable:
+    """quantize_model through pipeline.ROUNDERS equals the if/elif chain it replaced."""
+
+    ARCH = ToyArch(hidden=8, emb=4)
+
+    @pytest.mark.parametrize("mix", [0.0, 0.25])
+    @pytest.mark.parametrize("incoherent", [False, True], ids=["identity", "incoherent"])
+    @pytest.mark.parametrize("method", ["rtn", "discquant", "lmwalk"])
+    def test_table_equals_chain_byte_for_byte(self, method, incoherent, mix):
+        teacher = random_model(self.ARCH, seed=23)
+        heldout = sample_sequences(teacher, 16, 8, seed=24)
+        transform = ModelIncoherence(self.ARCH, seed=7) if incoherent else None
+        kwargs = dict(seed=9, transform=transform, dq_cfg=tiny_cfg(iterations=12, warmup=2),
+                      walk_samples=16, heldout=heldout, data_mix=mix)
+        out = quantize_model(teacher, 3, 16, method, **kwargs)
+        ref = chain_quantize_model(teacher, 3, 16, method, **kwargs)
+        assert out.model.params.tobytes() == ref.model.params.tobytes()
+        assert (out.heldout_kl, out.fractional, out.bits_per_param, out.flags) == \
+            (ref.heldout_kl, ref.fractional, ref.bits_per_param, ref.flags)
+
+
 class TestConfigValidation:
     def test_bounds(self):
         with pytest.raises(ValueError):
@@ -361,6 +382,15 @@ class TestConfigValidation:
 
     def test_infinite_clamp_accepted(self):
         assert DiscQuantConfig(clamp=float("inf")).clamp == float("inf")
+
+    @pytest.mark.parametrize("kwargs", [
+        {"seed": 1.5}, {"seed": True}, {"iterations": 2.5, "warmup": 0},
+        {"batch_size": 2.0}, {"warmup": 1.0}, {"seq_length": 8.0},
+    ], ids=lambda kwargs: next(iter(kwargs)))
+    def test_int_fields_reject_other_types(self, kwargs):
+        # seed=1.5 ran as seed 1; a float iterations or batch_size failed inside optimize
+        with pytest.raises(ValueError, match=f"'{next(iter(kwargs))}' must be an int"):
+            DiscQuantConfig(**kwargs)
 
     @pytest.mark.parametrize("length", [0, -1])
     def test_seq_length_rejected(self, length):

@@ -44,6 +44,37 @@ def test_traced_names_resolve():
     assert set(spans.TIMED) | set(spans.COUNTED) | set(spans.NOTES) <= names
 
 
+def test_tracer_sees_every_rounder_callee():
+    """Each rounder in ``pipeline.ROUNDERS`` looks its callees up at call time.
+
+    A table entry that bound ``grid.rtn`` or ``lmwalk.lm_round`` at import
+    would call past the tracer's wrappers, and the benchmark's per-layer
+    figures for that rounder would read 0.
+    """
+    from discq import pipeline
+    from discq.discquant import DiscQuantConfig
+    from discq.toymodel import ToyArch, random_model
+
+    spans = _bench_spans()
+    teacher = random_model(ToyArch(hidden=8, emb=4), seed=3)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for op_id, method in enumerate(pipeline.METHODS):
+            with tracer.op(op_id):
+                pipeline.quantize_model(teacher, 3, 16, method, seed=1, walk_samples=16,
+                                        dq_cfg=DiscQuantConfig(iterations=4, warmup=1))
+    finally:
+        tracer.restore()
+    seen = {method: {name for name, *_, op in tracer.spans if op == op_id}
+            for op_id, method in enumerate(pipeline.METHODS)}
+    assert "grid.rtn" in seen["rtn"]
+    assert {"discquant.optimize", "discquant.finalize"} <= seen["discquant"]
+    # lm_round calls none of these itself: each span here is one the rounder made
+    assert {"lmwalk.lm_round", "discquant.finalize", "toymodel.gradient_rows",
+            "toymodel.sample_sequences", "grid.bracket_of"} <= seen["lmwalk"]
+
+
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
 def test_demo_imports_resolve(path):
     checked = 0

@@ -11,10 +11,12 @@ from discq.harness import (ComparisonParams, ExperimentConfig, FirstOrderParams,
                            Report, ScalingParams, child_seed, emit,
                            run_comparison, run_experiment, run_first_order,
                            run_scaling)
-from discq.harness import _config_echo
+from discq.harness import _config_echo, _first_order_trial
 from discq.lmwalk import WalkConfig
 from discq.serialize import load_record
 from discq.toymodel import ToyArch
+
+from oracles import chain_first_order_trial
 
 
 def tiny_comparison(trials=2, **over):
@@ -46,6 +48,30 @@ class TestConfig:
             ScalingParams(gen_m_grid=(8, 16, 32, 128))  # not geometric
         with pytest.raises(ValueError):
             ScalingParams(estimator_alphas=(0.5,))
+
+    @pytest.mark.parametrize("deltas", ["[NaN]", "[Infinity, 0.1]"])
+    def test_nonfinite_spacings_rejected_at_load(self, deltas):
+        # Python's json reads NaN and Infinity; both got past d <= 0 and failed mid-run
+        raw = json.loads(f'{{"experiment": "first_order", "params": {{"deltas": {deltas}}}}}')
+        with pytest.raises(ValueError, match="grid spacings must be positive"):
+            ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("experiment, params, key", [
+        ("comparison", {"methods": ["rtn", "rtn"]}, "params.methods"),
+        ("comparison", {"methods": []}, "params.methods"),
+        ("comparison", {"bits_levels": [3, 3]}, "params.bits_levels"),
+        ("first_order", {"methods": ["rtn", "rtn"]}, "params.methods"),
+        ("first_order", {"methods": [], "include_zero_arm": False}, "params.methods"),
+        ("scaling", {"estimator_alphas": [2.5, 2.5]}, "params.estimator_alphas"),
+        ("scaling", {"estimator_alphas": [2, 2.0]}, "params.estimator_alphas"),
+    ])
+    def test_empty_or_repeated_arms_rejected_at_load(self, experiment, params, key):
+        # a repeated arm ran twice under one report key; an empty list gave an empty report
+        with pytest.raises(ValueError, match=f"'{key}' must list distinct arms"):
+            ExperimentConfig.from_dict({"experiment": experiment, "params": params})
+
+    def test_zero_arm_alone_is_an_arm_list(self):
+        assert FirstOrderParams(methods=(), include_zero_arm=True).arms == ("identity",)
 
     @pytest.mark.parametrize("groupsize", [0, -3, 2.5, "16", "per-row", True])
     def test_bad_groupsize_rejected_up_front(self, groupsize):
@@ -188,6 +214,16 @@ class TestFirstOrder:
         zero_rows = [r for r in report.rows if r["method"] == "identity"]
         assert all(r["loss_change"] == 0 and r["first_order"] == 0 for r in zero_rows)
         assert report.summary["median_corr_spacing0.1_identity"] is None
+
+    def test_rows_equal_rounder_chain(self):
+        # both rounders and the zero arm, dispatched through pipeline.ROUNDERS
+        cfg = ExperimentConfig(
+            experiment="first_order", seed=5, trials=1,
+            params=FirstOrderParams(deltas=(0.1, 0.05), sequences=3, methods=("rtn", "discquant"),
+                                    include_zero_arm=True, arch=ToyArch(hidden=8, emb=4)))
+        rows = _first_order_trial((cfg, 0))
+        assert {r["method"] for r in rows} == {"rtn", "discquant", "identity"}
+        assert json.dumps(rows) == json.dumps(chain_first_order_trial(cfg, 0))
 
     def test_discquant_arm(self):
         cfg = ExperimentConfig(
