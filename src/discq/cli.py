@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
@@ -13,7 +14,7 @@ import numpy as np
 from . import __version__
 from .discquant import DiscQuantConfig
 from .grid import PER_TENSOR
-from .harness import ExperimentConfig, ScalingParams, emit, run_experiment
+from .harness import WORKERS_ENV, ExperimentConfig, ScalingParams, emit, run_experiment
 from .incoherence import ModelIncoherence
 from .lmwalk import ConstraintSet, WalkConfig, lm_round
 from .pipeline import METHODS, quantize_model
@@ -38,9 +39,18 @@ def _config(cls, args):
 def _cmd_run(args) -> int:
     with open(args.config) as fh:
         cfg = ExperimentConfig.from_dict(json.load(fh))
-    report = run_experiment(cfg)
     outdir = args.out or cfg.outdir
-    for fmt in args.format.split(","):
+    formats = args.format.split(",")
+    if not set(formats) <= {"json", "csv"}:
+        raise ValueError(f"--format takes json and csv, got {args.format!r}")
+    if outdir and not os.path.isdir(outdir):
+        raise ValueError(f"output directory {outdir!r} does not exist")
+    try:
+        int(os.environ.get(WORKERS_ENV, "1"))
+    except ValueError:
+        raise ValueError(f"{WORKERS_ENV} must be an int, got {os.environ[WORKERS_ENV]!r}") from None
+    report = run_experiment(cfg)
+    for fmt in formats:
         out = f"{outdir}/{cfg.experiment}.{fmt}" if outdir else f"{cfg.experiment}.{fmt}"
         emit(report, fmt, out)
         print(f"wrote {out}")

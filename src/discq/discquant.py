@@ -48,7 +48,7 @@ import numpy as np
 from .grid import Bracket, QuantGrid, bracket_of, nearer_up
 from .incoherence import Identity
 from .optim import AdamW, warmup_cosine_lr
-from .serialize import _check_int
+from .serialize import _check_fields
 from .toymodel import (SampleBatch, ToyModel, _check_data_mix, _forward, _kl_core,
                        _sample_tokens, _swap_uniform, kl_term)
 
@@ -78,8 +78,7 @@ class DiscQuantConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("batch_size", "iterations", "warmup", "seq_length", "seed"):
-            _check_int(name, getattr(self, name))
+        _check_fields(self)
         # written so that NaN fails every bound; clamp = inf means no clamp
         if not 0 <= self.lam < math.inf:
             raise ValueError("lam must be finite and nonnegative")

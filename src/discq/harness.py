@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
-import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -24,7 +23,7 @@ from .discquant import DiscQuantConfig
 from .incoherence import Identity, ModelIncoherence
 from .lmwalk import WalkConfig
 from .pipeline import _MODEL_WALK, METHODS, ROUNDERS, quantize_model
-from .serialize import _check_arms, _check_int, child_seed, dump_record
+from .serialize import _check_arms, _check_fields, _json_value, child_seed, dump_record
 from .speclab import (SpectrumSpec, _check_falpha_args, _check_generalization_args,
                       falpha_scaling_study, generalization_study)
 from .toymodel import (ToyArch, _check_data_mix, first_order_study, random_model,
@@ -35,35 +34,10 @@ SCHEMA_VERSION = 1
 WORKERS_ENV = "DQ_WORKERS"
 
 
-# the JSON values a field of each declared scalar type takes, besides int (see _check_int)
-_JSON_TYPES = {float: (int, float), bool: bool, str: str}
-
-
-def _json_value(key: str, value, hint):
-    """``value``, parsed from JSON, checked against the declared type ``hint``.
-
-    A list for ``tuple[T, ...]`` comes back a tuple, and an int for ``float``
-    a float; null fits ``X | None``, and only a bool fits ``bool``.  A
-    mismatch raises ``ValueError`` naming ``key``.
-    """
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise ValueError(f"config key '{key}' must be a list, got {value!r}")
-        return tuple(_json_value(f"{key}[{k}]", item, args[0]) for k, item in enumerate(value))
-    if type(None) in args:
-        return None if value is None else _json_value(key, value, args[0])
-    if hint is int:
-        _check_int(key, value)
-    elif isinstance(value, bool) != (hint is bool) or not isinstance(value, _JSON_TYPES[hint]):
-        raise ValueError(f"config key '{key}' must be a {hint.__name__}, got {value!r}")
-    return float(value) if hint is float else value
-
-
 @dataclass(frozen=True)
 class ComparisonParams:
     bits_levels: tuple[int, ...] = (2, 3, 4)
-    groupsize: int | None = 16
+    groupsize: int | str | None = 16  # "per-tensor" is stored as None
     methods: tuple[str, ...] = ("rtn", "discquant")
     heldout: int = 256
     seq_length: int = 8  # held-out length; calibration uses discquant.seq_length
@@ -76,13 +50,12 @@ class ComparisonParams:
     walk: WalkConfig = _MODEL_WALK
 
     def __post_init__(self):
-        for k, bits in enumerate(self.bits_levels):
-            _check_int(f"params.bits_levels[{k}]", bits)
+        object.__setattr__(self, "groupsize", groupsize_of(self.groupsize))
+        _check_fields(self)
         if not self.bits_levels or any(b < 2 for b in self.bits_levels):
             raise ValueError("bits levels must all be >= 2")
         _check_arms("params.bits_levels", self.bits_levels)
         _check_arms("params.methods", self.methods)
-        object.__setattr__(self, "groupsize", groupsize_of(self.groupsize))
         bad = set(self.methods) - set(METHODS)
         if bad:
             raise ValueError(f"unknown methods {sorted(bad)}")
@@ -104,6 +77,7 @@ class FirstOrderParams:
     arch: ToyArch = ToyArch()
 
     def __post_init__(self):
+        _check_fields(self)
         if not self.deltas or any(not 0 < d < np.inf for d in self.deltas):
             raise ValueError("grid spacings must be positive")
         if any(b >= a for a, b in zip(self.deltas, self.deltas[1:])):
@@ -137,6 +111,7 @@ class ScalingParams:
     run_generalization: bool = True
 
     def __post_init__(self):
+        _check_fields(self)
         if self.run_estimator:
             _check_arms("params.estimator_alphas", self.estimator_alphas)
             for alpha in self.estimator_alphas:
@@ -158,16 +133,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"experiment must be one of {tuple(EXPERIMENTS)}")
-        _check_int("seed", self.seed)
-        _check_int("trials", self.trials)
-        _json_value("outdir", self.outdir, str | None)
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         expected = EXPERIMENTS[self.experiment][0]
         params = self.params if self.params is not None else expected()
         if not isinstance(params, expected):
             raise ValueError(f"params must be a {expected.__name__}")
         object.__setattr__(self, "params", params)
+        _check_fields(self)
+        if self.trials < 1:
+            raise ValueError("trials must be >= 1")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -178,49 +151,12 @@ class ExperimentConfig:
         unknown = set(raw) - {"seed", "trials", "outdir", "params"}
         if unknown:
             raise ValueError(f"unknown config keys {sorted(unknown)}")
-        params = _params_from_dict(EXPERIMENTS[experiment][0], raw.pop("params", {}))
+        params = _json_value("params", raw.pop("params", {}), EXPERIMENTS[experiment][0])
         return cls(experiment=experiment, params=params, **raw)
 
 
-def _params_from_dict(cls, raw: dict, key: str = "params"):
-    """Build a params dataclass from parsed JSON, field by field.
-
-    A field whose declared type is a config dataclass is built from the
-    given dict the same way; every other value is checked against its
-    field's declared type (:func:`_json_value`), apart from ``groupsize``,
-    which ``grid.groupsize_of`` reads.  A value that is not an object where
-    one is due, a value of the wrong type, or an unknown key raises
-    ``ValueError`` naming its dotted config key (``key`` names ``raw``).
-    """
-    if not isinstance(raw, dict):
-        raise ValueError(f"config key '{key}' must be an object, got {raw!r}")
-    hints = typing.get_type_hints(cls)
-    unknown = set(raw) - set(hints)
-    if unknown:
-        raise ValueError(f"unknown config keys {sorted(f'{key}.{k}' for k in unknown)}")
-    raw = dict(raw)
-    for name, value in raw.items():
-        if dataclasses.is_dataclass(hints[name]):
-            raw[name] = _params_from_dict(hints[name], value, f"{key}.{name}")
-        elif name != "groupsize":
-            raw[name] = _json_value(f"{key}.{name}", value, hints[name])
-    return cls(**raw)
-
-
-def _config_echo(cfg: ExperimentConfig) -> dict:
-    def scrub(value):
-        if dataclasses.is_dataclass(value):
-            return {k: scrub(v) for k, v in dataclasses.asdict(value).items()}
-        if isinstance(value, tuple):
-            return [scrub(v) for v in value]
-        if isinstance(value, np.floating):
-            return float(value)
-        if isinstance(value, np.integer):
-            return int(value)
-        return value
-
-    return {"experiment": cfg.experiment, "seed": cfg.seed, "trials": cfg.trials,
-            "outdir": cfg.outdir, "params": scrub(cfg.params)}
+# the report's echo of its config: every value is already a plain Python value
+_config_echo = dataclasses.asdict
 
 
 @dataclass(kw_only=True)

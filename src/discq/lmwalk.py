@@ -67,7 +67,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .serialize import _check_int
+from .serialize import _check_fields
 
 Array = np.ndarray
 
@@ -145,6 +145,7 @@ class WalkConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_fields(self)
         if self.delta <= 0:
             raise ValueError("delta must be positive")
         eps = self.delta if self.eps is None else self.eps
@@ -155,8 +156,6 @@ class WalkConfig:
         if steps is None:
             steps = int(np.ceil(4.0 / self.delta ** 2))
         object.__setattr__(self, "steps_per_phase", steps)
-        for name in ("steps_per_phase", "max_phases", "seed"):
-            _check_int(name, getattr(self, name))
         if steps < 1:
             raise ValueError("steps_per_phase must be >= 1")
         if self.max_phases < 1:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .lmwalk import ConstraintSet, WalkConfig, lm_round
-from .serialize import _check_int, child_seed
+from .serialize import _check_fields, child_seed
 
 Array = np.ndarray
 
@@ -34,7 +34,7 @@ class SpectrumSpec:
     family: str = "gaussian"
 
     def __post_init__(self):
-        _check_int("n", self.n)
+        _check_fields(self)
         if self.n < 1 or not 0 < self.lam1 < np.inf:  # NaN fails both
             raise ValueError("need n >= 1 and a finite lam1 > 0")
         if not 1 < self.alpha < np.inf:

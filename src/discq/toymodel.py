@@ -24,7 +24,7 @@ import numpy as np
 
 from .grid import QuantGrid, bracket_of
 from .optim import AdamW
-from .serialize import dump_record, floats_to_hex, hex_to_floats, load_record
+from .serialize import _check_fields, dump_record, floats_to_hex, hex_to_floats, load_record
 
 Array = np.ndarray
 
@@ -44,6 +44,7 @@ class ToyArch:
     emb: int = 8
 
     def __post_init__(self):
+        _check_fields(self)
         if self.vocab < 2 or self.context < 1 or self.hidden < 1 or self.emb < 1:
             raise ValueError("arch sizes must be positive (vocab >= 2)")
         if self.layers not in (1, 2):

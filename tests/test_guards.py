@@ -6,20 +6,28 @@ README shows ``dq`` command lines, ``dq run`` configs and Python blocks.  A
 refactor that drops or moves one of those names, flags or config keys would
 otherwise fail only in ``bench/selftest.py``, or when a demo or a README
 example is run by hand.
+
+The last guard walks the config classes' type hints: every field, a field
+added later included, must reject a value of the wrong type with a
+``ValueError`` naming it, whether the config is built in Python or loaded
+from a ``dq run`` config.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import json
 import re
 import shlex
+import typing
 from pathlib import Path
 
 import pytest
 
 from discq.cli import build_parser
-from discq.harness import ExperimentConfig
+from discq.harness import EXPERIMENTS, ExperimentConfig
+from discq.speclab import SpectrumSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -133,3 +141,72 @@ def _readme_commands() -> list[str]:
 def test_readme_command_parses(command):
     args = build_parser().parse_args(shlex.split(command)[1:])
     assert callable(args.fn)
+
+
+
+# a JSON value of the wrong type for each declared scalar type
+_WRONG = {int: 2.5, float: "2.5", bool: 1, str: 1}
+# what a config class needs besides the field under test
+_REQUIRED = {ExperimentConfig: {"experiment": "comparison"},
+             SpectrumSpec: {"n": 8, "alpha": 2.0}}
+
+
+def _wrong_value(hint):
+    """A JSON value that no field declared ``hint`` takes, and the suffix
+    (``[0]`` for a list item) that its error key carries."""
+    if hint in _WRONG:
+        return _WRONG[hint], ""
+    members = [a for a in typing.get_args(hint) if a is not type(None)]
+    if typing.get_origin(hint) is tuple:
+        value, suffix = _wrong_value(members[0])
+        return [value], "[0]" + suffix
+    if len(members) == 1:
+        return _wrong_value(members[0])
+    return [], ""  # a config class, or a union of several types: a list fits none
+
+
+def _json_fields():
+    """(experiment, dotted config key, declared type) of every field a ``dq run``
+    config can set, nested config objects included."""
+    fields = [(experiment, name, hint) for experiment in EXPERIMENTS
+              for name, hint in typing.get_type_hints(ExperimentConfig).items()
+              if name != "experiment"]
+    todo = [(experiment, "params", cls) for experiment, (cls, _) in EXPERIMENTS.items()]
+    while todo:
+        experiment, prefix, cls = todo.pop()
+        for name, hint in typing.get_type_hints(cls).items():
+            fields.append((experiment, f"{prefix}.{name}", hint))
+            if dataclasses.is_dataclass(hint):
+                todo.append((experiment, f"{prefix}.{name}", hint))
+    return fields
+
+
+def _python_fields():
+    """(class, field, declared type) of every field of every config class that
+    a ``dq run`` config reaches, and of ``SpectrumSpec``."""
+    classes = {ExperimentConfig, SpectrumSpec, *(cls for cls, _ in EXPERIMENTS.values())}
+    classes.update(hint for *_, hint in _json_fields() if dataclasses.is_dataclass(hint))
+    return [(cls, name, hint) for cls in sorted(classes, key=lambda c: c.__name__)
+            for name, hint in typing.get_type_hints(cls).items()]
+
+
+@pytest.mark.parametrize("cls, name, hint", [
+    pytest.param(cls, name, hint, id=f"{cls.__name__}.{name}")
+    for cls, name, hint in _python_fields()])
+def test_every_config_field_is_type_checked(cls, name, hint):
+    """A field added later gets its type check from its annotation alone."""
+    value, suffix = _wrong_value(hint)
+    with pytest.raises(ValueError, match=re.escape(name + suffix)):
+        cls(**{**_REQUIRED.get(cls, {}), name: value})
+
+
+@pytest.mark.parametrize("experiment, key, hint", [
+    pytest.param(experiment, key, hint, id=f"{experiment}:{key}")
+    for experiment, key, hint in _json_fields()])
+def test_every_config_key_is_type_checked(experiment, key, hint):
+    value, suffix = _wrong_value(hint)
+    raw = value
+    for part in reversed(key.split(".")):
+        raw = {part: raw}
+    with pytest.raises(ValueError, match=re.escape(f"'{key}{suffix}'")):
+        ExperimentConfig.from_dict({"experiment": experiment, **raw})

@@ -14,6 +14,7 @@ from discq.harness import (ComparisonParams, ExperimentConfig, FirstOrderParams,
 from discq.harness import _config_echo, _first_order_trial
 from discq.lmwalk import WalkConfig
 from discq.serialize import load_record
+from discq.speclab import SpectrumSpec
 from discq.toymodel import ToyArch
 
 from oracles import chain_first_order_trial
@@ -488,6 +489,77 @@ class TestConfigErrors:
         cfg = ExperimentConfig.from_dict({"experiment": "scaling",
                                           "params": {"walk": {"delta": 0.1}}})
         assert cfg.params.walk == WalkConfig(delta=0.1)
+
+
+class TestPythonBuiltConfigs:
+    """A config built in Python gets the type check a config loaded from JSON gets."""
+
+    @pytest.mark.parametrize("build, key", [
+        # ran the incoherent arm, and its rows read "incoherence": "no"
+        (lambda: ComparisonParams(incoherence="no"), "'incoherence'"),
+        # the held-out draw (outside the per-row try) killed the whole run
+        (lambda: ComparisonParams(heldout=8.5), "'heldout'"),
+        (lambda: FirstOrderParams(sequences=2.5), "'sequences'"),
+        (lambda: ToyArch(hidden=8.0), "'hidden'"),
+        (lambda: ScalingParams(gen_trials=1.5), "'gen_trials'"),
+        (lambda: ScalingParams(run_estimator=0), "'run_estimator'"),
+        # loaded, then sigma() raised "seed must be integer"
+        (lambda: SpectrumSpec(n=8, alpha=2.0, basis="random-orthogonal", basis_seed=1.5),
+         "'basis_seed'"),
+    ], ids=["incoherence", "heldout", "sequences", "hidden", "gen_trials", "run_estimator",
+            "basis_seed"])
+    def test_value_of_wrong_type_is_a_value_error(self, build, key):
+        with pytest.raises(ValueError, match=key):
+            build()
+
+    def test_values_stored_in_declared_form(self):
+        params = ComparisonParams(bits_levels=[3], methods=["rtn"], data_mix=0)
+        assert params == ComparisonParams(bits_levels=(3,), methods=("rtn",), data_mix=0.0)
+        assert hash(params) == hash(ComparisonParams(bits_levels=(3,), methods=("rtn",)))
+        walk = WalkConfig(delta=1, seed=np.int64(4))
+        assert (type(walk.delta), type(walk.eps), type(walk.seed)) == (float, float, int)
+        assert type(DiscQuantConfig(lam=np.float32(2.0)).lam) is float
+
+
+class TestRunChecksInputs:
+    """``dq run`` rejects its outside inputs before it runs the experiment."""
+
+    CONFIG = {"experiment": "first_order", "trials": 1,
+              "params": {"deltas": [0.1], "sequences": 2}}
+
+    @pytest.fixture
+    def run(self, tmp_path, monkeypatch):
+        import discq.cli as cli
+
+        def never(cfg):
+            pytest.fail("the experiment ran before its inputs were checked")
+
+        monkeypatch.setattr(cli, "run_experiment", never)
+
+        def run(*flags, **config):
+            path = tmp_path / "exp.json"
+            path.write_text(json.dumps({**self.CONFIG, **config}))
+            return cli_main(["run", str(path), *flags])
+        return run
+
+    def test_unknown_format(self, run, tmp_path):
+        with pytest.raises(ValueError, match="xml"):
+            run("--out", str(tmp_path), "--format", "json,xml")
+        assert not (tmp_path / "first_order.json").exists()
+
+    def test_missing_out_directory(self, run, tmp_path):
+        with pytest.raises(ValueError, match="missing"):
+            run("--out", str(tmp_path / "missing"))
+
+    def test_missing_config_outdir(self, run, tmp_path):
+        with pytest.raises(ValueError, match="missing"):
+            run(outdir=str(tmp_path / "missing"))
+
+    @pytest.mark.parametrize("workers", ["abc", "2.5", ""])
+    def test_workers_not_an_int(self, run, tmp_path, monkeypatch, workers):
+        monkeypatch.setenv("DQ_WORKERS", workers)
+        with pytest.raises(ValueError, match="DQ_WORKERS"):
+            run("--out", str(tmp_path))
 
 
 RECORD_KEYS = ["schema_version", "experiment", "artifact_version", "config", "rows",
