@@ -14,7 +14,7 @@ import numpy as np
 from . import __version__
 from .discquant import DiscQuantConfig
 from .grid import PER_TENSOR
-from .harness import WORKERS_ENV, ExperimentConfig, ScalingParams, emit, run_experiment
+from .harness import ExperimentConfig, ScalingParams, emit, run_experiment, worker_count
 from .incoherence import ModelIncoherence
 from .lmwalk import ConstraintSet, WalkConfig, lm_round
 from .pipeline import METHODS, quantize_model
@@ -45,10 +45,7 @@ def _cmd_run(args) -> int:
         raise ValueError(f"--format takes json and csv, got {args.format!r}")
     if outdir and not os.path.isdir(outdir):
         raise ValueError(f"output directory {outdir!r} does not exist")
-    try:
-        int(os.environ.get(WORKERS_ENV, "1"))
-    except ValueError:
-        raise ValueError(f"{WORKERS_ENV} must be an int, got {os.environ[WORKERS_ENV]!r}") from None
+    worker_count()
     report = run_experiment(cfg)
     for fmt in formats:
         out = f"{outdir}/{cfg.experiment}.{fmt}" if outdir else f"{cfg.experiment}.{fmt}"

@@ -24,18 +24,13 @@ up under ``lambda_on="linear"`` recovers nearest rounding exactly.
 The calibration stream samples fresh teacher sequences for every step, a
 ``data_mix`` share of them swapped for uniform ones, and presamples them in
 chunks of ``STREAM_CHUNK`` steps: one draw of uniforms per chunk, in the
-same order as per-step draws, and one sampler pass whose forward runs the
-chunk's steps stacked as (steps, batch, ·).  A stacked ``@`` multiplies
-each step's slice by the same weight views as a per-step call, so every
-step's tokens are those of per-step sampling; one flat (steps * batch)-row
-product would round differently.  The teacher's side of
-the KL term is cached per chunk the same way: one ``rows`` call builds
-every step's prefixes, and the teacher's forward runs on them stacked as
-(steps, rows, ·), ``_TEACHER_STACK`` steps at a time so that its
-activations stay small, so the teacher's log-probs and probs, and with them
-every KL value and gradient, are bit for bit those of per-step
-:func:`kl_term`.  Each step then runs only the student's forward and
-backward.
+same order as per-step draws, and one sampler pass, whose teacher log-probs
+and probs at each position are the KL term's; only swapped sequences are
+scored again.  Every teacher product has a per-step :func:`kl_term`'s
+``batch_size * seq_length`` rows, as a row's bits depend on how many rows
+share its product (see :func:`_forward`), so every KL value and gradient is
+bit for bit that of per-step :func:`kl_term`.  Each step then runs only the
+student's forward and backward.
 """
 
 from __future__ import annotations
@@ -59,7 +54,6 @@ from .toymodel import sample_sequences  # noqa: F401
 Array = np.ndarray
 
 STREAM_CHUNK = 128  # steps of the default stream sampled per pass
-_TEACHER_STACK = 32  # steps per stacked teacher forward (about 1 MiB of activations at default sizes)
 
 
 @dataclass(frozen=True)
@@ -157,41 +151,39 @@ def finalize(x, bracket: Bracket, tau: float) -> Array:
     return np.where(take_up, bracket.w_up, bracket.w_down)
 
 
-def _teacher_chunks(teacher: ToyModel, cfg: DiscQuantConfig, mix: float = 0.0):
-    """``cfg.iterations`` steps of calibration sequences as one batch per chunk.
+def _in_products(a: Array, per: int) -> Array:
+    """``a`` (n, ...) zero-padded to whole products of ``per`` rows: (-1, per, ...)."""
+    return np.pad(a, [(0, -len(a) % per)] + [(0, 0)] * (a.ndim - 1)).reshape(-1, per, *a.shape[1:])
 
-    Each chunk holds up to ``STREAM_CHUNK`` steps' ``batch_size`` sequences,
-    step by step.  ``rng.random((k, seq_length, batch_size))`` holds the
-    (seq_length, batch_size) uniforms of k per-step samplings from ``rng``
-    in their order, and the sampler runs the k steps as a (k, batch_size)
-    stack, so every step's sequences are those of its per-step sampling.
-    A ``mix`` share of each chunk's sequences is then swapped for uniform
-    ones, drawn from ``rng`` after the chunk's uniforms; at mix 0 nothing
-    more is drawn.  Yields ``(chunk, k)``.
+
+def _teacher_chunks(teacher: ToyModel, cfg: DiscQuantConfig, mix: float = 0.0):
+    """Per step: the prefixes of ``cfg.batch_size`` calibration sequences, in
+    :meth:`SampleBatch.rows` order, and the teacher's log-probs and probs there.
+
+    ``rng.random((k, seq_length, batch_size))`` holds the uniforms of k
+    per-step samplings from ``rng`` in their order.  The sampler runs their
+    sequences in products of ``batch_size * seq_length`` rows; per-step
+    sampling, in products of ``batch_size`` rows, draws the same tokens unless
+    the two round apart and a uniform lies within the last bits of a
+    cumulative probability.  A ``mix`` share of the sequences is then swapped
+    for uniform ones, drawn from ``rng`` after the chunk's uniforms, and scored
+    again.  A chunk holds its scores, (k, batch_size * seq_length, vocab) twice.
     """
     rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 0x57E4]))
-    size, length = cfg.batch_size, cfg.seq_length
+    size, length, arch = cfg.batch_size, cfg.seq_length, teacher.arch
+    rows = size * length
     for start in range(0, cfg.iterations, STREAM_CHUNK):
         k = min(STREAM_CHUNK, cfg.iterations - start)
-        tokens = _sample_tokens(teacher, rng.random((k, length, size)).transpose(1, 0, 2))
-        _swap_uniform(tokens, mix, teacher.arch.vocab, rng)
-        yield SampleBatch(sequences=tokens.reshape(k * size, length)), k
-
-
-def _kl_inputs(teacher: ToyModel, batches):
-    """Per step: prefixes and the teacher's log-probs and probs on them.
-
-    ``batches`` yields ``(batch, k)``, a batch holding k steps' rows in step
-    order and in equal shares.  One ``rows`` call serves all k steps, and
-    the teacher's forward runs on stacks of up to ``_TEACHER_STACK`` steps,
-    shaped (steps, rows, ·), so each step's slices equal what
-    :func:`kl_term` computes from that step's own batch.
-    """
-    for batch, k in batches:
-        prefixes = batch.rows(teacher.arch)[0].reshape(k, -1, teacher.arch.context)
-        for stack in np.split(prefixes, range(_TEACHER_STACK, k, _TEACHER_STACK)):
-            cache = _forward(teacher, stack)
-            yield from zip(stack, cache["logp"], cache["p"])
+        uniforms = rng.random((k, length, size)).transpose(0, 2, 1).reshape(k * size, length)
+        tokens, windows, logp, p = (
+            a.reshape(-1, size, *a.shape[2:])[:k]
+            for a in _sample_tokens(teacher, _in_products(uniforms, rows).transpose(2, 0, 1)))
+        swap = _swap_uniform(tokens, mix, arch.vocab, rng)
+        if swap.any():
+            cache = _forward(teacher, _in_products(windows[swap].reshape(-1, arch.context), rows))
+            logp[swap], p[swap] = (cache[key].reshape(-1, length, arch.vocab)[:swap.sum()]
+                                   for key in ("logp", "p"))
+        yield from zip(*(a.reshape(k, rows, -1) for a in (windows, logp, p)))
 
 
 def optimize(teacher: ToyModel, grid: QuantGrid, cfg: DiscQuantConfig,
@@ -203,8 +195,8 @@ def optimize(teacher: ToyModel, grid: QuantGrid, cfg: DiscQuantConfig,
     space (an ``incoherence.Identity`` by default; pass ``transform`` to round
     in a transformed space).  Each step reads ``cfg.batch_size`` teacher
     samples, a ``data_mix`` share of them swapped for uniform ones, presampled
-    in chunks of ``STREAM_CHUNK`` steps; the teacher's distributions on each
-    chunk are computed once.  Both are bit for bit those of per-step sampling.
+    in chunks of ``STREAM_CHUNK`` steps with the teacher's distributions on
+    them (see :func:`_teacher_chunks`).
     """
     _check_data_mix(data_mix)
     transform = transform or Identity(teacher.arch)
@@ -216,7 +208,7 @@ def optimize(teacher: ToyModel, grid: QuantGrid, cfg: DiscQuantConfig,
     cvec = cstar(y)
     x = init_x(cfg.init, bracket, cfg.seed)
     opt = AdamW(bracket.n, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    kl_inputs = _kl_inputs(teacher, _teacher_chunks(teacher, cfg, data_mix))
+    kl_inputs = _teacher_chunks(teacher, cfg, data_mix)
 
     # lam weights one term; the other is multiplied by 1.0, which is exact
     w_lin, w_kl = (cfg.lam, 1.0) if cfg.lambda_on == "linear" else (1.0, cfg.lam)

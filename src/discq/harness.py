@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,13 +178,25 @@ class Report:
         return [r for r in self.rows if r.get("error")]
 
 
+def worker_count() -> int:
+    """The trial process count from ``DQ_WORKERS``, 1 when it is unset."""
+    raw = os.environ.get(WORKERS_ENV, "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{WORKERS_ENV} must be an int, got {raw!r}") from None
+
+
 def _trial_rows(fn, cfg: ExperimentConfig) -> list[dict]:
     """Rows of ``fn((cfg, trial))`` over every trial, optionally in a process pool."""
     jobs = [(cfg, trial) for trial in range(cfg.trials)]
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
+    workers = worker_count()
     if workers <= 1 or len(jobs) <= 1:
         chunks = [fn(job) for job in jobs]
     else:
+        # imported here: it pulls in multiprocessing, which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(fn, jobs))
     return [row for chunk in chunks for row in chunk]

@@ -12,8 +12,8 @@ power; padded rows/columns are dropped again on the way back.  Block scales
 are always recomputed on the transformed weights (the transform changes the
 dynamic range, which is its entire purpose).
 
-Each transform is applied as one dense product with its own matrix, which
-the butterfly :func:`fwht` builds once per transform and caches.
+Each transform is one dense product with its matrix, built once by the
+butterfly :func:`fwht` and cached; a model's blocks run theirs inline.
 """
 
 from __future__ import annotations
@@ -204,13 +204,18 @@ class ModelIncoherence(Identity):
         if w.shape != (self.n_params,):
             raise ValueError(f"weights must have length {self.n_params}, got {w.shape}")
         out = np.empty(self.n_q)
-        for name, a, b, shape, left, right, qa, qb in self.blocks:
+        for _, a, b, shape, left, right, qa, qb in self.blocks:
             if left is None:
                 out[qa:qb] = w[a:b]
-            else:
-                padded = np.zeros((left.dim, right.dim))
-                padded[:shape[0], :shape[1]] = w[a:b].reshape(shape)
-                out[qa:qb] = rht_apply(right, rht_apply(left, padded, axis=0), axis=1).ravel()
+                continue
+            # rht_apply along axis 0, then along axis 1: the same products with the
+            # same operand layouts, so the same bits (the BLAS picks its kernel by both)
+            block = w[a:b].reshape(shape)
+            if shape != (left.dim, right.dim):
+                block = np.zeros((left.dim, right.dim))
+                block[:shape[0], :shape[1]] = w[a:b].reshape(shape)
+            np.matmul((block.T @ left.matrix().T).T, right.matrix().T,
+                      out=out[qa:qb].reshape(left.dim, right.dim))
         return out
 
     def from_q(self, q: Array) -> Array:
@@ -218,12 +223,13 @@ class ModelIncoherence(Identity):
         if q.shape != (self.n_q,):
             raise ValueError(f"q vectors must have length {self.n_q}, got {q.shape}")
         out = np.empty(self.n_params)
-        for name, a, b, shape, left, right, qa, qb in self.blocks:
+        for _, a, b, shape, left, right, qa, qb in self.blocks:
             if left is None:
                 out[a:b] = q[qa:qb]
-            else:
-                back = rht_inverse(left, q[qa:qb].reshape(left.dim, right.dim), axis=0)
-                out[a:b] = rht_inverse(right, back, axis=1)[:shape[0], :shape[1]].ravel()
+                continue
+            # rht_inverse along axis 0, then along axis 1, as in to_q
+            back = (q[qa:qb].reshape(left.dim, right.dim).T @ left.matrix()).T @ right.matrix()
+            out[a:b] = back[:shape[0], :shape[1]].ravel()
         return out
 
     # the conjugation is linear, so gradients transport exactly like weights

@@ -182,11 +182,11 @@ def _log_softmax(logits: Array) -> Array:
 def _forward(model: ToyModel, prefixes: Array) -> dict:
     """``acts`` holds the flattened embeddings, then each hidden layer's output.
 
-    ``prefixes`` is (rows, context), or a stack (k, rows, context) whose
-    slices come out bit-identical to k separate calls: ``@`` multiplies each
-    slice by the same weight views, one product per slice.  Flattening the
-    stack into one (k * rows)-row product would round differently.  Biases
-    are added to each product in place, which rounds as a separate ``+``.
+    ``prefixes`` is (rows, context), or a stack (..., rows, context) whose
+    slices come out bit-identical to separate calls, one product per slice.
+    A row's bits depend on how many rows share its product, not on which:
+    the BLAS picks its kernel by shape (OpenBLAS 0.3.31 rounds 1, 2–32 and
+    48 rows three ways).  Biases are added in place, rounding as a ``+``.
     ``views`` holds the model's weight views for the backward passes.
     """
     v = model.views()
@@ -299,27 +299,30 @@ def forward_next_token(model: ToyModel, prefix) -> Array:
 def sample_sequences(model: ToyModel, count: int, length: int = 8, seed: int = 0) -> SampleBatch:
     """Autoregressively sample token sequences from the model itself."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xDA7A]))
-    return SampleBatch(sequences=_sample_tokens(model, rng.random((length, count))))
+    return SampleBatch(sequences=_sample_tokens(model, rng.random((length, count)))[0])
 
 
-def _sample_tokens(model: ToyModel, uniforms: Array) -> Array:
-    """Sample sequences of ``length`` tokens by inverse CDF.
+def _sample_tokens(model: ToyModel, uniforms: Array) -> tuple[Array, Array, Array, Array]:
+    """Sample sequences by inverse CDF: tokens, prefix windows and the model's scores.
 
-    ``uniforms`` has shape (length, count), or (length, k, count) for k
-    stacked batches, and the tokens come out (count, length) or (k, count,
-    length): ``uniforms[i]`` drives position i of every sequence.  A sequence
-    depends only on its own uniforms, and a stacked batch runs through
-    :func:`_forward` as one slice of a stack, so its tokens equal a separate
-    call's bit for bit.
+    ``uniforms`` is (length, *lead), lead (count,) or (k, count) for k stacked
+    batches; ``uniforms[i]`` drives position i.  Returns (*lead, length)
+    tokens and per position its window (the prefix :meth:`SampleBatch.rows`
+    builds, as tokens are clipped as written; both view one buffer) and the
+    model's log-probs and probs.  A stacked batch is a slice of each
+    :func:`_forward`, so it equals a separate call bit for bit.
     """
     arch = model.arch
     length = uniforms.shape[0]
     buf = np.full((*uniforms.shape[1:], arch.context + length), arch.pad_id, dtype=np.int64)
+    logp, p = np.empty((2, *uniforms.shape[1:], length, arch.vocab))
     for i in range(length):
         cache = _forward(model, buf[..., i:i + arch.context])
-        buf[..., arch.context + i] = (cache["p"].cumsum(axis=-1)
-                                      < uniforms[i][..., None]).sum(axis=-1)
-    return np.clip(buf[..., arch.context:], 0, arch.vocab - 1)
+        logp[..., i, :], p[..., i, :] = cache["logp"], cache["p"]
+        drawn = (cache["p"].cumsum(axis=-1) < uniforms[i][..., None]).sum(axis=-1)
+        np.minimum(drawn, arch.vocab - 1, out=buf[..., arch.context + i])
+    windows = np.lib.stride_tricks.sliding_window_view(buf[..., :-1], arch.context, axis=-1)
+    return buf[..., arch.context:], windows, logp, p
 
 
 def _check_data_mix(share: float) -> None:
@@ -328,11 +331,11 @@ def _check_data_mix(share: float) -> None:
         raise ValueError("data_mix must lie in [0, 1]")
 
 
-def _swap_uniform(tokens: Array, share: float, vocab: int, rng: np.random.Generator):
-    """Swap a ``share`` of the sequences in ``tokens`` (..., length) for uniform ones, in place."""
-    if share > 0:
-        swap = rng.random(tokens.shape[:-1]) < share
-        tokens[swap] = rng.integers(0, vocab, size=(int(swap.sum()), tokens.shape[-1]))
+def _swap_uniform(tokens: Array, share: float, vocab: int, rng: np.random.Generator) -> Array:
+    """Swap a ``share`` of the (..., length) ``tokens`` for uniform ones in place; return a mask."""
+    swap = rng.random(tokens.shape[:-1]) < share if share > 0 else np.zeros(tokens.shape[:-1], bool)
+    tokens[swap] = rng.integers(0, vocab, size=(int(swap.sum()), tokens.shape[-1]))  # none at 0
+    return swap
 
 
 def _ce_head(model: ToyModel, prefixes: Array, targets: Array) -> tuple[dict, Array, Array]:

@@ -12,7 +12,11 @@ which is checked against Gram-Schmidt on its own.  The doubling walk draws
 its Gaussians differently, so it is a reference for the step law in
 distribution.  The block walk takes the same draws in the same order and
 differs in round-off only, so it agrees with the library's walk to a
-tolerance until round-off flips a freeze.  The rounder chains at the end
+tolerance until round-off flips a freeze.  The calibration stream's
+earlier path samples in products of ``batch_size`` rows and scores the
+teacher with a second, stacked forward of ``batch_size * seq_length``-row
+products, where the library keeps its sampler's own scores from products of
+that second shape; it pins them to the last bit.  The rounder chains at the end
 are the if/elif dispatch that ``quantize_model`` and the first-order study
 ran before both read ``pipeline.ROUNDERS``; they call the same rounders,
 so they pin the table's seeds and wiring byte for byte.
@@ -139,8 +143,8 @@ def per_position_sample(model, count: int, length: int, rng) -> np.ndarray:
         pad = np.full((count, arch.context - window.shape[1]), arch.pad_id, dtype=np.int64)
         cache = _forward(model, np.concatenate([pad, window], axis=1))
         u = rng.random(count)
-        seqs[:, i] = (cache["p"].cumsum(axis=1) < u[:, None]).sum(axis=1)
-    np.clip(seqs, 0, arch.vocab - 1, out=seqs)
+        seqs[:, i] = np.minimum((cache["p"].cumsum(axis=1) < u[:, None]).sum(axis=1),
+                                arch.vocab - 1)
     return seqs
 
 
@@ -151,16 +155,55 @@ def per_step_teacher_stream(teacher, cfg, steps: int) -> list[np.ndarray]:
             for _ in range(steps)]
 
 
+_TEACHER_STACK = 32  # steps per stacked teacher forward in :func:`kl_inputs`
+
+
+def teacher_chunks(teacher, cfg, mix: float = 0.0):
+    """The DiscQuant calibration stream as sequences: ``(batch, k)`` per chunk.
+
+    A chunk holds up to ``STREAM_CHUNK`` steps' ``batch_size`` sequences, step
+    by step, from the library's uniforms, sampled as a (steps, batch_size)
+    stack and mixed.
+    """
+    from discq.discquant import STREAM_CHUNK
+    from discq.toymodel import SampleBatch, _sample_tokens, _swap_uniform
+
+    rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 0x57E4]))
+    size, length = cfg.batch_size, cfg.seq_length
+    for start in range(0, cfg.iterations, STREAM_CHUNK):
+        k = min(STREAM_CHUNK, cfg.iterations - start)
+        tokens = _sample_tokens(teacher, rng.random((k, length, size)).transpose(1, 0, 2))[0]
+        _swap_uniform(tokens, mix, teacher.arch.vocab, rng)
+        yield SampleBatch(sequences=tokens.reshape(k * size, length)), k
+
+
+def kl_inputs(teacher, batches):
+    """Per step: prefixes and the teacher's log-probs and probs from a second forward.
+
+    ``batches`` yields ``(batch, k)``, a batch holding k steps' rows in step
+    order and in equal shares.  One ``rows`` call serves all k steps, and the
+    teacher's forward runs on stacks of up to ``_TEACHER_STACK`` steps, shaped
+    (steps, rows, ·), so each step's slices equal what ``kl_term`` computes
+    from that step's own batch.
+    """
+    from discq.toymodel import _forward
+
+    for batch, k in batches:
+        prefixes = batch.rows(teacher.arch)[0].reshape(k, -1, teacher.arch.context)
+        for stack in np.split(prefixes, range(_TEACHER_STACK, k, _TEACHER_STACK)):
+            cache = _forward(teacher, stack)
+            yield from zip(stack, cache["logp"], cache["p"])
+
+
 def _teacher_stream(teacher, cfg, mix: float = 0.0):
     """The DiscQuant calibration stream, one ``SampleBatch`` per step.
 
-    It splits the library's presampled chunks, so it checks how they are
+    It splits the chunks of :func:`teacher_chunks`, so it checks how they are
     consumed, not how they are sampled.
     """
-    from discq.discquant import _teacher_chunks
     from discq.toymodel import SampleBatch
 
-    for chunk, k in _teacher_chunks(teacher, cfg, mix):
+    for chunk, k in teacher_chunks(teacher, cfg, mix):
         yield from map(SampleBatch, np.split(chunk.sequences, k))
 
 

@@ -8,8 +8,7 @@ import pytest
 
 from discq import discquant
 from discq.discquant import (STREAM_CHUNK, DiscQuantConfig, NonFiniteObjective,
-                             _kl_inputs, _teacher_chunks, cstar, finalize, init_x,
-                             optimize)
+                             _teacher_chunks, cstar, finalize, init_x, optimize)
 from discq.incoherence import ModelIncoherence
 from discq.grid import bracket_of, build_block_scaling, explicit_grid, rtn
 from discq.optim import warmup_cosine_lr
@@ -18,7 +17,8 @@ from discq.serialize import child_seed as _child_seed
 from discq.toymodel import (SampleBatch, ToyArch, _forward, _sample_tokens, kl_term,
                             random_model, sample_sequences)
 
-from oracles import _teacher_stream, chain_quantize_model, per_step_teacher_stream
+from oracles import (_teacher_stream, chain_quantize_model, kl_inputs, per_step_teacher_stream,
+                     teacher_chunks)
 
 
 class TestCstar:
@@ -103,29 +103,72 @@ class TestTeacherStream:
         teacher = random_model(arch, seed=30 + seed)
         cfg = DiscQuantConfig(iterations=iterations, warmup=1, batch_size=3,
                               seq_length=7, seed=seed)
-        batches = list(_teacher_stream(teacher, cfg))
+        steps = list(_teacher_chunks(teacher, cfg))
         reference = per_step_teacher_stream(teacher, cfg, iterations)
-        assert len(batches) == iterations
-        for batch, seqs in zip(batches, reference):
-            np.testing.assert_array_equal(batch.sequences, seqs)
+        assert len(steps) == iterations
+        for (prefixes, _, _), seqs in zip(steps, reference):
+            assert prefixes.tobytes() == SampleBatch(seqs).rows(arch)[0].tobytes()
 
     def test_full_mix_chunks_differ_from_unmixed(self):
         teacher = random_model(seed=33)
         cfg = DiscQuantConfig(iterations=STREAM_CHUNK + 5, warmup=1, batch_size=3, seed=2)
         plain = list(_teacher_chunks(teacher, cfg))
         mixed = list(_teacher_chunks(teacher, cfg, 1.0))
-        assert [k for _, k in mixed] == [k for _, k in plain]
-        for (got, _), (ref, _) in zip(mixed, plain):
-            assert got.sequences.shape == ref.sequences.shape
-            assert np.all((got.sequences >= 0) & (got.sequences < teacher.arch.vocab))
-            assert np.any(np.all(got.sequences != ref.sequences, axis=1))
+        assert len(mixed) == len(plain)
+        arch, size, length = teacher.arch, cfg.batch_size, cfg.seq_length
+
+        def tokens(steps):
+            # a sequence's tokens but its last, read off its prefixes' last column
+            return np.stack([prefixes.reshape(size, length, arch.context)[:, 1:, -1]
+                             for prefixes, *_ in steps])
+
+        got, ref = tokens(mixed), tokens(plain)
+        assert np.all((got >= 0) & (got < arch.vocab))
+        for chunk in range(0, cfg.iterations, STREAM_CHUNK):
+            steps = slice(chunk, chunk + STREAM_CHUNK)
+            assert np.any(np.all(got[steps] != ref[steps], axis=-1))
 
     def test_zero_mix_draws_nothing_extra(self):
         teacher = random_model(seed=34)
         cfg = DiscQuantConfig(iterations=2 * STREAM_CHUNK + 3, warmup=1, batch_size=2, seed=3)
-        for (got, _), (ref, _) in zip(_teacher_chunks(teacher, cfg, 0.0),
-                                      _teacher_chunks(teacher, cfg)):
-            np.testing.assert_array_equal(got.sequences, ref.sequences)
+        for got, ref in zip(_teacher_chunks(teacher, cfg, 0.0), _teacher_chunks(teacher, cfg)):
+            for a, b in zip(got, ref):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("mix", [0.0, 0.25])
+    @pytest.mark.parametrize("arch", [ToyArch(), ToyArch(layers=2), ToyArch(hidden=64)],
+                             ids=["one", "two", "wide"])
+    @pytest.mark.parametrize("batch_size", [1, 3, 4, 5])
+    def test_stream_equals_stacked_teacher_oracle(self, batch_size, arch, mix):
+        # the oracle samples in products of batch_size rows and scores in products
+        # of batch_size * seq_length; the two round apart at batch 1, at 5 and on
+        # the wide arch, so these pin that the stream scores in the second shape
+        teacher = random_model(arch, seed=40 + batch_size)
+        cfg = DiscQuantConfig(iterations=STREAM_CHUNK + 45, warmup=1, batch_size=batch_size,
+                              seed=batch_size)  # a partial last chunk
+        steps = list(_teacher_chunks(teacher, cfg, mix))
+        oracle = list(kl_inputs(teacher, teacher_chunks(teacher, cfg, mix)))
+        assert len(steps) == len(oracle) == cfg.iterations
+        for got, ref in zip(steps, oracle):
+            for a, b in zip(got, ref):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_tokens_clipped_as_written(self):
+        # a uniform above the last cumulative probability draws the count vocab,
+        # the pad id; later positions must be drawn after the clipped token
+        for seed in range(20):
+            teacher = random_model(seed=seed)
+            arch = teacher.arch
+            uniforms = np.random.default_rng(seed).random((6, 4))
+            uniforms[:2] = 1 - 2.0 ** -53
+            tokens, windows, logp, p = _sample_tokens(teacher, uniforms)
+            prefixes = SampleBatch(tokens).rows(arch)[0].reshape(4, 6, arch.context)
+            assert windows.tobytes() == prefixes.tobytes()
+            step = _forward(teacher, prefixes)
+            assert logp.tobytes() == step["logp"].tobytes()
+            assert p.tobytes() == step["p"].tobytes()
+            drawn = (step["p"].cumsum(axis=-1) < uniforms.T[..., None]).sum(axis=-1)
+            assert tokens.tobytes() == np.minimum(drawn, arch.vocab - 1).tobytes()
 
 
 def cdf_boundary_uniforms(model, length: int, count: int, seed: int) -> np.ndarray:
@@ -149,20 +192,21 @@ class TestStackedSampler:
         teacher = random_model(arch, seed=70)
         steps = [cdf_boundary_uniforms(teacher, 7, 4, seed) for seed in range(32)]
         stacked = _sample_tokens(teacher, np.stack(steps, axis=1))
-        assert stacked.shape == (32, 4, 7)
-        for got, uniforms in zip(stacked, steps):
-            np.testing.assert_array_equal(got, _sample_tokens(teacher, uniforms))
+        assert stacked[0].shape == (32, 4, 7)
+        for j, uniforms in enumerate(steps):
+            for got, ref in zip(stacked, _sample_tokens(teacher, uniforms)):
+                assert got[j].tobytes() == ref.tobytes()
 
 
 class TestTeacherCache:
     @pytest.mark.parametrize("arch", [ToyArch(), ToyArch(layers=2)])
-    @pytest.mark.parametrize("batch_size", [1, 3, 4])
+    @pytest.mark.parametrize("batch_size", [1, 3, 4, 5])
     def test_stacked_teacher_equals_per_step_forward(self, arch, batch_size):
         teacher = random_model(arch, seed=50 + batch_size)
         iterations = STREAM_CHUNK + 45  # a partial last chunk and stack
         cfg = DiscQuantConfig(iterations=iterations, warmup=1, batch_size=batch_size,
                               seed=batch_size)
-        cached = list(_kl_inputs(teacher, _teacher_chunks(teacher, cfg)))
+        cached = list(_teacher_chunks(teacher, cfg))
         batches = list(_teacher_stream(teacher, cfg))
         assert len(cached) == len(batches) == iterations
         for (prefixes, logp, p), batch in zip(cached, batches):
@@ -181,12 +225,34 @@ class TestTeacherCache:
         grid = build_block_scaling(wq, bits=3, groupsize=16)
         cfg = DiscQuantConfig(iterations=STREAM_CHUNK + 9, warmup=8, batch_size=3, seed=8)
         cached = optimize(teacher, grid, cfg, transform=transform)
-        stream = [(SampleBatch(s), 1)
-                  for s in per_step_teacher_stream(teacher, cfg, cfg.iterations)]
+        stream = list(kl_inputs(teacher, [
+            (SampleBatch(s), 1) for s in per_step_teacher_stream(teacher, cfg, cfg.iterations)]))
         monkeypatch.setattr(discquant, "_teacher_chunks", lambda *args: iter(stream))
         fed = optimize(teacher, grid, cfg, transform=transform)
         for name in ("x", "trace_kl", "trace_linear", "quantized"):
             assert getattr(cached, name).tobytes() == getattr(fed, name).tobytes(), name
+
+    @pytest.mark.parametrize("mix", [0.0, 0.25])
+    @pytest.mark.parametrize("incoherent", [False, True], ids=["identity", "incoherent"])
+    @pytest.mark.parametrize("arch", [ToyArch(), ToyArch(layers=2)])
+    @pytest.mark.parametrize("batch_size", [1, 3, 4, 5])
+    def test_reports_equal_oracle_fed_reports(self, batch_size, arch, incoherent, mix,
+                                              monkeypatch):
+        teacher = random_model(arch, seed=61)
+        transform = ModelIncoherence(arch, seed=5) if incoherent else None
+        wq = transform.to_q(teacher.params) if incoherent else teacher.params
+        grid = build_block_scaling(wq, bits=3, groupsize=16)
+        cfg = DiscQuantConfig(iterations=STREAM_CHUNK + 9, warmup=8, batch_size=batch_size,
+                              seed=9)  # a partial last chunk
+        heldout = sample_sequences(teacher, 16, seed=62)
+        got = optimize(teacher, grid, cfg, heldout, transform, mix)
+        stream = list(kl_inputs(teacher, teacher_chunks(teacher, cfg, mix)))
+        monkeypatch.setattr(discquant, "_teacher_chunks", lambda *args: iter(stream))
+        ref = optimize(teacher, grid, cfg, heldout, transform, mix)
+        for name in ("x", "trace_kl", "trace_linear", "trace_fractional", "quantized",
+                     "model_params"):
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert got.heldout_kl == ref.heldout_kl
 
 
 class TestOptimize:
@@ -318,7 +384,7 @@ class TestPipelineCount:
         blocks = [(a, b) for a, b, _ in teacher.arch.layout().values()]
         grid = build_block_scaling(teacher.params, bits=3, groupsize=16, blocks=blocks)
         cfg = dataclasses.replace(cfg, seed=_child_seed(5, 0xD9))
-        stream = [(batch, 1) for batch in _teacher_stream(teacher, cfg, 0.25)]
+        stream = list(kl_inputs(teacher, [(b, 1) for b in _teacher_stream(teacher, cfg, 0.25)]))
         with monkeypatch.context() as patch:
             patch.setattr(discquant, "_teacher_chunks", lambda *args: iter(stream))
             rep = optimize(teacher, grid, cfg)

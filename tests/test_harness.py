@@ -1,6 +1,10 @@
 """Experiment configs, runners, deterministic emission, and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +182,21 @@ class TestComparison:
         monkeypatch.setenv("DQ_WORKERS", "2")
         parallel = run_comparison(cfg).rows
         assert sequential == parallel
+
+    def test_workers_not_an_int_named_in_python_runs(self, monkeypatch):
+        # run_experiment raised "invalid literal for int() with base 10: 'abc'"
+        monkeypatch.setenv("DQ_WORKERS", "abc")
+        with pytest.raises(ValueError, match="DQ_WORKERS must be an int, got 'abc'"):
+            run_experiment(tiny_comparison(methods=("rtn",)))
+
+    def test_import_leaves_process_pool_out(self):
+        import discq
+
+        src = str(Path(discq.__file__).resolve().parents[1])
+        code = "import sys, discq; print('concurrent.futures.process' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert out.stdout.strip() == "False"
 
     @staticmethod
     def walk_rows(**over):

@@ -231,6 +231,21 @@ class TestModelIncoherence:
         np.testing.assert_array_equal(tr.from_q(q), layerwise_from_q(tr, q))
         np.testing.assert_array_equal(tr.grad_to_q(w), layerwise_to_q(tr, w))
 
+    @pytest.mark.parametrize("arch", [
+        ToyArch(hidden=8, emb=4), ToyArch(vocab=12, context=3, hidden=20, layers=2),
+        ToyArch(vocab=32, hidden=64, emb=5), ToyArch(hidden=100, layers=2)],
+        ids=["small", "odd", "wide", "deep"])
+    def test_transport_matches_layerwise_on_padded_shapes(self, arch):
+        # both sides of some blocks pad here; products cropped to the block's
+        # shape would drop only zero terms, yet on "deep" they round differently
+        for seed in range(4):
+            tr = ModelIncoherence(arch, seed=seed)
+            rng = np.random.default_rng(seed)
+            w = random_model(arch, seed=seed).params
+            assert tr.to_q(w).tobytes() == layerwise_to_q(tr, w).tobytes()
+            q = rng.standard_normal(tr.n_q)
+            assert tr.from_q(q).tobytes() == layerwise_from_q(tr, q).tobytes()
+
     @pytest.mark.parametrize("arch", [ToyArch(), ToyArch(layers=2)])
     def test_wrong_length_rejected(self, arch):
         tr = ModelIncoherence(arch, seed=3)
