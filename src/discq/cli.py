@@ -18,7 +18,7 @@ from .harness import ExperimentConfig, ScalingParams, emit, run_experiment, work
 from .incoherence import ModelIncoherence
 from .lmwalk import ConstraintSet, WalkConfig, lm_round
 from .pipeline import METHODS, quantize_model
-from .serialize import dump_record, floats_to_hex
+from .serialize import NONNEGATIVE, dump_record, floats_to_hex
 from .speclab import (SpectrumSpec, falpha_scaling_study, generalization_study,
                       jl_spectrum)
 from .toymodel import (ToyArch, gradient_rows, load_checkpoint, random_model,
@@ -27,6 +27,14 @@ from .toymodel import (ToyArch, gradient_rows, load_checkpoint, random_model,
 
 def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok]
+
+
+def _seed(text: str) -> int:
+    """The value of a ``--seed`` flag: an int in the bound every seed field declares."""
+    seed = int(text)
+    if seed not in NONNEGATIVE:
+        raise argparse.ArgumentTypeError(f"must be {NONNEGATIVE.text}, got {seed}")
+    return seed
 
 
 def _config(cls, args):
@@ -59,11 +67,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_walk(args) -> int:
+    cfg = _config(WalkConfig, args)
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0x11]))
     matrix = rng.standard_normal((args.m, args.n))
     y = rng.random(args.n)
     cs = ConstraintSet(matrix, y)
-    result = lm_round(cs, _config(WalkConfig, args))
+    result = lm_round(cs, cfg)
     record = {
         "n": args.n, "m": args.m, "seed": args.seed,
         "fractional": result.fractional,
@@ -155,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
                        argument_default=argparse.SUPPRESS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--delta", type=float)
     p.add_argument("--eps", type=float)
     p.add_argument("--steps", dest="steps_per_phase", metavar="STEPS", type=int)
@@ -170,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", type=int, default=ScalingParams.estimator_n)
     q.add_argument("--m-grid", type=_int_list, default=ScalingParams.estimator_m_grid)
     q.add_argument("--trials", type=int, default=ScalingParams.estimator_trials)
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=_seed, default=0)
     q.add_argument("--out", required=True)
     q.set_defaults(fn=_cmd_speclab)
     q = ssub.add_parser("gen", help="rounding generalization scaling")
@@ -179,14 +188,14 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--m-grid", type=_int_list, default=ScalingParams.gen_m_grid)
     q.add_argument("--trials", type=int, default=ScalingParams.gen_trials)
     q.add_argument("--delta", type=float, default=ScalingParams.walk.delta)
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=_seed, default=0)
     q.add_argument("--out", required=True)
     q.set_defaults(fn=_cmd_speclab)
     q = ssub.add_parser("jl", help="projected gradient spectrum of a checkpoint")
     q.add_argument("--ckpt", required=True)
     q.add_argument("--d", type=int, default=64)
     q.add_argument("--samples", type=int, default=128)
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=_seed, default=0)
     q.add_argument("--out", required=True)
     q.set_defaults(fn=_cmd_speclab)
 
@@ -200,17 +209,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", dest="iterations", metavar="ITERS", type=int)
     p.add_argument("--warmup", type=int)
     p.add_argument("--clamp", type=float)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--teacher", default=None, help="checkpoint path (default: seeded)")
     p.add_argument("--heldout", type=int, default=256)
     p.add_argument("--incoherence", choices=("on", "off"), default="off")
-    p.add_argument("--incoh-seed", type=int, default=0)
+    p.add_argument("--incoh-seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_quantize)
 
     p = sub.add_parser("teacher", help="write a seeded teacher checkpoint",
                        argument_default=argparse.SUPPRESS)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--vocab", type=int)
     p.add_argument("--context", type=int)
     p.add_argument("--hidden", type=int)

@@ -35,15 +35,16 @@ student's forward and backward.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Annotated, Literal
 
 import numpy as np
 
 from .grid import Bracket, QuantGrid, bracket_of, nearer_up
 from .incoherence import Identity
 from .optim import AdamW, warmup_cosine_lr
-from .serialize import _check_fields
+from .serialize import (AT_LEAST_1, BELOW_HALF, FINITE_NONNEGATIVE, FINITE_POSITIVE,
+                        NONNEGATIVE, POSITIVE, _check_fields)
 from .toymodel import (SampleBatch, ToyModel, _check_data_mix, _forward, _kl_core,
                        _sample_tokens, _swap_uniform, kl_term)
 
@@ -58,42 +59,23 @@ STREAM_CHUNK = 128  # steps of the default stream sampled per pass
 
 @dataclass(frozen=True)
 class DiscQuantConfig:
-    lam: float = 200.0
-    lr: float = 0.1
-    batch_size: int = 4
-    iterations: int = 1024
-    warmup: int = 128
-    clamp: float = 1.0
-    tau: float = 1e-3  # integrality reporting threshold, not an algorithm knob
-    lambda_on: str = "kl"
-    init: str = "uniform-random"
-    seq_length: int = 8
-    weight_decay: float = 0.0
-    seed: int = 0
+    lam: Annotated[float, FINITE_NONNEGATIVE] = 200.0
+    lr: Annotated[float, FINITE_POSITIVE] = 0.1
+    batch_size: Annotated[int, AT_LEAST_1] = 4
+    iterations: Annotated[int, AT_LEAST_1] = 1024
+    warmup: Annotated[int, NONNEGATIVE] = 128
+    clamp: Annotated[float, POSITIVE] = 1.0  # inf means no clamp
+    tau: Annotated[float, BELOW_HALF] = 1e-3  # integrality report threshold, not a knob
+    lambda_on: Literal["linear", "kl"] = "kl"
+    init: Literal["uniform-random", "original-weights"] = "uniform-random"
+    seq_length: Annotated[int, AT_LEAST_1] = 8
+    weight_decay: Annotated[float, FINITE_NONNEGATIVE] = 0.0
+    seed: Annotated[int, NONNEGATIVE] = 0
 
     def __post_init__(self):
         _check_fields(self)
-        # written so that NaN fails every bound; clamp = inf means no clamp
-        if not 0 <= self.lam < math.inf:
-            raise ValueError("lam must be finite and nonnegative")
-        if not 0 < self.lr < math.inf:
-            raise ValueError("lr must be finite and positive")
-        if not self.clamp > 0:
-            raise ValueError("clamp must be positive")
-        if not 0 <= self.weight_decay < math.inf:
-            raise ValueError("weight_decay must be finite and nonnegative")
-        if self.batch_size < 1 or self.iterations < 1:
-            raise ValueError("batch_size and iterations must be >= 1")
-        if self.seq_length < 1:
-            raise ValueError("seq_length must be >= 1")
-        if not 0 <= self.warmup <= self.iterations:
-            raise ValueError("need 0 <= warmup <= iterations")
-        if not 0 < self.tau < 0.5:
-            raise ValueError("tau must lie in (0, 1/2)")
-        if self.lambda_on not in ("linear", "kl"):
-            raise ValueError("lambda_on must be 'linear' or 'kl'")
-        if self.init not in ("uniform-random", "original-weights"):
-            raise ValueError("init must be 'uniform-random' or 'original-weights'")
+        if self.warmup > self.iterations:
+            raise ValueError("need warmup <= iterations")
 
 
 @dataclass

@@ -14,6 +14,7 @@ import dataclasses
 import os
 import time
 from dataclasses import dataclass
+from typing import Annotated, Literal
 
 import numpy as np
 
@@ -22,11 +23,11 @@ from .discquant import DiscQuantConfig
 from .incoherence import Identity, ModelIncoherence
 from .lmwalk import WalkConfig
 from .pipeline import _MODEL_WALK, METHODS, ROUNDERS, quantize_model
-from .serialize import _check_arms, _check_fields, _json_value, child_seed, dump_record
+from .serialize import (AT_LEAST_1, AT_LEAST_2, NONNEGATIVE, UNIT_INTERVAL, _check_arms,
+                        _check_fields, _json_value, _type_hints, child_seed, dump_record)
 from .speclab import (SpectrumSpec, _check_falpha_args, _check_generalization_args,
                       falpha_scaling_study, generalization_study)
-from .toymodel import (ToyArch, _check_data_mix, first_order_study, random_model,
-                       sample_sequences)
+from .toymodel import ToyArch, first_order_study, random_model, sample_sequences
 from .grid import PER_TENSOR, explicit_grid, groupsize_of
 
 SCHEMA_VERSION = 1
@@ -35,15 +36,17 @@ WORKERS_ENV = "DQ_WORKERS"
 
 @dataclass(frozen=True)
 class ComparisonParams:
-    bits_levels: tuple[int, ...] = (2, 3, 4)
+    bits_levels: tuple[Annotated[int, AT_LEAST_2], ...] = (2, 3, 4)
     groupsize: int | str | None = 16  # "per-tensor" is stored as None
-    methods: tuple[str, ...] = ("rtn", "discquant")
-    heldout: int = 256
-    seq_length: int = 8  # held-out length; calibration uses discquant.seq_length
-    walk_samples: int = 48
+    methods: tuple[Literal[METHODS], ...] = ("rtn", "discquant")
+    heldout: Annotated[int, AT_LEAST_1] = 256
+    # held-out length; calibration uses discquant.seq_length
+    seq_length: Annotated[int, AT_LEAST_1] = 8
+    walk_samples: Annotated[int, AT_LEAST_1] = 48
     incoherence: bool = False
-    incoh_seed: int = 0
-    data_mix: float = 0.0  # share of calibration sequences drawn uniformly at random
+    incoh_seed: Annotated[int, NONNEGATIVE] = 0
+    # share of calibration sequences drawn uniformly at random
+    data_mix: Annotated[float, UNIT_INTERVAL] = 0.0
     arch: ToyArch = ToyArch()
     discquant: DiscQuantConfig = DiscQuantConfig()
     walk: WalkConfig = _MODEL_WALK
@@ -51,43 +54,25 @@ class ComparisonParams:
     def __post_init__(self):
         object.__setattr__(self, "groupsize", groupsize_of(self.groupsize))
         _check_fields(self)
-        if not self.bits_levels or any(b < 2 for b in self.bits_levels):
-            raise ValueError("bits levels must all be >= 2")
         _check_arms("params.bits_levels", self.bits_levels)
         _check_arms("params.methods", self.methods)
-        bad = set(self.methods) - set(METHODS)
-        if bad:
-            raise ValueError(f"unknown methods {sorted(bad)}")
-        if self.heldout < 1:
-            raise ValueError("heldout batch must be nonempty")
-        for name in ("seq_length", "walk_samples"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        _check_data_mix(self.data_mix)
 
 
 @dataclass(frozen=True)
 class FirstOrderParams:
     deltas: tuple[float, ...] = (0.08, 0.04, 0.02)
-    sequences: int = 24
-    seq_length: int = 8
-    methods: tuple[str, ...] = ("rtn",)
+    sequences: Annotated[int, AT_LEAST_2] = 24
+    seq_length: Annotated[int, AT_LEAST_1] = 8
+    methods: tuple[Literal["rtn", "discquant"], ...] = ("rtn",)
     include_zero_arm: bool = False
     arch: ToyArch = ToyArch()
 
     def __post_init__(self):
         _check_fields(self)
-        if not self.deltas or any(not 0 < d < np.inf for d in self.deltas):
-            raise ValueError("grid spacings must be positive")
-        if any(b >= a for a, b in zip(self.deltas, self.deltas[1:])):
-            raise ValueError("list spacings from coarsest to finest")
-        if self.sequences < 2:
-            raise ValueError("need at least 2 sequences")
-        if self.seq_length < 1:
-            raise ValueError("seq_length must be >= 1")
-        bad = set(self.methods) - {"rtn", "discquant"}
-        if bad:
-            raise ValueError(f"unknown methods {sorted(bad)}")
+        # each spacing positive and finer than the one before it, the first finite
+        coarser = (np.inf, *self.deltas)
+        if not self.deltas or not all(0 < b < a for a, b in zip(coarser, self.deltas)):
+            raise ValueError("grid spacings must be positive and finite, listed coarsest first")
         _check_arms("params.methods", self.arms)
 
     @property
@@ -123,30 +108,24 @@ class ScalingParams:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    experiment: str
-    seed: int = 0
-    trials: int = 8
+    experiment: Literal[tuple(EXPERIMENTS)]
+    seed: Annotated[int, NONNEGATIVE] = 0
+    trials: Annotated[int, AT_LEAST_1] = 8
     outdir: str | None = None  # default output directory for emitted reports
-    params: ComparisonParams | FirstOrderParams | ScalingParams = None
+    params: ComparisonParams | FirstOrderParams | ScalingParams | None = None
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ValueError(f"experiment must be one of {tuple(EXPERIMENTS)}")
-        expected = EXPERIMENTS[self.experiment][0]
-        params = self.params if self.params is not None else expected()
-        if not isinstance(params, expected):
-            raise ValueError(f"params must be a {expected.__name__}")
-        object.__setattr__(self, "params", params)
         _check_fields(self)
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        expected = EXPERIMENTS[self.experiment][0]
+        object.__setattr__(self, "params", expected() if self.params is None else self.params)
+        if not isinstance(self.params, expected):
+            raise ValueError(f"params must be a {expected.__name__}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         raw = dict(raw)
-        experiment = raw.pop("experiment", None)
-        if experiment not in EXPERIMENTS:
-            raise ValueError(f"config key 'experiment' must be one of {tuple(EXPERIMENTS)}")
+        experiment = _json_value("experiment", raw.pop("experiment", None),
+                                 _type_hints(cls)["experiment"])
         unknown = set(raw) - {"seed", "trials", "outdir", "params"}
         if unknown:
             raise ValueError(f"unknown config keys {sorted(unknown)}")

@@ -64,10 +64,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
-from .serialize import _check_fields
+from .serialize import AT_LEAST_1, FINITE_POSITIVE, NONNEGATIVE, _check_fields
 
 Array = np.ndarray
 
@@ -138,28 +139,20 @@ class ConstraintSet:
 class WalkConfig:
     """Step size, face band, per-phase step budget, and phase budget."""
 
-    delta: float = 0.02
-    eps: float | None = None  # defaults to delta
-    steps_per_phase: int | None = None  # defaults to ceil(4 / delta^2)
-    max_phases: int = 200
-    seed: int = 0
+    delta: Annotated[float, FINITE_POSITIVE] = 0.02
+    eps: Annotated[float | None, FINITE_POSITIVE] = None  # defaults to delta
+    steps_per_phase: Annotated[int | None, AT_LEAST_1] = None  # defaults to ceil(4 / delta^2)
+    max_phases: Annotated[int, AT_LEAST_1] = 200
+    seed: Annotated[int, NONNEGATIVE] = 0
 
     def __post_init__(self):
         _check_fields(self)
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-        eps = self.delta if self.eps is None else self.eps
-        if not 0 < eps <= self.delta:
-            raise ValueError("need 0 < eps <= delta")
-        object.__setattr__(self, "eps", eps)
-        steps = self.steps_per_phase
-        if steps is None:
-            steps = int(np.ceil(4.0 / self.delta ** 2))
-        object.__setattr__(self, "steps_per_phase", steps)
-        if steps < 1:
-            raise ValueError("steps_per_phase must be >= 1")
-        if self.max_phases < 1:
-            raise ValueError("max_phases must be >= 1")
+        if self.eps is None:
+            object.__setattr__(self, "eps", self.delta)
+        elif self.eps > self.delta:
+            raise ValueError("need eps <= delta")
+        if self.steps_per_phase is None:
+            object.__setattr__(self, "steps_per_phase", int(np.ceil(4.0 / self.delta ** 2)))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Hex-float records: bit-exact (de)serialization helpers shared by the
-package, the type check every config class runs on its fields, and the
-counter-mode child-seed derivation every module uses."""
+package, the type and value check every config class runs on its fields,
+and the counter-mode child-seed derivation every module uses."""
 
 from __future__ import annotations
 
@@ -8,14 +8,43 @@ import contextlib
 import dataclasses
 import functools
 import json
+import math
 import typing
 
 import numpy as np
 
-# the values a field of each declared scalar type takes, besides int (see _check_int)
-_TYPES = {float: (int, float, np.integer, np.floating), bool: bool, str: str,
-          type(None): type(None)}
-_type_hints = functools.cache(typing.get_type_hints)
+# each declared scalar type: its name in an error, and the values a field of it takes
+_TYPES = {int: ("an int", (int, np.integer)),
+          float: ("a float", (int, float, np.integer, np.floating)),
+          bool: ("a bool", bool), str: ("a str", str), type(None): ("None", type(None))}
+_type_hints = functools.cache(functools.partial(typing.get_type_hints, include_extras=True))
+
+
+@dataclasses.dataclass(frozen=True)
+class Bound:
+    """The range a numeric field declares as ``Annotated[T, bound]``: from ``lo`` to
+    ``hi``, each end included when ``lo_in`` (``hi_in``) says so.  NaN lies outside."""
+
+    text: str  # completes "<field> must be ..."
+    lo: float
+    hi: float = math.inf
+    lo_in: bool = True
+    hi_in: bool = False
+
+    def __contains__(self, value) -> bool:
+        return ((self.lo <= value if self.lo_in else self.lo < value)
+                and (value <= self.hi if self.hi_in else value < self.hi))
+
+
+NONNEGATIVE = Bound("nonnegative", 0)  # ints: seeds, warmup
+AT_LEAST_1 = Bound(">= 1", 1)
+AT_LEAST_2 = Bound(">= 2", 2)
+FINITE_NONNEGATIVE = Bound("finite and nonnegative", 0)
+FINITE_POSITIVE = Bound("finite and positive", 0, lo_in=False)
+POSITIVE = Bound("positive", 0, lo_in=False, hi_in=True)  # infinity included
+ABOVE_1 = Bound("finite and > 1", 1, lo_in=False)
+BELOW_HALF = Bound("in (0, 1/2)", 0, 0.5, lo_in=False)
+UNIT_INTERVAL = Bound("in [0, 1]", 0, 1, hi_in=True)
 
 
 def floats_to_hex(values) -> list[str]:
@@ -44,19 +73,39 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, indent=2, allow_nan=False)
 
 
-def _check_int(key: str, value) -> None:
-    """Raise ``ValueError`` naming ``key`` unless ``value`` is an int (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{key!r} must be an int, got {value!r}")
+def _check_value(key: str, value, allowed) -> None:
+    """Raise ``ValueError`` naming ``key`` unless ``value`` is None or ``allowed`` allows it."""
+    if allowed is not None and value is not None and value not in allowed:
+        what = allowed.text if isinstance(allowed, Bound) else f"one of {allowed}"
+        raise ValueError(f"{key} must be {what}, got {value!r}")
+
+
+def _split(hint):
+    """``hint`` as (the type a value must have, the values it may take): (T, bound)
+    for ``Annotated[T, bound]``, (type(a), (a, b)) for ``Literal[a, b]``, else (hint, None)."""
+    origin = typing.get_origin(hint)
+    if origin is typing.Annotated:
+        return hint.__origin__, hint.__metadata__[0]
+    if origin is typing.Literal:
+        return type(hint.__args__[0]), hint.__args__
+    return hint, None
+
+
+@functools.cache
+def _fields(cls) -> tuple:
+    """(name, type, allowed values) of each field of the config class ``cls``."""
+    return tuple((name, *_split(hint)) for name, hint in _type_hints(cls).items())
 
 
 def _check_fields(config) -> None:
-    """Check each field of the config dataclass ``config`` against its declared
-    type, and store the value in that type's form (see :func:`_json_value`)."""
-    for name, hint in _type_hints(type(config)).items():
+    """Check each field of the config dataclass ``config`` against its declared type,
+    bound or choices, and store the value in that type's form (see :func:`_json_value`)."""
+    for name, kind, allowed in _fields(type(config)):
         value = getattr(config, name)
-        if type(value) is not hint:
-            object.__setattr__(config, name, _json_value(name, value, hint))
+        if type(value) is not kind:
+            value = _json_value(name, value, kind)
+            object.__setattr__(config, name, value)
+        _check_value(name, value, allowed)
 
 
 def _json_value(key: str, value, hint):
@@ -66,8 +115,14 @@ def _json_value(key: str, value, hint):
     ``float`` a float and a numpy int for ``int`` an int; only a bool fits
     ``bool``.  A config class takes an instance, or an object (a dict) it is
     built from field by field; a union takes what its first fitting member
-    takes.  A mismatch or an unknown object key raises ``ValueError`` naming ``key``.
+    takes; it must then lie in what an ``Annotated`` bound or a ``Literal`` allows.
+    A mismatch or an unknown object key raises ``ValueError`` naming ``key``.
     """
+    kind, allowed = _split(hint)
+    if allowed is not None:
+        value = _json_value(key, value, kind)
+        _check_value(key, value, allowed)
+        return value
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)):
@@ -88,10 +143,9 @@ def _json_value(key: str, value, hint):
             raise ValueError(f"unknown config keys {sorted(f'{key}.{k}' for k in unknown)}")
         return hint(**{k: _json_value(f"{key}.{k}", v, _type_hints(hint)[k])
                        for k, v in value.items()})
-    if hint is int:
-        _check_int(key, value)
-    elif isinstance(value, bool) != (hint is bool) or not isinstance(value, _TYPES[hint]):
-        raise ValueError(f"{key!r} must be a {hint.__name__}, got {value!r}")
+    what, types = _TYPES[hint]
+    if isinstance(value, bool) != (hint is bool) or not isinstance(value, types):
+        raise ValueError(f"{key!r} must be {what}, got {value!r}")
     return None if value is None else hint(value)
 
 

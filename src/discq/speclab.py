@@ -10,39 +10,30 @@ moment ratios, which is what the estimator-error rates require.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Annotated, Literal
 
 import numpy as np
 
 from .lmwalk import ConstraintSet, WalkConfig, lm_round
-from .serialize import _check_fields, child_seed
+from .serialize import (ABOVE_1, AT_LEAST_1, FINITE_POSITIVE, NONNEGATIVE, _check_fields,
+                        child_seed)
 
 Array = np.ndarray
-
-FAMILIES = ("gaussian", "scaled-rademacher")
-BASES = ("axis-aligned", "random-orthogonal")
 
 
 @dataclass(frozen=True)
 class SpectrumSpec:
     """Power-law covariance profile: eigenvalue k is lam1 / k^alpha."""
 
-    n: int
-    alpha: float
-    lam1: float = 1.0
-    basis: str = "axis-aligned"
-    basis_seed: int = 0
-    family: str = "gaussian"
+    n: Annotated[int, AT_LEAST_1]
+    alpha: Annotated[float, ABOVE_1]
+    lam1: Annotated[float, FINITE_POSITIVE] = 1.0
+    basis: Literal["axis-aligned", "random-orthogonal"] = "axis-aligned"
+    basis_seed: Annotated[int, NONNEGATIVE] = 0
+    family: Literal["gaussian", "scaled-rademacher"] = "gaussian"
 
     def __post_init__(self):
         _check_fields(self)
-        if self.n < 1 or not 0 < self.lam1 < np.inf:  # NaN fails both
-            raise ValueError("need n >= 1 and a finite lam1 > 0")
-        if not 1 < self.alpha < np.inf:
-            raise ValueError("alpha must be finite and exceed 1")
-        if self.basis not in BASES:
-            raise ValueError(f"basis must be one of {BASES}")
-        if self.family not in FAMILIES:
-            raise ValueError(f"family must be one of {FAMILIES}")
 
     def eigenvalues(self) -> Array:
         return self.lam1 / np.arange(1, self.n + 1, dtype=np.float64) ** self.alpha

@@ -18,13 +18,14 @@ from __future__ import annotations
 import functools
 from dataclasses import asdict, dataclass, field
 from types import MappingProxyType
-from typing import Mapping
+from typing import Annotated, Literal, Mapping
 
 import numpy as np
 
 from .grid import QuantGrid, bracket_of
 from .optim import AdamW
-from .serialize import _check_fields, dump_record, floats_to_hex, hex_to_floats, load_record
+from .serialize import (AT_LEAST_1, AT_LEAST_2, UNIT_INTERVAL, _check_fields, _check_value,
+                        dump_record, floats_to_hex, hex_to_floats, load_record)
 
 Array = np.ndarray
 
@@ -37,18 +38,14 @@ _HIDDEN = (("w1", "b1"), ("w2", "b2"))
 class ToyArch:
     """Architecture hyperparameters. ``layers`` counts hidden tanh layers."""
 
-    vocab: int = 16
-    context: int = 4
-    hidden: int = 32
-    layers: int = 1
-    emb: int = 8
+    vocab: Annotated[int, AT_LEAST_2] = 16
+    context: Annotated[int, AT_LEAST_1] = 4
+    hidden: Annotated[int, AT_LEAST_1] = 32
+    layers: Literal[1, 2] = 1
+    emb: Annotated[int, AT_LEAST_1] = 8
 
     def __post_init__(self):
         _check_fields(self)
-        if self.vocab < 2 or self.context < 1 or self.hidden < 1 or self.emb < 1:
-            raise ValueError("arch sizes must be positive (vocab >= 2)")
-        if self.layers not in (1, 2):
-            raise ValueError("layers must be 1 or 2")
 
     @property
     def pad_id(self) -> int:
@@ -326,9 +323,9 @@ def _sample_tokens(model: ToyModel, uniforms: Array) -> tuple[Array, Array, Arra
 
 
 def _check_data_mix(share: float) -> None:
-    """The share of calibration sequences :func:`_swap_uniform` swaps must lie in [0, 1]."""
-    if not 0.0 <= share <= 1.0:
-        raise ValueError("data_mix must lie in [0, 1]")
+    """The share of calibration sequences :func:`_swap_uniform` swaps must lie
+    in [0, 1], the bound ``ComparisonParams.data_mix`` declares."""
+    _check_value("data_mix", share, UNIT_INTERVAL)
 
 
 def _swap_uniform(tokens: Array, share: float, vocab: int, rng: np.random.Generator) -> Array:

@@ -7,10 +7,11 @@ refactor that drops or moves one of those names, flags or config keys would
 otherwise fail only in ``bench/selftest.py``, or when a demo or a README
 example is run by hand.
 
-The last guard walks the config classes' type hints: every field, a field
+The last guards walk the config classes' type hints: every field, a field
 added later included, must reject a value of the wrong type with a
 ``ValueError`` naming it, whether the config is built in Python or loaded
-from a ``dq run`` config.
+from a ``dq run`` config.  So must every field that declares a range or
+choices beside its type, for a value just outside them.
 """
 
 import ast
@@ -18,6 +19,7 @@ import dataclasses
 import importlib
 import importlib.util
 import json
+import math
 import re
 import shlex
 import typing
@@ -27,6 +29,7 @@ import pytest
 
 from discq.cli import build_parser
 from discq.harness import EXPERIMENTS, ExperimentConfig
+from discq.serialize import NONNEGATIVE, Bound
 from discq.speclab import SpectrumSpec
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -209,4 +212,89 @@ def test_every_config_key_is_type_checked(experiment, key, hint):
     for part in reversed(key.split(".")):
         raw = {part: raw}
     with pytest.raises(ValueError, match=re.escape(f"'{key}{suffix}'")):
+        ExperimentConfig.from_dict({"experiment": experiment, **raw})
+
+
+# The value guard walks the same fields with their declared bounds and choices
+# (``Annotated[T, Bound]``, ``Literal[...]``): a value just outside each one, and
+# NaN for a float field, must raise a ``ValueError`` naming the field.
+
+def _outside(hint):
+    """(value, error key suffix) for each value just outside the bound or
+    choices ``hint`` declares; none for a hint that declares neither."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is tuple:
+        return [([value], "[0]" + suffix) for value, suffix in _outside(args[0])]
+    if origin is typing.Literal:
+        return [("unlisted" if isinstance(args[0], str) else max(args) + 1, "")]
+    if origin is not typing.Annotated:
+        return []
+    kind, bound = args
+    assert isinstance(bound, Bound), hint
+    if int in (typing.get_args(kind) or (kind,)):
+        below, above = bound.lo - 1, bound.hi + 1
+        values = []
+    else:
+        lo, hi = float(bound.lo), float(bound.hi)
+        below, above = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        values = [math.nan] + ([math.inf] if bound.hi == math.inf and not bound.hi_in else [])
+    if bound.lo > -math.inf:
+        values.append(below if bound.lo_in else type(below)(bound.lo))
+    if bound.hi < math.inf:
+        values.append(above if bound.hi_in else type(above)(bound.hi))
+    return [(value, "") for value in values]
+
+
+def _declared(cls, name):
+    """The annotation of field ``name`` of ``cls``, its bound or choices kept."""
+    return typing.get_type_hints(cls, include_extras=True)[name]
+
+
+def _owner(experiment, key):
+    """The config class whose field the dotted ``key`` of a ``dq run`` config sets,
+    and the field's name."""
+    *path, name = key.split(".")
+    cls = ExperimentConfig
+    for part in path:
+        cls = EXPERIMENTS[experiment][0] if part == "params" else typing.get_type_hints(cls)[part]
+    return cls, name
+
+
+_PYTHON_OUTSIDE = [(cls, name, value, suffix) for cls, name, _ in _python_fields()
+                   for value, suffix in _outside(_declared(cls, name))]
+_JSON_OUTSIDE = [(experiment, key, value, suffix) for experiment, key, _ in _json_fields()
+                 for value, suffix in _outside(_declared(*_owner(experiment, key)))]
+
+
+def test_value_guards_cover_declared_fields():
+    covered = {(cls.__name__, name) for cls, name, *_ in _PYTHON_OUTSIDE}
+    assert {("ExperimentConfig", "seed"), ("SpectrumSpec", "alpha"), ("ToyArch", "layers"),
+            ("ComparisonParams", "methods"), ("WalkConfig", "delta")} <= covered
+    assert {key for _, key, *_ in _JSON_OUTSIDE} >= {"seed", "params.discquant.tau",
+                                                      "params.walk.eps", "params.data_mix"}
+
+
+@pytest.mark.parametrize("cls, name, hint", [
+    pytest.param(cls, name, hint, id=f"{cls.__name__}.{name}")
+    for cls, name, hint in _python_fields() if name.endswith("seed")])
+def test_every_seed_field_is_nonnegative(cls, name, hint):
+    assert _declared(cls, name) == typing.Annotated[int, NONNEGATIVE]
+
+
+@pytest.mark.parametrize("cls, name, value, suffix", [
+    pytest.param(*case, id=f"{case[0].__name__}.{case[1]}={case[2]!r}")
+    for case in _PYTHON_OUTSIDE])
+def test_every_config_field_is_value_checked(cls, name, value, suffix):
+    """A field added later gets its value check from its annotation alone."""
+    with pytest.raises(ValueError, match=re.escape(f"{name}{suffix} must be")):
+        cls(**{**_REQUIRED.get(cls, {}), name: value})
+
+
+@pytest.mark.parametrize("experiment, key, value, suffix", [
+    pytest.param(*case, id=f"{case[0]}:{case[1]}={case[2]!r}") for case in _JSON_OUTSIDE])
+def test_every_config_key_is_value_checked(experiment, key, value, suffix):
+    raw = value
+    for part in reversed(key.split(".")):
+        raw = {part: raw}
+    with pytest.raises(ValueError, match=re.escape(f"{key}{suffix} must be")):
         ExperimentConfig.from_dict({"experiment": experiment, **raw})

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ from discq.harness import (ComparisonParams, ExperimentConfig, FirstOrderParams,
                            run_scaling)
 from discq.harness import _config_echo, _first_order_trial
 from discq.lmwalk import WalkConfig
-from discq.serialize import load_record
+from discq.serialize import _json_value, load_record
 from discq.speclab import SpectrumSpec
 from discq.toymodel import ToyArch
 
@@ -399,6 +400,24 @@ class TestCli:
             cli_main(["quantize", "--bits", "3", "--lr", "nan", "--out", str(rep)])
         assert not rep.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["walk", "--n", "64", "--m", "2", "--seed", "-1"],
+        ["teacher", "--seed", "-1"],
+        ["quantize", "--bits", "3", "--seed", "-1"],
+        ["quantize", "--bits", "3", "--incoh-seed", "-1"],
+        ["speclab", "falpha", "--alpha", "2.5", "--seed", "-1"],
+        ["speclab", "gen", "--alpha", "2.0", "--seed", "-1"],
+        ["speclab", "jl", "--ckpt", "teacher.json", "--seed", "-1"],
+    ], ids=["walk", "teacher", "quantize", "quantize-incoh", "falpha", "gen", "jl"])
+    def test_negative_seed_rejected_before_any_work(self, argv, tmp_path, capsys):
+        # numpy raised "expected non-negative integer", naming no flag
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as caught:
+            cli_main(argv + ["--out", str(out)])
+        assert caught.value.code == 2
+        assert f"argument {argv[-2]}: must be nonnegative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_command_exit_codes(self, tmp_path):
         cfg = {"experiment": "comparison", "seed": 1, "trials": 1,
                "params": {"bits_levels": [3], "methods": ["rtn"], "heldout": 8,
@@ -508,6 +527,40 @@ class TestConfigErrors:
         cfg = ExperimentConfig.from_dict({"experiment": "scaling",
                                           "params": {"walk": {"delta": 0.1}}})
         assert cfg.params.walk == WalkConfig(delta=0.1)
+
+
+class TestNegativeSeeds:
+    """A negative seed fails at load, naming its field.  It used to load, and
+    numpy then raised "expected non-negative integer", naming none; the
+    experiment seed and incoh_seed raised it outside the per-row try, so the
+    whole comparison run died."""
+
+    @pytest.mark.parametrize("build, key", [
+        (lambda: ExperimentConfig(experiment="comparison", seed=-1), "seed"),
+        (lambda: DiscQuantConfig(seed=-1), "seed"),
+        (lambda: WalkConfig(seed=-1), "seed"),
+        (lambda: SpectrumSpec(n=8, alpha=2.0, basis_seed=-1), "basis_seed"),
+        (lambda: ComparisonParams(incoh_seed=-1), "incoh_seed"),
+    ], ids=["experiment", "discquant", "walk", "spectrum", "incoh"])
+    def test_from_python(self, build, key):
+        with pytest.raises(ValueError, match=f"^{key} must be nonnegative, got -1"):
+            build()
+
+    @pytest.mark.parametrize("raw, key", [
+        ({"seed": -1}, "seed"),
+        ({"params": {"discquant": {"seed": -1}}}, "params.discquant.seed"),
+        ({"params": {"walk": {"seed": -1}}}, "params.walk.seed"),
+        ({"params": {"incoh_seed": -1}}, "params.incoh_seed"),
+    ], ids=["experiment", "discquant", "walk", "incoh"])
+    def test_from_json(self, raw, key):
+        with pytest.raises(ValueError, match=re.escape(f"{key} must be nonnegative, got -1")):
+            ExperimentConfig.from_dict({"experiment": "comparison", **raw})
+
+    def test_spectrum_from_json(self):
+        # no dq run config sets basis_seed; a JSON object goes through the same checker
+        raw = json.loads('{"n": 8, "alpha": 2.0, "basis_seed": -1}')
+        with pytest.raises(ValueError, match=re.escape("spec.basis_seed must be nonnegative")):
+            _json_value("spec", raw, SpectrumSpec)
 
 
 class TestPythonBuiltConfigs:

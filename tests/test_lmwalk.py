@@ -503,6 +503,12 @@ class TestDeterminism:
             WalkConfig(steps_per_phase=0)
         assert WalkConfig(delta=0.1).steps_per_phase == 400
 
+    @pytest.mark.parametrize("delta", [float("inf"), float("nan")], ids=["inf", "nan"])
+    def test_nonfinite_delta_names_delta(self, delta):
+        # inf failed as "steps_per_phase must be >= 1", NaN as "need 0 < eps <= delta"
+        with pytest.raises(ValueError, match="^delta must be finite and positive"):
+            WalkConfig(delta=delta)
+
     @pytest.mark.parametrize("field, value", [
         ("max_phases", 2.5), ("max_phases", True), ("max_phases", 3.0),
         ("steps_per_phase", 2.5), ("steps_per_phase", False),
