@@ -18,7 +18,7 @@ from .harness import ExperimentConfig, ScalingParams, emit, run_experiment, work
 from .incoherence import ModelIncoherence
 from .lmwalk import ConstraintSet, WalkConfig, lm_round
 from .pipeline import METHODS, quantize_model
-from .serialize import NONNEGATIVE, dump_record, floats_to_hex
+from .serialize import AT_LEAST_1, NONNEGATIVE, Bound, dump_record, floats_to_hex
 from .speclab import (SpectrumSpec, falpha_scaling_study, generalization_study,
                       jl_spectrum)
 from .toymodel import (ToyArch, gradient_rows, load_checkpoint, random_model,
@@ -29,12 +29,19 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok]
 
 
-def _seed(text: str) -> int:
-    """The value of a ``--seed`` flag: an int in the bound every seed field declares."""
-    seed = int(text)
-    if seed not in NONNEGATIVE:
-        raise argparse.ArgumentTypeError(f"must be {NONNEGATIVE.text}, got {seed}")
-    return seed
+def _int_in(bound: Bound):
+    """An argparse ``type``: an int that ``bound`` holds, so a flag given a value
+    outside it exits naming the flag, before any work."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value not in bound:
+            raise argparse.ArgumentTypeError(f"must be {bound.text}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse's "invalid int value" for a non-int
+    return parse
+
+
+_seed, _count = _int_in(NONNEGATIVE), _int_in(AT_LEAST_1)
 
 
 def _config(cls, args):
@@ -162,8 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     # field its dest names, and only when it is given (see _config)
     p = sub.add_parser("walk", help="round a random constrained instance",
                        argument_default=argparse.SUPPRESS)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
+    p.add_argument("--m", type=_count, required=True)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--delta", type=float)
     p.add_argument("--eps", type=float)
@@ -176,25 +183,25 @@ def build_parser() -> argparse.ArgumentParser:
     ssub = p.add_subparsers(dest="study", required=True)
     q = ssub.add_parser("falpha", help="covariance estimator error rate")
     q.add_argument("--alpha", type=float, required=True)
-    q.add_argument("--n", type=int, default=ScalingParams.estimator_n)
+    q.add_argument("--n", type=_count, default=ScalingParams.estimator_n)
     q.add_argument("--m-grid", type=_int_list, default=ScalingParams.estimator_m_grid)
-    q.add_argument("--trials", type=int, default=ScalingParams.estimator_trials)
+    q.add_argument("--trials", type=_count, default=ScalingParams.estimator_trials)
     q.add_argument("--seed", type=_seed, default=0)
     q.add_argument("--out", required=True)
     q.set_defaults(fn=_cmd_speclab)
     q = ssub.add_parser("gen", help="rounding generalization scaling")
     q.add_argument("--alpha", type=float, required=True)
-    q.add_argument("--n", type=int, default=ScalingParams.gen_n)
+    q.add_argument("--n", type=_count, default=ScalingParams.gen_n)
     q.add_argument("--m-grid", type=_int_list, default=ScalingParams.gen_m_grid)
-    q.add_argument("--trials", type=int, default=ScalingParams.gen_trials)
+    q.add_argument("--trials", type=_count, default=ScalingParams.gen_trials)
     q.add_argument("--delta", type=float, default=ScalingParams.walk.delta)
     q.add_argument("--seed", type=_seed, default=0)
     q.add_argument("--out", required=True)
     q.set_defaults(fn=_cmd_speclab)
     q = ssub.add_parser("jl", help="projected gradient spectrum of a checkpoint")
     q.add_argument("--ckpt", required=True)
-    q.add_argument("--d", type=int, default=64)
-    q.add_argument("--samples", type=int, default=128)
+    q.add_argument("--d", type=_count, default=64)
+    q.add_argument("--samples", type=_count, default=128)
     q.add_argument("--seed", type=_seed, default=0)
     q.add_argument("--out", required=True)
     q.set_defaults(fn=_cmd_speclab)
@@ -211,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clamp", type=float)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--teacher", default=None, help="checkpoint path (default: seeded)")
-    p.add_argument("--heldout", type=int, default=256)
+    p.add_argument("--heldout", type=_count, default=256)
     p.add_argument("--incoherence", choices=("on", "off"), default="off")
     p.add_argument("--incoh-seed", type=_seed, default=0)
     p.add_argument("--out", required=True)

@@ -54,10 +54,18 @@ definition above:
   either way.  Only round-off differs (a one-row product rounds unlike an
   eight-row one), and the walk is chaotic in it: a y moved by 1e-15 gives
   another rounding after a few hundred freezes.
-* A single freeze moves the last free coordinate into the frozen one's slot
-  (free set, basis, position and carried rows alike, each in place); the
-  downdate reads the frozen column before the move.  Several at once go
-  through boolean masks and a refresh.
+* That one row is screened as a vector (step ``s = delta * g``, end
+  ``s + xf``), and a hit lands it from ``xf`` with that ``s``.  Its bits are
+  a ``(1, f)`` screen's: numpy multiplies a one-row matrix and a vector by a
+  matrix through the same BLAS vector product, and the ``(1, 1)`` partial
+  sum is ``delta * g`` but for the sign of a zero step (``xf ± 0`` is ``xf``).
+* A single freeze (every freeze on the benchmark's walks) writes x and the
+  frozen flags at the landed index and moves the last free coordinate into
+  its slot (free set, basis, position and carried rows alike, each in
+  place); ``_KeptProjector.drop_one`` reads the frozen column for the
+  downdate before the move.  Several at once go through boolean masks and
+  a refresh (``drop``); an index does on one entry what a mask of one does,
+  so the bits match.
 """
 
 from __future__ import annotations
@@ -68,7 +76,7 @@ from typing import Annotated
 
 import numpy as np
 
-from .serialize import AT_LEAST_1, FINITE_POSITIVE, NONNEGATIVE, _check_fields
+from .serialize import AT_LEAST_1, FINITE_POSITIVE, NONNEGATIVE, POSITIVE_AT_MOST_1, _check_fields
 
 Array = np.ndarray
 
@@ -139,7 +147,7 @@ class ConstraintSet:
 class WalkConfig:
     """Step size, face band, per-phase step budget, and phase budget."""
 
-    delta: Annotated[float, FINITE_POSITIVE] = 0.02
+    delta: Annotated[float, POSITIVE_AT_MOST_1] = 0.02
     eps: Annotated[float | None, FINITE_POSITIVE] = None  # defaults to delta
     steps_per_phase: Annotated[int | None, AT_LEAST_1] = None  # defaults to ceil(4 / delta^2)
     max_phases: Annotated[int, AT_LEAST_1] = 200
@@ -229,17 +237,25 @@ class _KeptProjector:
         return g - ((g @ self.basis.T) @ self._k) @ self.basis
 
     def drop(self, gone):
-        """Freeze the free coordinate at index ``gone``, or those a boolean mask selects."""
+        """Freeze the free coordinate at index ``gone`` (through :meth:`drop_one`), or
+        those a boolean mask selects, which refreshes the basis."""
         if not isinstance(gone, int) and np.count_nonzero(gone) == 1:
             gone = int(np.flatnonzero(gone)[0])
+        if isinstance(gone, int):
+            return self.drop_one(gone)
+        self.free, self.basis = _without(self.free, gone), _without(self.basis, gone)
+        self._refresh()
+
+    def drop_one(self, j: int):
+        """Freeze the free coordinate at index ``j``, moving the last one into its slot;
+        ``K`` follows by a Sherman–Morrison downdate unless a refresh is due."""
         # u = K b is taken before the last column moves into b's slot
         den = 0.0
-        if (isinstance(gone, int) and self._downdates < _REFRESH_EVERY
-                and self.free.size > 2 * self.basis.shape[0] + 1):
-            b = self.basis[:, gone]
+        if self._downdates < _REFRESH_EVERY and self.free.size > 2 * self.basis.shape[0] + 1:
+            b = self.basis[:, j]
             u = self._k @ b
             den = 1.0 - float(b @ u)
-        self.free, self.basis = _without(self.free, gone), _without(self.basis, gone)
+        self.free, self.basis = _without(self.free, j), _without(self.basis, j)
         if den > _DOWNDATE_FLOOR:
             u /= math.sqrt(den)
             self._k += u[:, None] * u
@@ -267,21 +283,29 @@ def _run_phase(m_unit: Array, x: Array, frozen: Array, cfg: WalkConfig,
         while steps_left > 0:
             if not raw.size:
                 raw = rng.standard_normal((min(_BLOCK, steps_left), free.size))
-            g = proj.project(raw[:screen])
-            rows = len(g)
-            path = partial_sums[:rows, :rows] @ g + xf
             # the first row that moves a coordinate toward a face it ends
             # within eps of (or beyond); a coordinate with g == 0 never counts
-            hits = ((path - 0.5) * g > band * np.abs(g)).any(axis=1)
-            k = int(hits.argmax())
-            if not hits[k]:
-                xf = path[-1]
-                steps_left -= rows
-                raw, screen = raw[rows:], _BLOCK
-                continue
+            if screen == 1:  # the row after a freeze, as a vector (module notes)
+                g = proj.project(raw[0])
+                s = delta * g
+                k, cur, path = 0, xf, s + xf
+                if not ((path - 0.5) * g > band * np.abs(g)).any():
+                    xf, steps_left, raw, screen = path, steps_left - 1, raw[1:], _BLOCK
+                    continue
+            else:
+                g = proj.project(raw[:screen])
+                rows = len(g)
+                path = partial_sums[:rows, :rows] @ g + xf
+                hits = ((path - 0.5) * g > band * np.abs(g)).any(axis=1)
+                k = int(hits.argmax())
+                if not hits[k]:
+                    xf = path[-1]
+                    steps_left -= rows
+                    raw, screen = raw[rows:], _BLOCK
+                    continue
+                cur, s = (path[k - 1] if k else xf), delta * g[k]
             # shorten (or minimally extend) step k so that the first
             # coordinate to reach a face lands on it; |±0| / 0 is inf
-            cur, s = (path[k - 1] if k else xf), delta * g[k]
             t_face = np.abs(((s > 0) - cur) / s)
             j = int(t_face.argmin())
             on_face = t_face == t_face[j]
@@ -289,8 +313,8 @@ def _run_phase(m_unit: Array, x: Array, frozen: Array, cfg: WalkConfig,
             steps_left -= k + 1
             raw, screen = raw[k + 1:], 1
             gone = j if np.count_nonzero(on_face) == 1 else on_face
-            x[free[gone]] = s[gone] > 0
-            frozen[free[gone]] = True
+            i = free[gone]  # a scalar when one lands
+            x[i], frozen[i] = s[gone] > 0, True
             xf, raw = _without(xf, gone), _without(raw, gone)
             proj.drop(gone)
             free = proj.free

@@ -41,6 +41,7 @@ AT_LEAST_1 = Bound(">= 1", 1)
 AT_LEAST_2 = Bound(">= 2", 2)
 FINITE_NONNEGATIVE = Bound("finite and nonnegative", 0)
 FINITE_POSITIVE = Bound("finite and positive", 0, lo_in=False)
+POSITIVE_AT_MOST_1 = Bound("finite and positive, at most 1", 0, 1, lo_in=False, hi_in=True)
 POSITIVE = Bound("positive", 0, lo_in=False, hi_in=True)  # infinity included
 ABOVE_1 = Bound("finite and > 1", 1, lo_in=False)
 BELOW_HALF = Bound("in (0, 1/2)", 0, 0.5, lo_in=False)

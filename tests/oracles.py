@@ -7,12 +7,15 @@ with the paths it verifies, except the last group: earlier, loop-based
 implementations of vectorized paths, kept as bit-exact references.  They
 reuse the library's forward pass and transforms because the paths they pin
 must agree with them to the last bit, not to a tolerance.  The earlier walk
-phases are the exception, and both reuse the library's kept projector,
+phases are the exception, and all three reuse the library's kept projector,
 which is checked against Gram-Schmidt on its own.  The doubling walk draws
 its Gaussians differently, so it is a reference for the step law in
 distribution.  The block walk takes the same draws in the same order and
 differs in round-off only, so it agrees with the library's walk to a
-tolerance until round-off flips a freeze.  The calibration stream's
+tolerance until round-off flips a freeze.  The reference walk phase
+screens the row after a freeze as a one-row matrix, where the library's
+walk takes it as a vector; the products are the same, so it agrees with
+the library's walk to the last bit.  The calibration stream's
 earlier path samples in products of ``batch_size`` rows and scores the
 teacher with a second, stacked forward of ``batch_size * seq_length``-row
 products, where the library keeps its sampler's own scores from products of
@@ -387,6 +390,58 @@ def block_walk_phase(m_unit: np.ndarray, x: np.ndarray, frozen: np.ndarray,
     x[free] = xf
     return x, frozen
 
+
+def reference_walk_phase(m_unit: np.ndarray, x: np.ndarray, frozen: np.ndarray,
+                         cfg, rng: np.random.Generator):
+    """``lmwalk._run_phase`` as it was before the row after a freeze was screened
+    as a vector: every screen projects a ``(rows, f)`` block, takes the partial
+    sums by matmul and picks the hit row by ``argmax``.  The same draws through
+    the same products, so it pins the library's walk to the last bit.  Returns a
+    ``PhaseResult``."""
+    from discq.lmwalk import _BLOCK, _TRIL, PhaseResult, _KeptProjector, _without
+
+    x = x.copy()
+    frozen = frozen | (x == 0.0) | (x == 1.0)
+    start_frozen = int(frozen.sum())
+    free = np.flatnonzero(~frozen)
+    proj = _KeptProjector(m_unit, free)
+    if proj.saturated:
+        return PhaseResult(x, frozen, True, 0)
+    xf = x[free]
+    delta, band, steps_left = cfg.delta, 0.5 - cfg.eps, cfg.steps_per_phase
+    partial_sums = delta * _TRIL
+    raw, screen = xf[None, :0], _BLOCK
+    with np.errstate(divide="ignore"):
+        while steps_left > 0:
+            if not raw.size:
+                raw = rng.standard_normal((min(_BLOCK, steps_left), free.size))
+            g = proj.project(raw[:screen])
+            rows = len(g)
+            path = partial_sums[:rows, :rows] @ g + xf
+            hits = ((path - 0.5) * g > band * np.abs(g)).any(axis=1)
+            k = int(hits.argmax())
+            if not hits[k]:
+                xf = path[-1]
+                steps_left -= rows
+                raw, screen = raw[rows:], _BLOCK
+                continue
+            cur, s = (path[k - 1] if k else xf), delta * g[k]
+            t_face = np.abs(((s > 0) - cur) / s)
+            j = int(t_face.argmin())
+            on_face = t_face == t_face[j]
+            xf = cur + t_face[j] * s
+            steps_left -= k + 1
+            raw, screen = raw[k + 1:], 1
+            gone = j if np.count_nonzero(on_face) == 1 else on_face
+            x[free[gone]] = s[gone] > 0
+            frozen[free[gone]] = True
+            xf, raw = _without(xf, gone), _without(raw, gone)
+            proj.drop(gone)
+            free = proj.free
+            if proj.saturated:
+                break
+    x[free] = xf
+    return PhaseResult(x, frozen, False, int(frozen.sum()) - start_frozen)
 
 def allocating_forward(model, prefixes: np.ndarray) -> dict:
     """The toy forward pass with every bias add and ``tanh`` in a new array."""

@@ -217,7 +217,8 @@ def test_every_config_key_is_type_checked(experiment, key, hint):
 
 # The value guard walks the same fields with their declared bounds and choices
 # (``Annotated[T, Bound]``, ``Literal[...]``): a value just outside each one, and
-# NaN for a float field, must raise a ``ValueError`` naming the field.
+# NaN (and infinity, unless the bound holds it) for a float field, must raise a
+# ``ValueError`` naming the field.
 
 def _outside(hint):
     """(value, error key suffix) for each value just outside the bound or
@@ -237,7 +238,7 @@ def _outside(hint):
     else:
         lo, hi = float(bound.lo), float(bound.hi)
         below, above = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
-        values = [math.nan] + ([math.inf] if bound.hi == math.inf and not bound.hi_in else [])
+        values = [math.nan] + ([] if math.inf in bound else [math.inf])
     if bound.lo > -math.inf:
         values.append(below if bound.lo_in else type(below)(bound.lo))
     if bound.hi < math.inf:

@@ -418,6 +418,28 @@ class TestCli:
         assert f"argument {argv[-2]}: must be nonnegative, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["walk", "--n", "0", "--m", "1"], "--n"),
+        (["walk", "--n", "64", "--m", "0"], "--m"),
+        (["quantize", "--bits", "3", "--heldout", "0"], "--heldout"),
+        (["speclab", "jl", "--ckpt", "teacher.json", "--samples", "0"], "--samples"),
+        (["speclab", "jl", "--ckpt", "teacher.json", "--d", "0"], "--d"),
+        (["speclab", "falpha", "--alpha", "2.5", "--n", "0"], "--n"),
+        (["speclab", "falpha", "--alpha", "2.5", "--trials", "0"], "--trials"),
+        (["speclab", "gen", "--alpha", "2.0", "--n", "0"], "--n"),
+        (["speclab", "gen", "--alpha", "2.0", "--trials", "0"], "--trials"),
+    ], ids=["walk-n", "walk-m", "quantize-heldout", "jl-samples", "jl-d", "falpha-n",
+            "falpha-trials", "gen-n", "gen-trials"])
+    def test_zero_count_rejected_before_any_work(self, argv, flag, tmp_path, capsys):
+        # --heldout 0 and --samples 0 died in a numpy reshape, walk --n 0 blamed
+        # "at least one constraint row": none named the flag
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as caught:
+            cli_main(argv + ["--out", str(out)])
+        assert caught.value.code == 2
+        assert f"argument {flag}: must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_command_exit_codes(self, tmp_path):
         cfg = {"experiment": "comparison", "seed": 1, "trials": 1,
                "params": {"bits_levels": [3], "methods": ["rtn"], "heldout": 8,

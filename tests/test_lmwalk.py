@@ -16,7 +16,7 @@ from discq.lmwalk import (ConstraintSet, MaxPhasesExceeded, WalkConfig,
                           _KeptProjector, _rowspace_basis, _run_phase)
 
 from oracles import (block_walk_phase, brute_force_vertices, doubling_walk_phase,
-                     gram_schmidt_projector)
+                     gram_schmidt_projector, reference_walk_phase)
 
 
 def random_instance(n, m, seed, rng_y=None):
@@ -88,7 +88,8 @@ class TestKeptProjector:
     @staticmethod
     def drop_to_saturation(m_unit, seed):
         # single drops run the downdate, multi-column drops force a refresh;
-        # every drop is checked until the projector reports saturation
+        # every drop is checked until the projector reports saturation.  Every
+        # other single drop goes to drop_one by index, the rest to drop by mask
         rng = np.random.default_rng(seed)
         proj = _KeptProjector(m_unit, np.arange(m_unit.shape[1]))
         ranks = [(proj.free.size, proj.basis.shape[0])]
@@ -96,7 +97,10 @@ class TestKeptProjector:
             size = 1 if rng.random() < 0.8 else int(rng.integers(2, 5))
             gone = np.zeros(proj.free.size, bool)
             gone[rng.choice(proj.free.size, min(size, proj.free.size), replace=False)] = True
-            proj.drop(gone)
+            if np.count_nonzero(gone) == 1 and len(ranks) % 2:
+                proj.drop_one(int(np.flatnonzero(gone)[0]))
+            else:
+                proj.drop(gone)
             rows = m_unit[:, proj.free]
             np.testing.assert_allclose(proj.project(np.eye(proj.free.size)),
                                        gram_schmidt_projector(rows), atol=1e-10)
@@ -460,6 +464,90 @@ class TestStepLaw:
         np.testing.assert_allclose(phase.x, x, rtol=0, atol=1e-9)
 
 
+class TestReferenceWalk:
+    """The walk against ``reference_walk_phase``, its form before the row after
+    a freeze was screened as a vector: the same draws through the same
+    products, so x, frozen, saturated and newly_frozen agree byte for byte.
+    Each instance is also checked to reach the projector path it is here for."""
+
+    @staticmethod
+    def assert_same_phase(cs, cfg, make_rng, monkeypatch):
+        # how each single drop ended: "downdate", or the refresh that replaced it
+        ends = []
+        drop_one = _KeptProjector.drop_one
+
+        def spy(proj, j):
+            k = proj.basis.shape[0]
+            end = ("endgame" if proj.free.size <= 2 * k + 1 else
+                   "interval" if proj._downdates >= lmwalk._REFRESH_EVERY else "floor")
+            drop_one(proj, j)
+            ends.append("downdate" if proj._downdates else end)
+
+        monkeypatch.setattr(_KeptProjector, "drop_one", spy)
+        m_unit, frozen = cs.unit_rows(), np.zeros(cs.n, bool)
+        new = _run_phase(m_unit, cs.y, frozen, cfg, make_rng())
+        seen = set(ends)
+        old = reference_walk_phase(m_unit, cs.y, frozen, cfg, make_rng())
+        assert new.x.tobytes() == old.x.tobytes()
+        assert new.frozen.tobytes() == old.frozen.tobytes()
+        assert (new.saturated, new.newly_frozen) == (old.saturated, old.newly_frozen)
+        assert new.newly_frozen > 0
+        return seen
+
+    @pytest.mark.parametrize("m", [8, 32])
+    def test_sweep_shapes(self, m, monkeypatch):
+        cs = random_instance(1024, m, seed=50 + m)
+        seen = self.assert_same_phase(cs, WalkConfig(), lambda: np.random.default_rng([5, m]),
+                                      monkeypatch)
+        assert {"downdate", "interval", "endgame"} <= seen
+
+    def test_duplicated_rows_and_floor_refreshes(self, monkeypatch):
+        # duplicated rows alone leave every downdate above the floor; four
+        # near-pinned coordinates (rows e_r plus 1e-3 noise) started inside
+        # the band land with 1 - bᵀ K b below it
+        rng = np.random.default_rng(51)
+        rows = np.hstack([np.eye(4), np.zeros((4, 252))]) + 1e-3 * rng.standard_normal((4, 256))
+        rows = np.vstack([rows, rng.standard_normal((2, 256))])
+        y = rng.random(256)
+        y[:4] = [0.005, 0.995, 0.01, 0.99]
+        cs = ConstraintSet(np.vstack([rows, rows[:3]]), y)
+        seen = self.assert_same_phase(cs, WalkConfig(), lambda: np.random.default_rng(0),
+                                      monkeypatch)
+        assert "floor" in seen
+
+    def test_small_instance_to_saturation(self, monkeypatch):
+        cs = random_instance(24, 4, seed=52)
+        seen = self.assert_same_phase(cs, WalkConfig(steps_per_phase=20000),
+                                      lambda: np.random.default_rng(5), monkeypatch)
+        assert "endgame" in seen
+
+    def test_tied_coordinates(self, monkeypatch):
+        # the twin-column draws of TestPhase: coordinates 0 and 1 land together
+        class TwinColumns:
+            def __init__(self):
+                self.rng = np.random.default_rng(15)
+
+            def standard_normal(self, shape):
+                g = self.rng.standard_normal(shape)
+                g[:, 1:2] = g[:, :1]
+                return g
+
+        cs = ConstraintSet(np.zeros((0, 6)), np.array([0.5, 0.5, 0.3, 0.7, 0.6, 0.2]))
+        dropped = []
+        drop = _KeptProjector.drop
+        monkeypatch.setattr(_KeptProjector, "drop",
+                            lambda proj, gone: dropped.append(gone) or drop(proj, gone))
+        self.assert_same_phase(cs, WalkConfig(steps_per_phase=20000), TwinColumns, monkeypatch)
+        assert any(not isinstance(gone, int) and np.count_nonzero(gone) == 2 for gone in dropped)
+
+    @pytest.mark.parametrize("steps", [37, 150])
+    def test_short_budget(self, steps, monkeypatch):
+        # the budget runs out mid-walk, the last draw cut to the steps left
+        cs = random_instance(1024, 8, seed=53)
+        self.assert_same_phase(cs, WalkConfig(steps_per_phase=steps),
+                               lambda: np.random.default_rng([6, steps]), monkeypatch)
+
+
 class TestMartingale:
     def test_unfrozen_mean_displacement_within_three_se(self):
         # start at the cube center with a short phase so freezing is rare;
@@ -503,9 +591,11 @@ class TestDeterminism:
             WalkConfig(steps_per_phase=0)
         assert WalkConfig(delta=0.1).steps_per_phase == 400
 
-    @pytest.mark.parametrize("delta", [float("inf"), float("nan")], ids=["inf", "nan"])
+    @pytest.mark.parametrize("delta", [float("inf"), float("nan"), 1e200],
+                             ids=["inf", "nan", "1e200"])
     def test_nonfinite_delta_names_delta(self, delta):
-        # inf failed as "steps_per_phase must be >= 1", NaN as "need 0 < eps <= delta"
+        # inf failed as "steps_per_phase must be >= 1", NaN as "need 0 < eps <= delta",
+        # and 1e200 as an OverflowError from the default steps_per_phase, 4 / delta^2
         with pytest.raises(ValueError, match="^delta must be finite and positive"):
             WalkConfig(delta=delta)
 
