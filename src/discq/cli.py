@@ -19,8 +19,8 @@ from .incoherence import ModelIncoherence
 from .lmwalk import ConstraintSet, WalkConfig, lm_round
 from .pipeline import METHODS, quantize_model
 from .serialize import AT_LEAST_1, NONNEGATIVE, Bound, dump_record, floats_to_hex
-from .speclab import (SpectrumSpec, falpha_scaling_study, generalization_study,
-                      jl_spectrum)
+from .speclab import (SpectrumSpec, _check_gen_m_grid, _check_m_grid, falpha_scaling_study,
+                      generalization_study, jl_spectrum)
 from .toymodel import (ToyArch, gradient_rows, load_checkpoint, random_model,
                        sample_sequences, save_checkpoint)
 
@@ -38,6 +38,17 @@ def _int_in(bound: Bound):
             raise argparse.ArgumentTypeError(f"must be {bound.text}, got {value}")
         return value
     parse.__name__ = "int"  # argparse's "invalid int value" for a non-int
+    return parse
+
+
+def _m_grid(check):
+    """An argparse ``type``: a comma-separated m grid that ``check`` accepts, so a
+    bad grid exits naming the flag, before any work."""
+    def parse(text: str) -> list[int]:
+        try:
+            return check(_int_list(text))
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
     return parse
 
 
@@ -184,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     q = ssub.add_parser("falpha", help="covariance estimator error rate")
     q.add_argument("--alpha", type=float, required=True)
     q.add_argument("--n", type=_count, default=ScalingParams.estimator_n)
-    q.add_argument("--m-grid", type=_int_list, default=ScalingParams.estimator_m_grid)
+    q.add_argument("--m-grid", type=_m_grid(_check_m_grid),
+                   default=ScalingParams.estimator_m_grid)
     q.add_argument("--trials", type=_count, default=ScalingParams.estimator_trials)
     q.add_argument("--seed", type=_seed, default=0)
     q.add_argument("--out", required=True)
@@ -192,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = ssub.add_parser("gen", help="rounding generalization scaling")
     q.add_argument("--alpha", type=float, required=True)
     q.add_argument("--n", type=_count, default=ScalingParams.gen_n)
-    q.add_argument("--m-grid", type=_int_list, default=ScalingParams.gen_m_grid)
+    q.add_argument("--m-grid", type=_m_grid(_check_gen_m_grid), default=ScalingParams.gen_m_grid)
     q.add_argument("--trials", type=_count, default=ScalingParams.gen_trials)
     q.add_argument("--delta", type=float, default=ScalingParams.walk.delta)
     q.add_argument("--seed", type=_seed, default=0)

@@ -31,10 +31,18 @@ scored again.  Every teacher product has a per-step :func:`kl_term`'s
 share its product (see :func:`_forward`), so every KL value and gradient is
 bit for bit that of per-step :func:`kl_term`.  Each step then runs only the
 student's forward and backward.
+
+A run builds its step state once: one student, made at step 1 and then
+rewritten in place (by the interpolation on the plain arm, by ``from_q`` on
+the incoherent one), and arrays for its forward and backward, the q-space
+gradient, the optimizer update and the step's temporaries.  Every product
+keeps its shape and operand layout, so a report is byte for byte that of a
+loop allocating anew every step, and it shares no memory with those arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Annotated, Literal
 
@@ -46,7 +54,7 @@ from .optim import AdamW, warmup_cosine_lr
 from .serialize import (AT_LEAST_1, BELOW_HALF, FINITE_NONNEGATIVE, FINITE_POSITIVE,
                         NONNEGATIVE, POSITIVE, _check_fields)
 from .toymodel import (SampleBatch, ToyModel, _check_data_mix, _forward, _kl_core,
-                       _sample_tokens, _swap_uniform, kl_term)
+                       _new_cache, _sample_tokens, _swap_uniform, kl_term)
 
 # unused here; kept importable because bench/spans.py traces them at these names
 from .grid import interp_weights  # noqa: F401
@@ -196,26 +204,41 @@ def optimize(teacher: ToyModel, grid: QuantGrid, cfg: DiscQuantConfig,
     w_lin, w_kl = (cfg.lam, 1.0) if cfg.lambda_on == "linear" else (1.0, cfg.lam)
     lin_grad = w_lin * cvec
     trace_linear, trace_kl, trace_frac = [], [], []
+    # every step rewrites these, built once: the interpolated q-space weights,
+    # the student (made at step 1 around from_q's output, which on the plain arm
+    # is wq_x itself) with its forward and backward cache, and the step's arrays
+    wq_x, grad, tmp = np.empty((3, bracket.n))
+    live = np.empty(bracket.n, dtype=bool)
+    student = cache = None
     for step, (prefixes, t_logp, t_p) in enumerate(kl_inputs, start=1):
-        wq_x = bracket.w_down * (1.0 - x) + bracket.w_up * x
-        student = teacher.with_params(transform.from_q(wq_x))
-        kl_value, kl_grad_model = _kl_core(student, prefixes, t_logp, t_p)
-        grad = transform.grad_to_q(kl_grad_model) * bracket.delta
+        # wq_x = w_down * (1 - x) + w_up * x, each operation rounding as written
+        np.subtract(1.0, x, out=tmp)
+        tmp *= bracket.w_down
+        np.multiply(bracket.w_up, x, out=wq_x)
+        wq_x += tmp
+        params = transform.from_q(wq_x, out=None if student is None else student.params)
+        if student is None:
+            student = teacher.with_params(params)
+            cache = _new_cache(student, prefixes.shape[:-1])
+        kl_value, kl_grad_model = _kl_core(student, prefixes, t_logp, t_p, cache)
+        np.multiply(transform.grad_to_q(kl_grad_model, out=grad), bracket.delta, out=grad)
         np.maximum(grad, -cfg.clamp, out=grad)  # clamp the KL gradient entrywise
         np.minimum(grad, cfg.clamp, out=grad)
         grad *= w_kl
         grad += lin_grad
         lin_value, kl_weighted = w_lin * float(cvec @ x), w_kl * kl_value
-        if not (np.isfinite(lin_value) and np.isfinite(kl_weighted)
-                and np.isfinite(grad).all()):
+        if not (math.isfinite(lin_value) and math.isfinite(kl_weighted)
+                and np.isfinite(grad, out=live).all()):
             raise NonFiniteObjective(f"non-finite objective at step {step}",
                                      trace_linear, trace_kl)
         trace_linear.append(lin_value)
         trace_kl.append(kl_weighted)
-        x = opt.step(x, grad, lr=warmup_cosine_lr(cfg.lr, cfg.warmup, cfg.iterations, step))
+        opt.step(x, grad, lr=warmup_cosine_lr(cfg.lr, cfg.warmup, cfg.iterations, step), out=x)
         np.maximum(x, 0.0, out=x)  # project onto the box
         np.minimum(x, 1.0, out=x)
-        trace_frac.append(np.count_nonzero(np.minimum(x, 1.0 - x) > cfg.tau) / x.size)
+        np.subtract(1.0, x, out=tmp)
+        np.greater(np.minimum(x, tmp, out=tmp), cfg.tau, out=live)
+        trace_frac.append(np.count_nonzero(live) / x.size)
 
     quantized = finalize(x, bracket, cfg.tau)
     model_params = transform.from_q(quantized)

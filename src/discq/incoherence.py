@@ -13,7 +13,8 @@ are always recomputed on the transformed weights (the transform changes the
 dynamic range, which is its entire purpose).
 
 Each transform is one dense product with its matrix, built once by the
-butterfly :func:`fwht` and cached; a model's blocks run theirs inline.
+butterfly :func:`fwht` and cached; a model's blocks run theirs inline, with
+each block's matrices and scratch arrays looked up once per instance.
 """
 
 from __future__ import annotations
@@ -173,7 +174,8 @@ class Identity:
         return None, None
 
     @staticmethod
-    def to_q(w):
+    def to_q(w, out=None):
+        """``w`` itself; ``out``, where a transform that moves values writes them, goes unused."""
         return w
 
     from_q = grad_to_q = to_q
@@ -186,12 +188,26 @@ class ModelIncoherence(Identity):
     of two); 1-D blocks pass through unchanged.  Per-layer sign seeds derive
     from one master seed via a counter, so one integer reproduces the whole
     transform.  Gradients transport with the same forward map because the
-    conjugation is linear and orthogonal.
+    conjugation is linear and orthogonal.  The maps write through scratch
+    arrays the instance owns, so one instance serves one thread at a time.
     """
 
     def __init__(self, arch: ToyArch, seed: int = 0):
         self.seed = int(seed)
         super().__init__(arch)
+        # per 2-D block: its spans and shape, its RHT matrices, the zero-padded
+        # block to_q fills and the one from_q crops (None where no side pads),
+        # and the product both take between their two
+        self._plan = []
+        for _, a, b, shape, left, right, qa, qb in self.blocks:
+            if left is not None:
+                pads = shape != (left.dim, right.dim)
+                self._plan.append((a, b, shape, qa, qb, left.matrix(), right.matrix(),
+                                   *(np.zeros((left.dim, right.dim)) if pads else None
+                                     for _ in range(2)),
+                                   np.empty((right.dim, left.dim))))
+        self._spans = [(a, b, qa, qb) for _, a, b, _, left, _, qa, qb in self.blocks
+                       if left is None]
 
     def _rhts(self, idx: int, shape: tuple) -> tuple[RHT | None, RHT | None]:
         if len(shape) != 2:
@@ -199,39 +215,41 @@ class ModelIncoherence(Identity):
         return tuple(RHT.from_seed(next_power_of_two(side), child_seed(self.seed, idx, k))
                      for k, side in enumerate(shape))
 
-    def to_q(self, w: Array) -> Array:
+    def to_q(self, w: Array, out: Array | None = None) -> Array:
+        """``w`` in q-space, written into ``out`` (length ``n_q``) if given."""
         w = np.asarray(w, dtype=np.float64)
         if w.shape != (self.n_params,):
             raise ValueError(f"weights must have length {self.n_params}, got {w.shape}")
-        out = np.empty(self.n_q)
-        for _, a, b, shape, left, right, qa, qb in self.blocks:
-            if left is None:
-                out[qa:qb] = w[a:b]
-                continue
+        out = np.empty(self.n_q) if out is None else out
+        for a, b, qa, qb in self._spans:
+            out[qa:qb] = w[a:b]
+        for a, b, shape, qa, qb, lm, rm, padded, _, turned in self._plan:
             # rht_apply along axis 0, then along axis 1: the same products with the
             # same operand layouts, so the same bits (the BLAS picks its kernel by both)
             block = w[a:b].reshape(shape)
-            if shape != (left.dim, right.dim):
-                block = np.zeros((left.dim, right.dim))
-                block[:shape[0], :shape[1]] = w[a:b].reshape(shape)
-            np.matmul((block.T @ left.matrix().T).T, right.matrix().T,
-                      out=out[qa:qb].reshape(left.dim, right.dim))
+            if padded is not None:
+                padded[:shape[0], :shape[1]] = block
+                block = padded
+            np.matmul(block.T, lm.T, out=turned)
+            np.matmul(turned.T, rm.T, out=out[qa:qb].reshape(block.shape))
         return out
 
-    def from_q(self, q: Array) -> Array:
+    def from_q(self, q: Array, out: Array | None = None) -> Array:
+        """Model weights of ``q``, written into ``out`` (length ``n_params``) if given."""
         q = np.asarray(q, dtype=np.float64)
         if q.shape != (self.n_q,):
             raise ValueError(f"q vectors must have length {self.n_q}, got {q.shape}")
-        out = np.empty(self.n_params)
-        for _, a, b, shape, left, right, qa, qb in self.blocks:
-            if left is None:
-                out[a:b] = q[qa:qb]
-                continue
+        out = np.empty(self.n_params) if out is None else out
+        for a, b, qa, qb in self._spans:
+            out[a:b] = q[qa:qb]
+        for a, b, shape, qa, qb, lm, rm, _, back, turned in self._plan:
             # rht_inverse along axis 0, then along axis 1, as in to_q
-            back = (q[qa:qb].reshape(left.dim, right.dim).T @ left.matrix()).T @ right.matrix()
-            out[a:b] = back[:shape[0], :shape[1]].ravel()
+            block = out[a:b].reshape(shape)
+            np.matmul(q[qa:qb].reshape(turned.shape[::-1]).T, lm, out=turned)
+            np.matmul(turned.T, rm, out=block if back is None else back)
+            if back is not None:
+                block[...] = back[:shape[0], :shape[1]]
         return out
 
     # the conjugation is linear, so gradients transport exactly like weights
     grad_to_q = to_q
-

@@ -76,7 +76,7 @@ from typing import Annotated
 
 import numpy as np
 
-from .serialize import AT_LEAST_1, FINITE_POSITIVE, NONNEGATIVE, POSITIVE_AT_MOST_1, _check_fields
+from .serialize import AT_LEAST_1, FINITE_POSITIVE, NONNEGATIVE, Bound, _check_fields
 
 Array = np.ndarray
 
@@ -143,11 +143,19 @@ class ConstraintSet:
         return float(np.linalg.norm(self.matrix @ (x - self.y), ord))
 
 
+_DELTA = Bound("finite and positive, in [0.001, 1]", 1e-3, 1, hi_in=True)
+
+
 @dataclass(frozen=True)
 class WalkConfig:
-    """Step size, face band, per-phase step budget, and phase budget."""
+    """Step size, face band, per-phase step budget, and phase budget.
 
-    delta: Annotated[float, POSITIVE_AT_MOST_1] = 0.02
+    ``delta`` lies in [0.001, 1]: a phase runs on the order of 1/delta^2 steps
+    (its default budget ceil(4 / delta^2) is 4,000,000 at 0.001, 10,000 at
+    0.02), and far below that end the budget overflows or divides by zero.
+    """
+
+    delta: Annotated[float, _DELTA] = 0.02
     eps: Annotated[float | None, FINITE_POSITIVE] = None  # defaults to delta
     steps_per_phase: Annotated[int | None, AT_LEAST_1] = None  # defaults to ceil(4 / delta^2)
     max_phases: Annotated[int, AT_LEAST_1] = 200

@@ -10,8 +10,9 @@ import numpy as np
 class AdamW:
     """Standard AdamW on a flat parameter vector.
 
-    ``step`` returns the updated vector; an explicit ``lr`` overrides the
-    stored one (used for schedules).
+    ``step`` returns the updated vector, written into ``out`` if given (``x``
+    itself updates in place); an explicit ``lr`` overrides the stored one
+    (used for schedules).
     """
 
     def __init__(self, n: int, lr: float = 1e-3, betas=(0.9, 0.999),
@@ -23,25 +24,33 @@ class AdamW:
         self.m = np.zeros(n)
         self.v = np.zeros(n)
         self.t = 0
+        self._step, self._tmp = np.empty((2, n))
 
-    def step(self, x: np.ndarray, grad: np.ndarray, lr: float | None = None) -> np.ndarray:
+    def step(self, x: np.ndarray, grad: np.ndarray, lr: float | None = None,
+             out: np.ndarray | None = None) -> np.ndarray:
         lr = self.lr if lr is None else lr
-        # m and v update in place and the step is built in one new buffer; every
-        # operation rounds as in x - lr * mhat / (sqrt(vhat) + eps) - lr * wd * x
+        # m, v and the step update in buffers built once; every operation rounds
+        # as in x - lr * mhat / (sqrt(vhat) + eps) - lr * wd * x
         self.t += 1
-        tmp = (1 - self.beta1) * grad
+        step, tmp = self._step, self._tmp
+        np.multiply(1 - self.beta1, grad, out=tmp)
         self.m *= self.beta1
         self.m += tmp
         np.multiply(grad, grad, out=tmp)
         tmp *= 1 - self.beta2
         self.v *= self.beta2
         self.v += tmp
-        out = self.m / (1 - self.beta1 ** self.t)
-        out *= lr
-        out /= np.sqrt(self.v / (1 - self.beta2 ** self.t)) + self.eps
-        np.subtract(x, out, out=out)
+        np.divide(self.m, 1 - self.beta1 ** self.t, out=step)
+        step *= lr
+        np.divide(self.v, 1 - self.beta2 ** self.t, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        step /= tmp
         if self.weight_decay:
-            out -= lr * self.weight_decay * x
+            np.multiply(lr * self.weight_decay, x, out=tmp)  # before out overwrites x
+        out = np.subtract(x, step, out=out)
+        if self.weight_decay:
+            out -= tmp
         return out
 
 

@@ -189,12 +189,18 @@ def falpha_scaling_study(spec: SpectrumSpec, m_grid, trials: int, seed: int = 0)
     return _fit(ms, errors)
 
 
+def _check_gen_m_grid(m_grid) -> list[int]:
+    """The m grid of :func:`generalization_study`: its positive entries form a
+    checked grid, and m = 0 entries may sit beside them."""
+    ms = [int(m) for m in m_grid]
+    _check_m_grid([m for m in ms if m > 0])
+    return ms
+
+
 def _check_generalization_args(spec: SpectrumSpec, m_grid, trials: int) -> list[int]:
     """The m grid of :func:`generalization_study`, checked with ``spec`` and its trial count."""
-    ms = [int(m) for m in m_grid]
-    positive = [m for m in ms if m > 0]
-    _check_m_grid(positive)
-    if max(positive) > spec.n / 16:
+    ms = _check_gen_m_grid(m_grid)
+    if max(ms) > spec.n / 16:
         raise ValueError("largest m exceeds n/16")
     if trials < 1:
         raise ValueError("need at least 1 trial")

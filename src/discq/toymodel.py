@@ -9,8 +9,10 @@ Weights are initialized with a heavy-tailed (Student-t) distribution: trained
 networks carry outlier weights, and several downstream experiments (notably
 outlier-flattening transforms) are vacuous on exactly-Gaussian weights.
 
-All functions are pure; models are immutable value objects, so a fixed seed
-reproduces parameters, data, and gradients bit-identically.
+All functions are pure and models are value objects, so a fixed seed
+reproduces parameters, data, and gradients bit-identically.  The exception
+is the student private to ``discquant.optimize``: that loop rewrites its
+weights, and its forward and backward arrays, in place every step.
 """
 
 from __future__ import annotations
@@ -171,32 +173,56 @@ def random_model(arch: ToyArch = ToyArch(), seed: int = 0, scale: float = 1.0) -
     return ToyModel(arch, params)
 
 
-def _log_softmax(logits: Array) -> Array:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+def _log_softmax(logits: Array, out: Array | None = None, exps: Array | None = None,
+                 norm: Array | None = None) -> Array:
+    """Log-softmax over the last axis, into ``out``; ``exps`` (shaped like
+    ``logits``) and ``norm`` (last axis 1) take the intermediates."""
+    shifted = np.subtract(logits, logits.max(axis=-1, keepdims=True, out=norm), out=out)
+    total = np.exp(shifted, out=exps).sum(axis=-1, keepdims=True, out=norm)
+    shifted -= np.log(total, out=total)
+    return shifted
 
 
-def _forward(model: ToyModel, prefixes: Array) -> dict:
+def _new_cache(model: ToyModel, lead: tuple[int, ...]) -> dict:
+    """The model's weight views and empty arrays for the forward over a
+    (*lead, context) prefix stack, and for d(loss)/d(logits) there."""
+    arch = model.arch
+    return {"views": model.views(),
+            "acts": [np.empty((*lead, arch.context * arch.emb))]
+            + [np.empty((*lead, arch.hidden)) for _ in range(arch.layers)],
+            **{key: np.empty((*lead, arch.vocab)) for key in ("logits", "logp", "p", "dlogits")},
+            "norm": np.empty((*lead, 1))}
+
+
+def _forward(model: ToyModel, prefixes: Array, cache: dict | None = None) -> dict:
     """``acts`` holds the flattened embeddings, then each hidden layer's output.
 
     ``prefixes`` is (rows, context), or a stack (..., rows, context) whose
     slices come out bit-identical to separate calls, one product per slice.
     A row's bits depend on how many rows share its product, not on which:
     the BLAS picks its kernel by shape (OpenBLAS 0.3.31 rounds 1, 2–32 and
-    48 rows three ways).  Biases are added in place, rounding as a ``+``.
-    ``views`` holds the model's weight views for the backward passes.
+    48 rows three ways).  Every product and bias add writes into an array of
+    the cache, rounding as the allocating expression would.  ``views`` holds
+    the model's weight views for the backward passes.
+
+    Without ``cache`` every array is new.  A cache an earlier call on the same
+    model returned, for prefixes of the same shape, is rewritten in place and
+    returned, its weight views kept: they see weights rewritten in place.
     """
-    v = model.views()
-    acts = [v["embed"][prefixes].reshape(*prefixes.shape[:-1], -1)]
-    for w, b in _HIDDEN[:model.arch.layers]:
-        h = acts[-1] @ v[w].T
+    if cache is None:
+        cache = _new_cache(model, prefixes.shape[:-1])
+    v, acts = cache["views"], cache["acts"]
+    np.take(v["embed"], prefixes, axis=0, out=acts[0].reshape(*prefixes.shape, -1))
+    for (w, b), x, h in zip(_HIDDEN, acts, acts[1:]):
+        np.matmul(x, v[w].T, out=h)
         h += v[b]
-        acts.append(np.tanh(h, out=h))
-    logits = acts[-1] @ v["wout"].T
+        np.tanh(h, out=h)
+    logits = np.matmul(acts[-1], v["wout"].T, out=cache["logits"])
     logits += v["bout"]
-    logp = _log_softmax(logits)
-    return {"prefixes": prefixes, "views": v, "acts": acts, "logits": logits,
-            "logp": logp, "p": np.exp(logp)}
+    logp = _log_softmax(logits, cache["logp"], cache["p"], cache["norm"])
+    np.exp(logp, out=cache["p"])
+    cache["prefixes"] = prefixes
+    return cache
 
 
 def _embed_grad(index: Array, dx: Array, slots: int) -> Array:
@@ -211,23 +237,33 @@ def _embed_grad(index: Array, dx: Array, slots: int) -> Array:
 
 
 def _backward(model: ToyModel, cache: dict, dlogits: Array) -> Array:
-    """Accumulate d(loss)/d(params) given d(loss)/d(logits), summed over rows."""
-    arch, v = model.arch, cache["views"]
-    grad = np.empty(arch.n_params)
-    g = arch.split(grad)
-    acts = cache["acts"]
+    """Accumulate d(loss)/d(params) given d(loss)/d(logits), summed over rows.
+
+    The gradient and every intermediate are written into arrays of ``cache``,
+    made by its first backward (a forward alone needs none), so the next
+    backward on the same cache overwrites the returned gradient.
+    """
+    arch, v, acts = model.arch, cache["views"], cache["acts"]
+    if "grad" not in cache:
+        grad = np.empty(arch.n_params)
+        cache.update(grad=grad, grads=arch.split(grad), dh=np.empty_like(acts[-1]),
+                     da=np.empty_like(acts[-1]), dx=np.empty_like(acts[0]))
+    g, dh, da = cache["grads"], cache["dh"], cache["da"]
     np.matmul(dlogits.T, acts[-1], out=g["wout"])
     dlogits.sum(axis=0, out=g["bout"])
-    dh = dlogits @ v["wout"]
+    np.matmul(dlogits, v["wout"], out=dh)
     for i in reversed(range(arch.layers)):
         w, b = _HIDDEN[i]
-        da = dh * (1.0 - acts[i + 1] ** 2)
+        # da = dh * (1 - acts[i + 1] ** 2), each operation rounding as written
+        np.square(acts[i + 1], out=da)
+        np.subtract(1.0, da, out=da)
+        da *= dh
         np.matmul(da.T, acts[i], out=g[w])
         da.sum(axis=0, out=g[b])
-        dh = da @ v[w]
-    g["embed"][...] = _embed_grad(cache["prefixes"], dh.reshape(-1, arch.context, arch.emb),
-                                  arch.vocab + 1)
-    return grad
+        np.matmul(da, v[w], out=dh if i else cache["dx"])
+    g["embed"][...] = _embed_grad(cache["prefixes"],
+                                  cache["dx"].reshape(-1, arch.context, arch.emb), arch.vocab + 1)
+    return cache["grad"]
 
 
 def _per_row_grads(model: ToyModel, cache: dict, dlogits: Array) -> Array:
@@ -296,30 +332,35 @@ def forward_next_token(model: ToyModel, prefix) -> Array:
 def sample_sequences(model: ToyModel, count: int, length: int = 8, seed: int = 0) -> SampleBatch:
     """Autoregressively sample token sequences from the model itself."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xDA7A]))
-    return SampleBatch(sequences=_sample_tokens(model, rng.random((length, count)))[0])
+    uniforms = rng.random((length, count))
+    return SampleBatch(sequences=_sample_tokens(model, uniforms, scores=False)[0])
 
 
-def _sample_tokens(model: ToyModel, uniforms: Array) -> tuple[Array, Array, Array, Array]:
-    """Sample sequences by inverse CDF: tokens, prefix windows and the model's scores.
+def _sample_tokens(model: ToyModel, uniforms: Array, scores: bool = True) -> tuple:
+    """Sample sequences by inverse CDF: tokens, prefix windows and, unless
+    ``scores`` is false, the model's log-probs and probs at each position.
 
     ``uniforms`` is (length, *lead), lead (count,) or (k, count) for k stacked
     batches; ``uniforms[i]`` drives position i.  Returns (*lead, length)
     tokens and per position its window (the prefix :meth:`SampleBatch.rows`
-    builds, as tokens are clipped as written; both view one buffer) and the
-    model's log-probs and probs.  A stacked batch is a slice of each
-    :func:`_forward`, so it equals a separate call bit for bit.
+    builds, as tokens are clipped as written; both view one buffer), then
+    the log-probs and probs.  A stacked batch is a slice of each
+    :func:`_forward`, so it equals a separate call bit for bit; every position
+    reuses the first one's cache.
     """
     arch = model.arch
     length = uniforms.shape[0]
     buf = np.full((*uniforms.shape[1:], arch.context + length), arch.pad_id, dtype=np.int64)
-    logp, p = np.empty((2, *uniforms.shape[1:], length, arch.vocab))
+    kept = np.empty((2, *uniforms.shape[1:], length, arch.vocab)) if scores else ()
+    cache = None
     for i in range(length):
-        cache = _forward(model, buf[..., i:i + arch.context])
-        logp[..., i, :], p[..., i, :] = cache["logp"], cache["p"]
+        cache = _forward(model, buf[..., i:i + arch.context], cache)
+        for out, key in zip(kept, ("logp", "p")):
+            out[..., i, :] = cache[key]
         drawn = (cache["p"].cumsum(axis=-1) < uniforms[i][..., None]).sum(axis=-1)
         np.minimum(drawn, arch.vocab - 1, out=buf[..., arch.context + i])
     windows = np.lib.stride_tricks.sliding_window_view(buf[..., :-1], arch.context, axis=-1)
-    return buf[..., arch.context:], windows, logp, p
+    return buf[..., arch.context:], windows, *kept
 
 
 def _check_data_mix(share: float) -> None:
@@ -385,13 +426,20 @@ def kl_term(teacher: ToyModel, student: ToyModel, batch: SampleBatch) -> tuple[f
     return value, grad
 
 
-def _kl_core(student: ToyModel, prefixes: Array, t_logp: Array,
-             t_p: Array) -> tuple[float, Array]:
-    """:func:`kl_term` from the teacher's log-probs and probs, without its finite check."""
-    sc = _forward(student, prefixes)
+def _kl_core(student: ToyModel, prefixes: Array, t_logp: Array, t_p: Array,
+             cache: dict | None = None) -> tuple[float, Array]:
+    """:func:`kl_term` from the teacher's log-probs and probs, without its finite check.
+
+    ``cache`` is the student's, as for :func:`_forward`; the gradient is its array.
+    """
+    sc = _forward(student, prefixes, cache)
     rows = prefixes.shape[0]
-    value = float((t_p * (t_logp - sc["logp"])).sum(axis=1).sum() / rows)
-    return value, _backward(student, sc, (sc["p"] - t_p) / rows)
+    d = np.subtract(t_logp, sc["logp"], out=sc["dlogits"])
+    d *= t_p
+    value = float(d.sum(axis=1, out=sc["norm"][:, 0]).sum() / rows)
+    np.subtract(sc["p"], t_p, out=d)
+    d /= rows
+    return value, _backward(student, sc, d)
 
 
 def hessian_quadratic_form(teacher: ToyModel, batch: SampleBatch, direction) -> float:

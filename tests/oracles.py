@@ -3,26 +3,29 @@
 Everything here is deliberately naive: finite differences for gradients,
 Gram-Schmidt for projectors, exhaustive active-set enumeration for polytope
 vertices, and dense matrix products for transforms.  None of it shares code
-with the paths it verifies, except the last group: earlier, loop-based
-implementations of vectorized paths, kept as bit-exact references.  They
-reuse the library's forward pass and transforms because the paths they pin
-must agree with them to the last bit, not to a tolerance.  The earlier walk
-phases are the exception, and all three reuse the library's kept projector,
-which is checked against Gram-Schmidt on its own.  The doubling walk draws
-its Gaussians differently, so it is a reference for the step law in
-distribution.  The block walk takes the same draws in the same order and
-differs in round-off only, so it agrees with the library's walk to a
-tolerance until round-off flips a freeze.  The reference walk phase
-screens the row after a freeze as a one-row matrix, where the library's
-walk takes it as a vector; the products are the same, so it agrees with
-the library's walk to the last bit.  The calibration stream's
-earlier path samples in products of ``batch_size`` rows and scores the
-teacher with a second, stacked forward of ``batch_size * seq_length``-row
-products, where the library keeps its sampler's own scores from products of
-that second shape; it pins them to the last bit.  The rounder chains at the end
-are the if/elif dispatch that ``quantize_model`` and the first-order study
-ran before both read ``pipeline.ROUNDERS``; they call the same rounders,
-so they pin the table's seeds and wiring byte for byte.
+with the paths it verifies, except the last group: earlier, loop-based or
+allocating implementations of vectorized or in-place paths, kept as
+bit-exact references.  They reuse the library's forward pass and transforms
+because the paths they pin must agree with them to the last bit, not to a
+tolerance.  The earlier walk phases are the exception, and all three reuse
+the library's kept projector, which is checked against Gram-Schmidt on its
+own.  The doubling walk draws its Gaussians differently, so it is a
+reference for the step law in distribution.  The block walk takes the same
+draws in the same order and differs in round-off only, so it agrees with
+the library's walk to a tolerance until round-off flips a freeze.  The
+reference walk phase screens the row after a freeze as a one-row matrix,
+where the library's walk takes it as a vector; the products are the same,
+so it agrees with the library's walk to the last bit.  The calibration
+stream's earlier path samples in products of ``batch_size`` rows and scores
+the teacher with a second, stacked forward of ``batch_size *
+seq_length``-row products, where the library keeps its sampler's own scores
+from products of that second shape; it pins them to the last bit.  The
+reference DiscQuant loop builds a new student and allocates every array at
+every step, where the library's rewrites one student and its buffers in
+place.  The rounder chains at the end are the if/elif dispatch that
+``quantize_model`` and the first-order study ran before both read
+``pipeline.ROUNDERS``; they call the same rounders, so they pin the table's
+seeds and wiring byte for byte.
 """
 
 from __future__ import annotations
@@ -539,6 +542,63 @@ class AllocatingAdamW:
         if self.weight_decay:
             out = out - lr * self.weight_decay * x
         return out
+
+
+def reference_optimize(teacher, grid, cfg, heldout=None, transform=None, data_mix: float = 0.0):
+    """``discquant.optimize`` as its step loop stood before it rewrote one student
+    in place: every step builds a new student and allocates every array.
+
+    It reads the same calibration stream, through ``discquant._teacher_chunks``,
+    and the same kernels, each in its allocating form, so it pins the loop's
+    buffer reuse to the last bit.
+    """
+    from discq import discquant
+    from discq.grid import bracket_of
+    from discq.incoherence import Identity
+    from discq.optim import warmup_cosine_lr
+    from discq.toymodel import _check_data_mix, _kl_core, kl_term
+
+    _check_data_mix(data_mix)
+    transform = transform or Identity(teacher.arch)
+    wq = transform.to_q(teacher.params)
+    bracket = bracket_of(wq, grid)
+    cvec = discquant.cstar(bracket.position())
+    x = discquant.init_x(cfg.init, bracket, cfg.seed)
+    opt = AllocatingAdamW(bracket.n, lr=cfg.lr, weight_decay=cfg.weight_decay)
+    w_lin, w_kl = (cfg.lam, 1.0) if cfg.lambda_on == "linear" else (1.0, cfg.lam)
+    lin_grad = w_lin * cvec
+    trace_linear, trace_kl, trace_frac = [], [], []
+    kl_inputs = discquant._teacher_chunks(teacher, cfg, data_mix)
+    for step, (prefixes, t_logp, t_p) in enumerate(kl_inputs, start=1):
+        wq_x = bracket.w_down * (1.0 - x) + bracket.w_up * x
+        student = teacher.with_params(transform.from_q(wq_x))
+        kl_value, kl_grad_model = _kl_core(student, prefixes, t_logp, t_p)
+        grad = transform.grad_to_q(kl_grad_model) * bracket.delta
+        np.maximum(grad, -cfg.clamp, out=grad)
+        np.minimum(grad, cfg.clamp, out=grad)
+        grad *= w_kl
+        grad += lin_grad
+        lin_value, kl_weighted = w_lin * float(cvec @ x), w_kl * kl_value
+        if not (np.isfinite(lin_value) and np.isfinite(kl_weighted)
+                and np.isfinite(grad).all()):
+            raise discquant.NonFiniteObjective(f"non-finite objective at step {step}",
+                                               trace_linear, trace_kl)
+        trace_linear.append(lin_value)
+        trace_kl.append(kl_weighted)
+        x = opt.step(x, grad, lr=warmup_cosine_lr(cfg.lr, cfg.warmup, cfg.iterations, step))
+        np.maximum(x, 0.0, out=x)
+        np.minimum(x, 1.0, out=x)
+        trace_frac.append(np.count_nonzero(np.minimum(x, 1.0 - x) > cfg.tau) / x.size)
+
+    quantized = discquant.finalize(x, bracket, cfg.tau)
+    model_params = transform.from_q(quantized)
+    heldout_kl = None
+    if heldout is not None:
+        heldout_kl, _ = kl_term(teacher, teacher.with_params(model_params), heldout)
+    return discquant.RoundingReport(
+        x=x, fractional_fraction=trace_frac[-1], trace_linear=np.array(trace_linear),
+        trace_kl=np.array(trace_kl), trace_fractional=np.array(trace_frac),
+        quantized=quantized, model_params=model_params, heldout_kl=heldout_kl)
 
 
 def _walk_constraints(teacher, bracket, transform, m: int, seq_length: int, mix: float,

@@ -11,14 +11,14 @@ from discq.discquant import (STREAM_CHUNK, DiscQuantConfig, NonFiniteObjective,
                              _teacher_chunks, cstar, finalize, init_x, optimize)
 from discq.incoherence import ModelIncoherence
 from discq.grid import bracket_of, build_block_scaling, explicit_grid, rtn
-from discq.optim import warmup_cosine_lr
+from discq.optim import AdamW, warmup_cosine_lr
 from discq.pipeline import quantize_model
 from discq.serialize import child_seed as _child_seed
-from discq.toymodel import (SampleBatch, ToyArch, _forward, _sample_tokens, kl_term,
-                            random_model, sample_sequences)
+from discq.toymodel import (SampleBatch, ToyArch, _forward, _kl_core, _sample_tokens,
+                            kl_term, random_model, sample_sequences)
 
 from oracles import (_teacher_stream, chain_quantize_model, kl_inputs, per_step_teacher_stream,
-                     teacher_chunks)
+                     reference_optimize, teacher_chunks)
 
 
 class TestCstar:
@@ -357,6 +357,96 @@ class TestOptimize:
                 np.errstate(all="ignore"):
             optimize(teacher.with_params(teacher.params * 1e200), grid, tiny_cfg(seed=7))
         assert caught.value.trace_kl.shape == caught.value.trace_linear.shape == (0,)
+
+
+def _report_bytes(report) -> dict:
+    return {k: v.tobytes() if isinstance(v, np.ndarray) else v for k, v in vars(report).items()}
+
+
+class TestReferenceStep:
+    """The loop that rewrites one student in place against ``reference_optimize``,
+    which allocates a new student and every array at every step, byte for byte."""
+
+    ARCHS = [ToyArch(), ToyArch(layers=2, hidden=64)]
+
+    @staticmethod
+    def inputs(arch, incoherent):
+        teacher = random_model(arch, seed=61)
+        transform = ModelIncoherence(arch, seed=62) if incoherent else None
+        wq = transform.to_q(teacher.params) if incoherent else teacher.params
+        blocks = [(qa, qb) for *_, qa, qb in transform.blocks] if incoherent else None
+        grid = build_block_scaling(wq, bits=3, groupsize=16, blocks=blocks)
+        return teacher, grid, transform, sample_sequences(teacher, 16, 8, seed=63)
+
+    @pytest.mark.parametrize("mix", [0.0, 0.25])
+    @pytest.mark.parametrize("batch_size", [1, 3, 5, 12])
+    @pytest.mark.parametrize("incoherent", [False, True], ids=["plain", "incoherent"])
+    @pytest.mark.parametrize("arch", ARCHS, ids=["layers1", "layers2-hidden64"])
+    def test_reports_equal_reference(self, arch, incoherent, batch_size, mix):
+        teacher, grid, transform, heldout = self.inputs(arch, incoherent)
+        # past one STREAM_CHUNK, so the second chunk's steps are pinned too
+        cfg = DiscQuantConfig(batch_size=batch_size, iterations=STREAM_CHUNK + 2, warmup=16,
+                              seed=64)
+        got = optimize(teacher, grid, cfg, heldout=heldout, transform=transform, data_mix=mix)
+        ref = reference_optimize(teacher, grid, cfg, heldout=heldout, transform=transform,
+                                 data_mix=mix)
+        assert _report_bytes(got) == _report_bytes(ref)
+
+    @pytest.mark.parametrize("over", [{"lambda_on": "linear"}, {"weight_decay": 0.01},
+                                      {"init": "original-weights"}],
+                             ids=["linear", "weight-decay", "original-weights"])
+    @pytest.mark.parametrize("incoherent", [False, True], ids=["plain", "incoherent"])
+    def test_config_variants_equal_reference(self, incoherent, over):
+        teacher, grid, transform, heldout = self.inputs(ToyArch(), incoherent)
+        cfg = DiscQuantConfig(batch_size=3, iterations=40, warmup=8, seed=65, **over)
+        got = optimize(teacher, grid, cfg, heldout=heldout, transform=transform, data_mix=0.25)
+        ref = reference_optimize(teacher, grid, cfg, heldout=heldout, transform=transform,
+                                 data_mix=0.25)
+        assert _report_bytes(got) == _report_bytes(ref)
+
+    @pytest.mark.parametrize("incoherent", [False, True], ids=["plain", "incoherent"])
+    def test_report_shares_no_memory_with_step_buffers(self, incoherent, monkeypatch):
+        teacher, grid, transform, heldout = self.inputs(ToyArch(), incoherent)
+        buffers = []
+
+        def kl_core(student, prefixes, t_logp, t_p, cache=None):
+            value, grad = _kl_core(student, prefixes, t_logp, t_p, cache)
+            buffers.extend([student.params, grad, *cache["acts"],
+                            *(v for v in cache.values() if isinstance(v, np.ndarray))])
+            return value, grad
+
+        class RecordingAdamW(AdamW):
+            def step(self, x, grad, lr=None, out=None):
+                buffers.extend([grad, self.m, self.v])
+                return super().step(x, grad, lr=lr, out=out)
+
+        monkeypatch.setattr(discquant, "_kl_core", kl_core)
+        monkeypatch.setattr(discquant, "AdamW", RecordingAdamW)
+        report = optimize(teacher, grid, tiny_cfg(seed=66), heldout=heldout, transform=transform)
+        arrays = [v for v in vars(report).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 6 and len(buffers) > 6
+        for a in arrays:
+            assert not any(np.shares_memory(a, b) for b in buffers)
+
+    @pytest.mark.parametrize("incoherent", [False, True], ids=["plain", "incoherent"])
+    def test_nonfinite_step_and_traces_equal_reference(self, incoherent, monkeypatch):
+        teacher, grid, transform, _ = self.inputs(ToyArch(), incoherent)
+        real_chunks = discquant._teacher_chunks
+
+        def poisoned(*args):
+            for step, (prefixes, t_logp, t_p) in enumerate(real_chunks(*args), start=1):
+                yield prefixes, t_logp + (np.nan if step == 5 else 0.0), t_p
+
+        monkeypatch.setattr(discquant, "_teacher_chunks", poisoned)
+        caught = []
+        for run in (optimize, reference_optimize):
+            with pytest.raises(NonFiniteObjective, match="at step 5$") as err:
+                run(teacher, grid, tiny_cfg(seed=67), transform=transform)
+            caught.append(err.value)
+        got, ref = caught
+        assert got.trace_linear.shape == (4,)
+        assert got.trace_linear.tobytes() == ref.trace_linear.tobytes()
+        assert got.trace_kl.tobytes() == ref.trace_kl.tobytes()
 
 
 class TestSchedule:

@@ -440,6 +440,35 @@ class TestCli:
         assert f"argument {flag}: must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("study", ["falpha", "gen"])
+    @pytest.mark.parametrize("grid, message", [
+        ("4,8,16", "m grid needs at least 4 points"),
+        ("4,8,8,16", "m grid must be strictly increasing"),
+        ("4,8,16,64", "m grid must be (approximately) geometrically spaced"),
+        ("4,8,x,16", "invalid literal for int()"),
+    ], ids=["short", "repeat", "uneven", "not-int"])
+    def test_bad_m_grid_rejected_before_any_work(self, study, grid, message, tmp_path, capsys):
+        # a bad grid was a traceback from inside the study
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as caught:
+            cli_main(["speclab", study, "--alpha", "2.0", "--n", "512", "--m-grid", grid,
+                      "--trials", "1", "--out", str(out)])
+        assert caught.value.code == 2
+        assert f"argument --m-grid: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gen_m_grid_keeps_zero_entries(self, tmp_path, monkeypatch):
+        import discq.cli as cli
+
+        def study(spec, m_grid, *args, **kwargs):
+            raise _Stop(m_grid)
+
+        monkeypatch.setattr(cli, "generalization_study", study)
+        with pytest.raises(_Stop) as caught:
+            cli_main(["speclab", "gen", "--alpha", "2.0", "--m-grid", "0,2,4,8,16",
+                      "--out", str(tmp_path / "out.csv")])
+        assert caught.value.args == ([0, 2, 4, 8, 16],)
+
     def test_run_command_exit_codes(self, tmp_path):
         cfg = {"experiment": "comparison", "seed": 1, "trials": 1,
                "params": {"bits_levels": [3], "methods": ["rtn"], "heldout": 8,

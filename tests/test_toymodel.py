@@ -413,3 +413,34 @@ class TestKernelBytePins:
             assert x.tobytes() == y.tobytes()
             assert opt.m.tobytes() == ref.m.tobytes()
             assert opt.v.tobytes() == ref.v.tobytes()
+
+
+class TestOwnedResults:
+    """Results that callers keep are theirs: a later call writes into arrays of its own."""
+
+    def test_kl_term_gradients_survive_the_next_call(self):
+        teacher, student = random_model(seed=91), random_model(seed=92)
+        batches = [sample_sequences(teacher, 4, seed=s) for s in (93, 94)]
+        first = kl_term(teacher, student, batches[0])[1]
+        kept = first.copy()
+        second = kl_term(teacher, student, batches[1])[1]
+        assert first.tobytes() == kept.tobytes()
+        assert not np.shares_memory(first, second)
+
+    def test_gradient_rows_survive_the_next_call(self):
+        model = random_model(seed=95)
+        batches = [sample_sequences(model, 3, seed=s) for s in (96, 97)]
+        first = gradient_rows(model, batches[0])
+        kept = first.copy()
+        second = gradient_rows(model, batches[1])
+        assert first.tobytes() == kept.tobytes()
+        assert not np.shares_memory(first, second)
+
+    def test_forward_cache_rewritten_in_place(self):
+        model = random_model(seed=98)
+        prefixes = [sample_sequences(model, 2, seed=s).rows(model.arch)[0] for s in (99, 100)]
+        cache = _forward(model, prefixes[0])
+        assert _forward(model, prefixes[1], cache) is cache
+        fresh = _forward(model, prefixes[1])
+        for key in ("logits", "logp", "p"):
+            assert cache[key].tobytes() == fresh[key].tobytes()
