@@ -9,7 +9,7 @@ import numpy as np
 
 from discq import (bits_per_param, bracket_of, build_block_scaling,
                    explicit_grid, interp_weights, rtn)
-from discq.grid import InterpState, grid_to_record
+from discq.grid import grid_to_record
 
 w = np.array([0.9, -0.3, 0.1, 0.6, 1.4, -2.2, 0.05, -0.6])
 print("weights:", w)
@@ -30,12 +30,9 @@ for j in range(len(w)):
 print("\nround-to-nearest:", rtn(w, grid))
 
 y = br.position()
-state = InterpState(x=y, frozen=np.zeros(len(w), bool), bracket=br)
 print("interpolating at the weights' own position reproduces them:")
-print("  max |w^y - w| =", np.max(np.abs(interp_weights(state) - w)))
-
-half = InterpState(x=np.full(len(w), 0.5), frozen=np.zeros(len(w), bool), bracket=br)
-print("  midpoint x=0.5 lands halfway:", interp_weights(half))
+print("  max |w^y - w| =", np.max(np.abs(interp_weights(br, y) - w)))
+print("  midpoint x=0.5 lands halfway:", interp_weights(br, np.full(len(w), 0.5)))
 
 uni = explicit_grid(np.arange(-30, 31) * 0.1, n=len(w))
 print("\nexplicit uniform grid, spacing 0.1:", rtn(w, uni))

@@ -3,8 +3,8 @@ desk-scale lab for the scaling laws and divergence identities behind it."""
 
 __version__ = "0.1.0"
 
-from .grid import (Bracket, InterpState, QuantGrid, bits_per_param, bracket_of,
-                   build_block_scaling, explicit_grid, interp_weights, rtn)
+from .grid import (Bracket, QuantGrid, bits_per_param, bracket_of, build_block_scaling,
+                   explicit_grid, interp_weights, rtn)
 from .toymodel import (SampleBatch, ToyArch, ToyModel, forward_next_token,
                        grad_stats, hessian_quadratic_form, kl_term,
                        per_sample_grad, random_model, sample_sequences)

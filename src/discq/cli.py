@@ -19,7 +19,8 @@ from .incoherence import ModelIncoherence
 from .lmwalk import ConstraintSet, WalkConfig, lm_round
 from .pipeline import METHODS, quantize_model
 from .serialize import AT_LEAST_1, NONNEGATIVE, Bound, dump_record, floats_to_hex
-from .speclab import (SpectrumSpec, _check_gen_m_grid, _check_m_grid, falpha_scaling_study,
+from .speclab import (SpectrumSpec, _check_falpha_args, _check_gen_m_grid,
+                      _check_generalization_args, _check_m_grid, falpha_scaling_study,
                       generalization_study, jl_spectrum)
 from .toymodel import (ToyArch, gradient_rows, load_checkpoint, random_model,
                        sample_sequences, save_checkpoint)
@@ -53,6 +54,18 @@ def _m_grid(check):
 
 
 _seed, _count = _int_in(NONNEGATIVE), _int_in(AT_LEAST_1)
+
+
+def _checked(parser, flags: str, check):
+    """``_cmd_speclab`` behind ``check(args)``: a ``ValueError`` it raises exits
+    naming ``flags``, before any work, as a flag given a bad value does."""
+    def run(args) -> int:
+        try:
+            check(args)
+        except ValueError as err:
+            parser.error(f"arguments {flags}: {err}")
+        return _cmd_speclab(args)
+    return run
 
 
 def _config(cls, args):
@@ -176,49 +189,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="json", help="comma-separated: json,csv")
     p.set_defaults(fn=_cmd_run)
 
+    # every other command takes a --seed and writes the one file --out names
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=_seed, default=0)
+    common.add_argument("--out", required=True)
+
     # walk, quantize and teacher: a flag without a default sets the config
     # field its dest names, and only when it is given (see _config)
-    p = sub.add_parser("walk", help="round a random constrained instance",
+    p = sub.add_parser("walk", help="round a random constrained instance", parents=[common],
                        argument_default=argparse.SUPPRESS)
     p.add_argument("--n", type=_count, required=True)
     p.add_argument("--m", type=_count, required=True)
-    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--delta", type=float)
     p.add_argument("--eps", type=float)
     p.add_argument("--steps", dest="steps_per_phase", metavar="STEPS", type=int)
     p.add_argument("--max-phases", type=int)
-    p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_walk)
 
     p = sub.add_parser("speclab", help="spectrum studies")
     ssub = p.add_subparsers(dest="study", required=True)
-    q = ssub.add_parser("falpha", help="covariance estimator error rate")
-    q.add_argument("--alpha", type=float, required=True)
-    q.add_argument("--n", type=_count, default=ScalingParams.estimator_n)
-    q.add_argument("--m-grid", type=_m_grid(_check_m_grid),
-                   default=ScalingParams.estimator_m_grid)
-    q.add_argument("--trials", type=_count, default=ScalingParams.estimator_trials)
-    q.add_argument("--seed", type=_seed, default=0)
-    q.add_argument("--out", required=True)
-    q.set_defaults(fn=_cmd_speclab)
-    q = ssub.add_parser("gen", help="rounding generalization scaling")
-    q.add_argument("--alpha", type=float, required=True)
-    q.add_argument("--n", type=_count, default=ScalingParams.gen_n)
-    q.add_argument("--m-grid", type=_m_grid(_check_gen_m_grid), default=ScalingParams.gen_m_grid)
-    q.add_argument("--trials", type=_count, default=ScalingParams.gen_trials)
-    q.add_argument("--delta", type=float, default=ScalingParams.walk.delta)
-    q.add_argument("--seed", type=_seed, default=0)
-    q.add_argument("--out", required=True)
-    q.set_defaults(fn=_cmd_speclab)
-    q = ssub.add_parser("jl", help="projected gradient spectrum of a checkpoint")
+    for study, text, prefix, grid, check, flags in (
+            ("falpha", "covariance estimator error rate", "estimator", _check_m_grid,
+             lambda a: _check_falpha_args(a.m_grid, a.trials), "--m-grid, --trials"),
+            ("gen", "rounding generalization scaling", "gen", _check_gen_m_grid,
+             lambda a: _check_generalization_args(a.n, a.m_grid, a.trials),
+             "--n, --m-grid, --trials")):
+        q = ssub.add_parser(study, help=text, parents=[common])
+        q.add_argument("--alpha", type=float, required=True)
+        q.add_argument("--n", type=_count, default=getattr(ScalingParams, f"{prefix}_n"))
+        q.add_argument("--m-grid", type=_m_grid(grid),
+                       default=getattr(ScalingParams, f"{prefix}_m_grid"))
+        q.add_argument("--trials", type=_count, default=getattr(ScalingParams, f"{prefix}_trials"))
+        if study == "gen":
+            q.add_argument("--delta", type=float, default=ScalingParams.walk.delta)
+        q.set_defaults(fn=_checked(q, flags, check))
+    q = ssub.add_parser("jl", help="projected gradient spectrum of a checkpoint", parents=[common])
     q.add_argument("--ckpt", required=True)
     q.add_argument("--d", type=_count, default=64)
     q.add_argument("--samples", type=_count, default=128)
-    q.add_argument("--seed", type=_seed, default=0)
-    q.add_argument("--out", required=True)
     q.set_defaults(fn=_cmd_speclab)
 
-    p = sub.add_parser("quantize", help="quantize a toy checkpoint",
+    p = sub.add_parser("quantize", help="quantize a toy checkpoint", parents=[common],
                        argument_default=argparse.SUPPRESS)
     p.add_argument("--bits", type=int, required=True)
     p.add_argument("--groupsize", type=int, default=None)
@@ -228,23 +239,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", dest="iterations", metavar="ITERS", type=int)
     p.add_argument("--warmup", type=int)
     p.add_argument("--clamp", type=float)
-    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--teacher", default=None, help="checkpoint path (default: seeded)")
     p.add_argument("--heldout", type=_count, default=256)
     p.add_argument("--incoherence", choices=("on", "off"), default="off")
     p.add_argument("--incoh-seed", type=_seed, default=0)
-    p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_quantize)
 
-    p = sub.add_parser("teacher", help="write a seeded teacher checkpoint",
+    p = sub.add_parser("teacher", help="write a seeded teacher checkpoint", parents=[common],
                        argument_default=argparse.SUPPRESS)
-    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--vocab", type=int)
     p.add_argument("--context", type=int)
     p.add_argument("--hidden", type=int)
     p.add_argument("--layers", type=int)
     p.add_argument("--emb", type=int)
-    p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_teacher)
     return parser
 

@@ -48,7 +48,7 @@ from typing import Annotated, Literal
 
 import numpy as np
 
-from .grid import Bracket, QuantGrid, bracket_of, nearer_up
+from .grid import Bracket, QuantGrid, bracket_of, interp_weights, nearer_up
 from .incoherence import Identity
 from .optim import AdamW, warmup_cosine_lr
 from .serialize import (AT_LEAST_1, BELOW_HALF, FINITE_NONNEGATIVE, FINITE_POSITIVE,
@@ -56,8 +56,7 @@ from .serialize import (AT_LEAST_1, BELOW_HALF, FINITE_NONNEGATIVE, FINITE_POSIT
 from .toymodel import (SampleBatch, ToyModel, _check_data_mix, _forward, _kl_core,
                        _new_cache, _sample_tokens, _swap_uniform, kl_term)
 
-# unused here; kept importable because bench/spans.py traces them at these names
-from .grid import interp_weights  # noqa: F401
+# unused here; kept importable because bench/spans.py traces it at this name
 from .toymodel import sample_sequences  # noqa: F401
 
 Array = np.ndarray
@@ -135,8 +134,7 @@ def finalize(x, bracket: Bracket, tau: float) -> Array:
     Midpoint ties follow the grid tie rule (smaller-magnitude point wins).
     """
     x = np.asarray(x, dtype=np.float64)
-    wx = bracket.w_down * (1.0 - x) + bracket.w_up * x
-    near_up = nearer_up(wx, bracket.w_down, bracket.w_up)
+    near_up = nearer_up(interp_weights(bracket, x), bracket.w_down, bracket.w_up)
     take_up = np.where(x >= 1.0 - tau, True, np.where(x <= tau, False, near_up))
     return np.where(take_up, bracket.w_up, bracket.w_down)
 
@@ -211,7 +209,7 @@ def optimize(teacher: ToyModel, grid: QuantGrid, cfg: DiscQuantConfig,
     live = np.empty(bracket.n, dtype=bool)
     student = cache = None
     for step, (prefixes, t_logp, t_p) in enumerate(kl_inputs, start=1):
-        # wq_x = w_down * (1 - x) + w_up * x, each operation rounding as written
+        # interp_weights(bracket, x) in place, bit for bit: each operation rounds as written
         np.subtract(1.0, x, out=tmp)
         tmp *= bracket.w_down
         np.multiply(bracket.w_up, x, out=wq_x)

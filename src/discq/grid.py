@@ -143,25 +143,6 @@ class Bracket:
         return np.clip(y, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class InterpState:
-    """Interpolation vector with a frozen-coordinate mask, bound to a bracket."""
-
-    x: Array
-    frozen: Array  # boolean mask
-    bracket: Bracket
-
-    def __post_init__(self):
-        x = np.asarray(self.x)
-        if np.any(x < 0) or np.any(x > 1):
-            raise ValueError("x must lie in [0, 1]^n")
-        fr = np.asarray(self.frozen, dtype=bool)
-        if fr.shape != x.shape:
-            raise ValueError("frozen mask shape mismatch")
-        if not np.all(np.isin(x[fr], (0.0, 1.0))):
-            raise ValueError("frozen coordinates must be exactly 0 or 1")
-
-
 def build_block_scaling(w, bits: int, groupsize, blocks=None) -> QuantGrid:
     """Build a symmetric block-scaling grid from weights.
 
@@ -174,11 +155,15 @@ def build_block_scaling(w, bits: int, groupsize, blocks=None) -> QuantGrid:
     of a model) that groups never straddle: per-tensor then means one scale
     per span, and integer group runs restart at every span boundary.  The
     spans must be nonempty and partition ``[0, n)``, else
-    :class:`GridConfigError`.
+    :class:`GridConfigError`.  So does a non-finite weight, which no scale
+    brackets.
     """
     w = np.asarray(w, dtype=np.float64)
     if bits < 2:
         raise GridConfigError(f"bits must be >= 2, got {bits}")
+    bad = np.flatnonzero(~np.isfinite(w))
+    if bad.size:
+        raise GridConfigError(f"weights must be finite, got {w[bad[0]]} at coordinate {bad[0]}")
     groupsize = groupsize_of(groupsize)
     n = w.shape[0]
     lmax = (1 << (bits - 1)) - 1
@@ -271,11 +256,10 @@ def bracket_of(w, grid: QuantGrid) -> Bracket:
     return Bracket(w_down=down, w_up=up, delta=up - down, w=w)
 
 
-def interp_weights(state: InterpState) -> Array:
-    """w^x = w_down * (1 - x) + w_up * x, coordinatewise."""
-    br = state.bracket
-    x = np.asarray(state.x)
-    return br.w_down * (1.0 - x) + br.w_up * x
+def interp_weights(bracket: Bracket, x) -> Array:
+    """w^x = w_down * (1 - x) + w_up * x, coordinatewise, as a new array."""
+    x = np.asarray(x, dtype=np.float64)
+    return bracket.w_down * (1.0 - x) + bracket.w_up * x
 
 
 def nearer_up(w: Array, down: Array, up: Array) -> Array:

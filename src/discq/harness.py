@@ -102,8 +102,8 @@ class ScalingParams:
                 SpectrumSpec(n=self.estimator_n, alpha=alpha)
             _check_falpha_args(self.estimator_m_grid, self.estimator_trials)
         if self.run_generalization:
-            _check_generalization_args(SpectrumSpec(n=self.gen_n, alpha=self.gen_alpha),
-                                       self.gen_m_grid, self.gen_trials)
+            SpectrumSpec(n=self.gen_n, alpha=self.gen_alpha)
+            _check_generalization_args(self.gen_n, self.gen_m_grid, self.gen_trials)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import discquant, grid as gridmod, lmwalk, toymodel
 from .incoherence import Identity, ModelIncoherence
-from .serialize import child_seed
+from .serialize import AT_LEAST_1, NONNEGATIVE, _check_value, child_seed
 
 
 # the walk's step for model rounding: quantize_model's and the comparison's default
@@ -85,6 +85,8 @@ def quantize_model(teacher: toymodel.ToyModel, bits: int, groupsize, method: str
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
+    _check_value("seed", seed, NONNEGATIVE)
+    _check_value("walk_samples", walk_samples, AT_LEAST_1)
     toymodel._check_data_mix(data_mix)
     transform = transform or Identity(teacher.arch)
     wq = transform.to_q(teacher.params)

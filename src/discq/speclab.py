@@ -197,10 +197,10 @@ def _check_gen_m_grid(m_grid) -> list[int]:
     return ms
 
 
-def _check_generalization_args(spec: SpectrumSpec, m_grid, trials: int) -> list[int]:
-    """The m grid of :func:`generalization_study`, checked with ``spec`` and its trial count."""
+def _check_generalization_args(n: int, m_grid, trials: int) -> list[int]:
+    """The m grid of :func:`generalization_study`, checked with its n and trial count."""
     ms = _check_gen_m_grid(m_grid)
-    if max(ms) > spec.n / 16:
+    if max(ms) > n / 16:
         raise ValueError("largest m exceeds n/16")
     if trials < 1:
         raise ValueError("need at least 1 trial")
@@ -217,7 +217,7 @@ def generalization_study(spec: SpectrumSpec, m_grid, trials: int,
     test-sampling noise).  m = 0 entries, if present, contribute the exact
     value 0 and are excluded from the fit.
     """
-    ms = _check_generalization_args(spec, m_grid, trials)
+    ms = _check_generalization_args(spec.n, m_grid, trials)
     quad = np.zeros((len(ms), trials))
     for i, m in enumerate(ms):
         for t in range(trials):

@@ -26,8 +26,8 @@ import numpy as np
 
 from .grid import QuantGrid, bracket_of
 from .optim import AdamW
-from .serialize import (AT_LEAST_1, AT_LEAST_2, UNIT_INTERVAL, _check_fields, _check_value,
-                        dump_record, floats_to_hex, hex_to_floats, load_record)
+from .serialize import (AT_LEAST_1, AT_LEAST_2, NONNEGATIVE, UNIT_INTERVAL, _check_fields,
+                        _check_value, dump_record, floats_to_hex, hex_to_floats, load_record)
 
 Array = np.ndarray
 
@@ -331,6 +331,9 @@ def forward_next_token(model: ToyModel, prefix) -> Array:
 
 def sample_sequences(model: ToyModel, count: int, length: int = 8, seed: int = 0) -> SampleBatch:
     """Autoregressively sample token sequences from the model itself."""
+    _check_value("count", count, AT_LEAST_1)
+    _check_value("length", length, AT_LEAST_1)
+    _check_value("seed", seed, NONNEGATIVE)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xDA7A]))
     uniforms = rng.random((length, count))
     return SampleBatch(sequences=_sample_tokens(model, uniforms, scores=False)[0])

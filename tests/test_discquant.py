@@ -487,6 +487,19 @@ class TestPipelineCount:
         with pytest.raises(ValueError, match="data_mix"):
             quantize_model(random_model(seed=20), 3, 16, "lmwalk", data_mix=mix)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"seed": -1}, "seed must be nonnegative, got -1"),
+        ({"walk_samples": 0}, "walk_samples must be >= 1, got 0"),
+    ], ids=["seed", "walk_samples"])
+    def test_arguments_named(self, kwargs, message):
+        # walk_samples=0 failed in a numpy reshape, seed=-1 in a seed sequence
+        with pytest.raises(ValueError, match=message):
+            quantize_model(random_model(seed=20), 3, 16, "lmwalk", **kwargs)
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="method must be one of"):
+            quantize_model(random_model(seed=20), 3, 16, "stochastic")
+
 
 class TestRounderTable:
     """quantize_model through pipeline.ROUNDERS equals the if/elif chain it replaced."""

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from discq.grid import (GridAccountingError, GridConfigError, InterpState, QuantGrid,
+from discq.grid import (GridAccountingError, GridConfigError, QuantGrid,
                         bits_per_param, bracket_of, build_block_scaling,
                         explicit_grid, grid_from_record, grid_to_record,
                         interp_weights, load_grid, rtn, save_grid)
@@ -49,6 +49,17 @@ class TestBlockScaling:
     def test_bits_below_two_rejected(self):
         with pytest.raises(GridConfigError):
             build_block_scaling(np.ones(4), bits=1, groupsize=4)
+
+    @pytest.mark.parametrize("w, message", [
+        ([np.nan, 100.0, 1.0, 2.0], "got nan at coordinate 0"),
+        ([1.0, 2.0, np.inf, 3.0], "got inf at coordinate 2"),
+        ([1.0, -np.inf, np.nan, 3.0], "got -inf at coordinate 1"),
+    ], ids=["nan", "inf", "first-of-two"])
+    def test_non_finite_weight_rejected(self, w, message):
+        # a NaN's group took the all-zero sentinel scale 1, so rtn clamped 100
+        # to 3; an inf took scale inf, and its finite neighbour rounded to NaN
+        with pytest.raises(GridConfigError, match=message):
+            build_block_scaling(w, bits=3, groupsize=2)
 
     def test_per_tensor(self):
         grid = build_block_scaling(np.array([1.0, -2.0, 0.5]), bits=3, groupsize="per-tensor")
@@ -224,24 +235,20 @@ class TestInterp:
         grid = build_block_scaling(w, bits=3, groupsize=16)
         br = bracket_of(w, grid)
         y = br.position()
-        state = InterpState(x=y, frozen=np.zeros(128, bool), bracket=br)
-        np.testing.assert_allclose(interp_weights(state), w, rtol=0, atol=4 * np.spacing(np.abs(w).max()))
+        np.testing.assert_allclose(interp_weights(br, y), w, rtol=0, atol=4 * np.spacing(np.abs(w).max()))
 
     def test_endpoints(self):
         rng = np.random.default_rng(4)
         w = rng.standard_normal(32)
         br = bracket_of(w, build_block_scaling(w, bits=2, groupsize=8))
-        zeros = InterpState(np.zeros(32), np.zeros(32, bool), br)
-        ones = InterpState(np.ones(32), np.ones(32, bool), br)
-        np.testing.assert_array_equal(interp_weights(zeros), br.w_down)
-        np.testing.assert_array_equal(interp_weights(ones), br.w_up)
+        np.testing.assert_array_equal(interp_weights(br, np.zeros(32)), br.w_down)
+        np.testing.assert_array_equal(interp_weights(br, np.ones(32)), br.w_up)
 
     def test_midpoint_on_uniform_grid(self):
         grid = explicit_grid(np.arange(-4.0, 5.0) * 0.5, n=16)
         w = np.full(16, 0.2)
         br = bracket_of(w, grid)
-        mid = InterpState(np.full(16, 0.5), np.zeros(16, bool), br)
-        np.testing.assert_allclose(interp_weights(mid), br.w_down + 0.25)
+        np.testing.assert_allclose(interp_weights(br, np.full(16, 0.5)), br.w_down + 0.25)
 
     def test_linearity_on_uniform_grid(self):
         spacing = 0.5
@@ -250,14 +257,8 @@ class TestInterp:
         w = rng.uniform(-3, 3, 64)
         br = bracket_of(w, grid)
         x1, x2 = rng.random(64), rng.random(64)
-        none = np.zeros(64, bool)
-        diff = interp_weights(InterpState(x1, none, br)) - interp_weights(InterpState(x2, none, br))
+        diff = interp_weights(br, x1) - interp_weights(br, x2)
         np.testing.assert_allclose(diff, spacing * (x1 - x2), rtol=1e-12, atol=1e-14)
-
-    def test_frozen_mask_must_be_integral(self):
-        br = bracket_of(np.array([0.4]), explicit_grid([0.0, 1.0], n=1))
-        with pytest.raises(ValueError):
-            InterpState(np.array([0.4]), np.array([True]), br)
 
 
 class TestRtn:

@@ -14,6 +14,7 @@ from a ``dq run`` config.  So must every field that declares a range or
 choices beside its type, for a value just outside them.
 """
 
+import argparse
 import ast
 import dataclasses
 import importlib
@@ -27,6 +28,7 @@ from pathlib import Path
 
 import pytest
 
+from discq import cli
 from discq.cli import build_parser
 from discq.harness import EXPERIMENTS, ExperimentConfig
 from discq.serialize import NONNEGATIVE, Bound
@@ -144,6 +146,89 @@ def _readme_commands() -> list[str]:
 def test_readme_command_parses(command):
     args = build_parser().parse_args(shlex.split(command)[1:])
     assert callable(args.fn)
+
+
+# (command, flag): dest, default, required, type; the default of a required
+# flag is never read, so it stands as None
+_FLAGS = {
+    ("", "--version"): ("version", argparse.SUPPRESS, False, None),
+    ("run", "config"): ("config", None, True, None),
+    ("run", "--out"): ("out", None, False, None),
+    ("run", "--format"): ("format", "json", False, None),
+    ("walk", "--n"): ("n", None, True, "_count"),
+    ("walk", "--m"): ("m", None, True, "_count"),
+    ("walk", "--seed"): ("seed", 0, False, "_seed"),
+    ("walk", "--delta"): ("delta", argparse.SUPPRESS, False, "float"),
+    ("walk", "--eps"): ("eps", argparse.SUPPRESS, False, "float"),
+    ("walk", "--steps"): ("steps_per_phase", argparse.SUPPRESS, False, "int"),
+    ("walk", "--max-phases"): ("max_phases", argparse.SUPPRESS, False, "int"),
+    ("walk", "--out"): ("out", None, True, None),
+    ("speclab falpha", "--alpha"): ("alpha", None, True, "float"),
+    ("speclab falpha", "--n"): ("n", 256, False, "_count"),
+    ("speclab falpha", "--m-grid"): ("m_grid", (32, 64, 128, 256, 512), False, "parse"),
+    ("speclab falpha", "--trials"): ("trials", 24, False, "_count"),
+    ("speclab falpha", "--seed"): ("seed", 0, False, "_seed"),
+    ("speclab falpha", "--out"): ("out", None, True, None),
+    ("speclab gen", "--alpha"): ("alpha", None, True, "float"),
+    ("speclab gen", "--n"): ("n", 1024, False, "_count"),
+    ("speclab gen", "--m-grid"): ("m_grid", (8, 16, 32, 64), False, "parse"),
+    ("speclab gen", "--trials"): ("trials", 20, False, "_count"),
+    ("speclab gen", "--delta"): ("delta", 0.04, False, "float"),
+    ("speclab gen", "--seed"): ("seed", 0, False, "_seed"),
+    ("speclab gen", "--out"): ("out", None, True, None),
+    ("speclab jl", "--ckpt"): ("ckpt", None, True, None),
+    ("speclab jl", "--d"): ("d", 64, False, "_count"),
+    ("speclab jl", "--samples"): ("samples", 128, False, "_count"),
+    ("speclab jl", "--seed"): ("seed", 0, False, "_seed"),
+    ("speclab jl", "--out"): ("out", None, True, None),
+    ("quantize", "--bits"): ("bits", None, True, "int"),
+    ("quantize", "--groupsize"): ("groupsize", None, False, "int"),
+    ("quantize", "--method"): ("method", "discquant", False, None),
+    ("quantize", "--lambda"): ("lam", argparse.SUPPRESS, False, "float"),
+    ("quantize", "--lr"): ("lr", argparse.SUPPRESS, False, "float"),
+    ("quantize", "--iters"): ("iterations", argparse.SUPPRESS, False, "int"),
+    ("quantize", "--warmup"): ("warmup", argparse.SUPPRESS, False, "int"),
+    ("quantize", "--clamp"): ("clamp", argparse.SUPPRESS, False, "float"),
+    ("quantize", "--seed"): ("seed", 0, False, "_seed"),
+    ("quantize", "--teacher"): ("teacher", None, False, None),
+    ("quantize", "--heldout"): ("heldout", 256, False, "_count"),
+    ("quantize", "--incoherence"): ("incoherence", "off", False, None),
+    ("quantize", "--incoh-seed"): ("incoh_seed", 0, False, "_seed"),
+    ("quantize", "--out"): ("out", None, True, None),
+    ("teacher", "--seed"): ("seed", 0, False, "_seed"),
+    ("teacher", "--vocab"): ("vocab", argparse.SUPPRESS, False, "int"),
+    ("teacher", "--context"): ("context", argparse.SUPPRESS, False, "int"),
+    ("teacher", "--hidden"): ("hidden", argparse.SUPPRESS, False, "int"),
+    ("teacher", "--layers"): ("layers", argparse.SUPPRESS, False, "int"),
+    ("teacher", "--emb"): ("emb", argparse.SUPPRESS, False, "int"),
+    ("teacher", "--out"): ("out", None, True, None),
+}
+
+
+def _type_name(kind):
+    """A flag's ``type`` by the ``discq.cli`` name bound to it, else its own name."""
+    return next((name for name, value in vars(cli).items() if value is kind),
+                getattr(kind, "__name__", None))
+
+
+def _flags(parser, path=()):
+    """(command, flag): (dest, default, required, type) for ``parser`` and its subcommands."""
+    table = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                table.update(_flags(child, path + (name,)))
+        elif not isinstance(action, argparse._HelpAction):
+            table[" ".join(path), "/".join(action.option_strings) or action.dest] = (
+                action.dest, None if action.required else action.default, action.required,
+                _type_name(action.type))
+    return table
+
+
+def test_cli_flags_keep_their_declarations():
+    """Every ``dq`` flag keeps its name, dest, default, whether it is required
+    and its type, however ``build_parser`` declares it."""
+    assert _flags(build_parser()) == _FLAGS
 
 
 

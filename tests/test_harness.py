@@ -457,6 +457,21 @@ class TestCli:
         assert f"argument --m-grid: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["falpha", "--alpha", "2", "--trials", "5"],
+         "arguments --m-grid, --trials: need at least 20 trials per grid point"),
+        (["gen", "--alpha", "2", "--n", "100"],
+         "arguments --n, --m-grid, --trials: largest m exceeds n/16"),
+    ], ids=["falpha-trials", "gen-n"])
+    def test_study_rules_checked_before_any_work(self, argv, message, tmp_path, capsys):
+        # each was a traceback from inside the study, exiting 1, naming no flag
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as caught:
+            cli_main(["speclab", *argv, "--out", str(out)])
+        assert caught.value.code == 2
+        assert f"dq speclab {argv[0]}: error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gen_m_grid_keeps_zero_entries(self, tmp_path, monkeypatch):
         import discq.cli as cli
 

@@ -267,6 +267,16 @@ class TestRound:
         assert partial.fractional >= 0
         assert np.all(partial.x >= 0) and np.all(partial.x <= 1)
 
+    def test_rows_on_integral_coordinates_only(self):
+        # the one row reads only coordinate 0, which starts at 0 and so never
+        # moves: the free coordinates span no row, and the walk meets it exactly
+        y = np.random.default_rng(6).random(64)
+        y[0] = 0.0
+        cs = ConstraintSet(np.eye(1, 64), y)
+        res = lm_round(cs, WalkConfig(seed=0))
+        assert res.residual_l2 == 0.0 and res.x[0] == 0.0
+        assert res.fractional <= 16
+
     def test_rank_deficient_rows_walk_to_rank(self):
         cs = rank_deficient_instance(512, seed=0)
         res = lm_round(cs, WalkConfig(seed=0))

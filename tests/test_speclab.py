@@ -193,6 +193,11 @@ class TestGeneralization:
                                    walk_cfg=WalkConfig(delta=0.04), seed=1)
         assert res.means[0] == 0.0
 
+    def test_zero_trials_rejected(self):
+        with pytest.raises(ValueError, match="need at least 1 trial"):
+            generalization_study(SpectrumSpec(n=128, alpha=2.0), (1, 2, 4, 8), trials=0,
+                                 walk_cfg=WalkConfig(), seed=0)
+
     def test_m_too_large_rejected(self):
         spec = SpectrumSpec(n=64, alpha=2.0)
         with pytest.raises(ValueError):

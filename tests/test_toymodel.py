@@ -321,6 +321,16 @@ class TestBatchesAndCheckpoints:
         c = sample_sequences(model, 5, seed=10).sequences
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"count": 0}, "count must be >= 1, got 0"),
+        ({"count": 4, "length": 0}, "length must be >= 1, got 0"),
+        ({"count": 4, "seed": -1}, "seed must be nonnegative, got -1"),
+    ], ids=["count", "length", "seed"])
+    def test_sampling_arguments_named(self, kwargs, message):
+        # each failed inside numpy (a reshape, a window view, a seed sequence)
+        with pytest.raises(ValueError, match=message):
+            sample_sequences(random_model(seed=70), **kwargs)
+
     def test_checkpoint_roundtrip_bit_exact(self, tmp_path):
         model = random_model(ToyArch(layers=2), seed=71)
         path = tmp_path / "model.json"
