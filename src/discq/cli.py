@@ -9,16 +9,15 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .discquant import DiscQuantConfig
-from .grid import PER_TENSOR
+from .grid import PER_TENSOR, groupsize_of
 from .harness import ExperimentConfig, ScalingParams, emit, run_experiment, worker_count
 from .incoherence import ModelIncoherence
-from .lmwalk import ConstraintSet, WalkConfig, lm_round
+from .lmwalk import ConstraintSet, WalkConfig, _check_rows, lm_round
 from .pipeline import METHODS, quantize_model
-from .serialize import AT_LEAST_1, NONNEGATIVE, Bound, dump_record, floats_to_hex
+from .serialize import (AT_LEAST_1, AT_LEAST_2, NONNEGATIVE, Bound, _json_value, _type_hints,
+                        dump_record, floats_to_hex, seeded_rng)
 from .speclab import (SpectrumSpec, _check_falpha_args, _check_gen_m_grid,
                       _check_generalization_args, _check_m_grid, falpha_scaling_study,
                       generalization_study, jl_spectrum)
@@ -30,16 +29,33 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok]
 
 
-def _int_in(bound: Bound):
-    """An argparse ``type``: an int that ``bound`` holds, so a flag given a value
-    outside it exits naming the flag, before any work."""
-    def parse(text: str) -> int:
-        value = int(text)
-        if value not in bound:
-            raise argparse.ArgumentTypeError(f"must be {bound.text}, got {value}")
-        return value
-    parse.__name__ = "int"  # argparse's "invalid int value" for a non-int
+def _typed(kind, check):
+    """An argparse ``type``: ``kind(text)`` as ``check`` returns it; a ``ValueError``
+    from ``check`` exits naming the flag, before any work."""
+    def parse(text: str):
+        value = kind(text)
+        try:
+            return check(value)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" for a non-int
     return parse
+
+
+def _int_in(bound: Bound):
+    """An argparse ``type``: an int that ``bound`` holds."""
+    def check(value: int) -> int:
+        if value not in bound:
+            raise ValueError(f"must be {bound.text}, got {value}")
+        return value
+    return _typed(int, check)
+
+
+def _field(cls, name: str, kind):
+    """An argparse ``type`` for the flag that sets field ``name`` of the config class
+    ``cls``: a ``kind`` in the range or among the choices declared beside the field."""
+    hint = _type_hints(cls)[name]
+    return _typed(kind, lambda value: _json_value(name, value, hint))
 
 
 def _m_grid(check):
@@ -56,15 +72,17 @@ def _m_grid(check):
 _seed, _count = _int_in(NONNEGATIVE), _int_in(AT_LEAST_1)
 
 
-def _checked(parser, flags: str, check):
-    """``_cmd_speclab`` behind ``check(args)``: a ``ValueError`` it raises exits
-    naming ``flags``, before any work, as a flag given a bad value does."""
+def _checked(parser, command, *rules):
+    """``command`` behind ``rules``, each (flags, check) for flags that break a rule
+    together: a ``ValueError`` that ``check(args)`` raises exits naming ``flags``,
+    before any work, as a flag given a bad value does."""
     def run(args) -> int:
-        try:
-            check(args)
-        except ValueError as err:
-            parser.error(f"arguments {flags}: {err}")
-        return _cmd_speclab(args)
+        for flags, check in rules:
+            try:
+                check(args)
+            except ValueError as err:
+                parser.error(f"arguments {flags}: {err}")
+        return command(args)
     return run
 
 
@@ -99,7 +117,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_walk(args) -> int:
     cfg = _config(WalkConfig, args)
-    rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0x11]))
+    rng = seeded_rng(args.seed, 0x11)
     matrix = rng.standard_normal((args.m, args.n))
     y = rng.random(args.n)
     cs = ConstraintSet(matrix, y)
@@ -200,11 +218,14 @@ def build_parser() -> argparse.ArgumentParser:
                        argument_default=argparse.SUPPRESS)
     p.add_argument("--n", type=_count, required=True)
     p.add_argument("--m", type=_count, required=True)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--steps", dest="steps_per_phase", metavar="STEPS", type=int)
-    p.add_argument("--max-phases", type=int)
-    p.set_defaults(fn=_cmd_walk)
+    p.add_argument("--delta", type=_field(WalkConfig, "delta", float))
+    p.add_argument("--eps", type=_field(WalkConfig, "eps", float))
+    p.add_argument("--steps", dest="steps_per_phase", metavar="STEPS",
+                   type=_field(WalkConfig, "steps_per_phase", int))
+    p.add_argument("--max-phases", type=_field(WalkConfig, "max_phases", int))
+    p.set_defaults(fn=_checked(p, _cmd_walk,
+                               ("--delta, --eps", lambda a: _config(WalkConfig, a)),
+                               ("--n, --m", lambda a: _check_rows(a.m, a.n))))
 
     p = sub.add_parser("speclab", help="spectrum studies")
     ssub = p.add_subparsers(dest="study", required=True)
@@ -215,14 +236,15 @@ def build_parser() -> argparse.ArgumentParser:
              lambda a: _check_generalization_args(a.n, a.m_grid, a.trials),
              "--n, --m-grid, --trials")):
         q = ssub.add_parser(study, help=text, parents=[common])
-        q.add_argument("--alpha", type=float, required=True)
+        q.add_argument("--alpha", type=_field(SpectrumSpec, "alpha", float), required=True)
         q.add_argument("--n", type=_count, default=getattr(ScalingParams, f"{prefix}_n"))
         q.add_argument("--m-grid", type=_m_grid(grid),
                        default=getattr(ScalingParams, f"{prefix}_m_grid"))
         q.add_argument("--trials", type=_count, default=getattr(ScalingParams, f"{prefix}_trials"))
         if study == "gen":
-            q.add_argument("--delta", type=float, default=ScalingParams.walk.delta)
-        q.set_defaults(fn=_checked(q, flags, check))
+            q.add_argument("--delta", type=_field(WalkConfig, "delta", float),
+                           default=ScalingParams.walk.delta)
+        q.set_defaults(fn=_checked(q, _cmd_speclab, (flags, check)))
     q = ssub.add_parser("jl", help="projected gradient spectrum of a checkpoint", parents=[common])
     q.add_argument("--ckpt", required=True)
     q.add_argument("--d", type=_count, default=64)
@@ -231,27 +253,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quantize", help="quantize a toy checkpoint", parents=[common],
                        argument_default=argparse.SUPPRESS)
-    p.add_argument("--bits", type=int, required=True)
-    p.add_argument("--groupsize", type=int, default=None)
+    p.add_argument("--bits", type=_int_in(AT_LEAST_2), required=True)
+    p.add_argument("--groupsize", type=_typed(int, groupsize_of), default=None)
     p.add_argument("--method", choices=METHODS, default="discquant")
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--iters", dest="iterations", metavar="ITERS", type=int)
-    p.add_argument("--warmup", type=int)
-    p.add_argument("--clamp", type=float)
+    p.add_argument("--lambda", dest="lam", type=_field(DiscQuantConfig, "lam", float))
+    p.add_argument("--lr", type=_field(DiscQuantConfig, "lr", float))
+    p.add_argument("--iters", dest="iterations", metavar="ITERS",
+                   type=_field(DiscQuantConfig, "iterations", int))
+    p.add_argument("--warmup", type=_field(DiscQuantConfig, "warmup", int))
+    p.add_argument("--clamp", type=_field(DiscQuantConfig, "clamp", float))
     p.add_argument("--teacher", default=None, help="checkpoint path (default: seeded)")
     p.add_argument("--heldout", type=_count, default=256)
     p.add_argument("--incoherence", choices=("on", "off"), default="off")
     p.add_argument("--incoh-seed", type=_seed, default=0)
-    p.set_defaults(fn=_cmd_quantize)
+    p.set_defaults(fn=_checked(p, _cmd_quantize,
+                               ("--iters, --warmup", lambda a: _config(DiscQuantConfig, a))))
 
     p = sub.add_parser("teacher", help="write a seeded teacher checkpoint", parents=[common],
                        argument_default=argparse.SUPPRESS)
-    p.add_argument("--vocab", type=int)
-    p.add_argument("--context", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--emb", type=int)
+    for name in ("vocab", "context", "hidden", "layers", "emb"):
+        p.add_argument(f"--{name}", type=_field(ToyArch, name, int))
     p.set_defaults(fn=_cmd_teacher)
     return parser
 

@@ -52,7 +52,7 @@ from .grid import Bracket, QuantGrid, bracket_of, interp_weights, nearer_up
 from .incoherence import Identity
 from .optim import AdamW, warmup_cosine_lr
 from .serialize import (AT_LEAST_1, BELOW_HALF, FINITE_NONNEGATIVE, FINITE_POSITIVE,
-                        NONNEGATIVE, POSITIVE, _check_fields)
+                        NONNEGATIVE, POSITIVE, _check_fields, seeded_rng)
 from .toymodel import (SampleBatch, ToyModel, _check_data_mix, _forward, _kl_core,
                        _new_cache, _sample_tokens, _swap_uniform, kl_term)
 
@@ -123,7 +123,7 @@ def init_x(mode: str, bracket: Bracket, seed: int = 0) -> Array:
     if mode == "original-weights":
         return bracket.position()
     if mode == "uniform-random":
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x1217]))
+        rng = seeded_rng(seed, 0x1217)
         return rng.random(bracket.n)
     raise ValueError(f"unknown init mode {mode!r}")
 
@@ -157,7 +157,7 @@ def _teacher_chunks(teacher: ToyModel, cfg: DiscQuantConfig, mix: float = 0.0):
     for uniform ones, drawn from ``rng`` after the chunk's uniforms, and scored
     again.  A chunk holds its scores, (k, batch_size * seq_length, vocab) twice.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 0x57E4]))
+    rng = seeded_rng(cfg.seed, 0x57E4)
     size, length, arch = cfg.batch_size, cfg.seq_length, teacher.arch
     rows = size * length
     for start in range(0, cfg.iterations, STREAM_CHUNK):

@@ -7,7 +7,7 @@ Two kinds are supported:
   ..., 2^(bits-1)-1}`` times a per-group scale, groups being consecutive runs
   of ``groupsize`` coordinates (``groupsize=None`` means one scale for the
   whole tensor).
-* ``explicit`` -- an arbitrary sorted point list per coordinate.
+* ``explicit`` -- one explicit point list shared by every coordinate.
 
 Rounding a weight is restricted to the two grid points bracketing it
 (``w_down`` / ``w_up``); interpolation variables ``x`` in ``[0, 1]^n`` encode
@@ -52,6 +52,13 @@ def groupsize_of(value) -> int | None:
     return int(value)
 
 
+def _check_finite(w: Array, error=ValueError) -> None:
+    """Raise ``error`` naming the first non-finite weight, which no grid point brackets."""
+    bad = np.flatnonzero(~np.isfinite(w))
+    if bad.size:
+        raise error(f"weights must be finite, got {w[bad[0]]} at coordinate {bad[0]}")
+
+
 def _group_spans(spans, groupsize: int | None) -> list[tuple[int, int]]:
     """Each (lo, hi) span cut into runs of ``groupsize``, the last maybe short; None: one run."""
     if groupsize is None:
@@ -68,7 +75,7 @@ class QuantGrid:
     bits: int | None = None
     groupsize: int | None = None  # None encodes per-tensor
     scales: Array | None = None  # one positive scale per group
-    points: tuple[Array, ...] | None = None  # explicit kind only
+    points: Array | None = None  # explicit kind only: one list for every coordinate
     group_bounds: tuple[tuple[int, int], ...] | None = None  # explicit group spans
 
     def __post_init__(self):
@@ -90,13 +97,12 @@ class QuantGrid:
             if len(self.scales) != len(spans):
                 raise GridConfigError("one scale per group required")
         elif self.kind == "explicit":
-            if self.points is None or len(self.points) != self.n:
-                raise GridConfigError("explicit grid needs one point list per coordinate")
-            for pts in self.points:
-                if len(pts) == 0:
-                    raise GridConfigError("empty point list")
-                if np.any(np.diff(pts) <= 0):
-                    raise GridConfigError("point lists must be strictly ascending")
+            pts = np.array(self.points, dtype=np.float64)  # a copy; None becomes a 0-D NaN
+            object.__setattr__(self, "points", pts)
+            if self.n is None or pts.ndim != 1 or not pts.size or not np.all(
+                    np.isfinite(pts)) or np.any(np.diff(pts) <= 0):
+                raise GridConfigError("explicit grid needs n and a nonempty 1-D list of "
+                                      "finite, strictly ascending points")
         else:
             raise GridConfigError(f"unknown grid kind {self.kind!r}")
 
@@ -113,7 +119,7 @@ class QuantGrid:
     def points_for(self, j: int) -> Array:
         """Sorted representable values of coordinate j."""
         if self.kind == "explicit":
-            return np.asarray(self.points[j], dtype=np.float64)
+            return self.points
         lmax = self.level_bound()
         s = float(self.coordinate_scales()[j])
         return np.arange(-lmax, lmax + 1, dtype=np.float64) * s
@@ -161,9 +167,7 @@ def build_block_scaling(w, bits: int, groupsize, blocks=None) -> QuantGrid:
     w = np.asarray(w, dtype=np.float64)
     if bits < 2:
         raise GridConfigError(f"bits must be >= 2, got {bits}")
-    bad = np.flatnonzero(~np.isfinite(w))
-    if bad.size:
-        raise GridConfigError(f"weights must be finite, got {w[bad[0]]} at coordinate {bad[0]}")
+    _check_finite(w, GridConfigError)
     groupsize = groupsize_of(groupsize)
     n = w.shape[0]
     lmax = (1 << (bits - 1)) - 1
@@ -182,21 +186,12 @@ def build_block_scaling(w, bits: int, groupsize, blocks=None) -> QuantGrid:
 
 
 def explicit_grid(points, n: int | None = None) -> QuantGrid:
-    """Build an explicit grid.
+    """Build an explicit grid: one sorted point list shared by all ``n`` coordinates.
 
-    ``points`` is either a single sorted array shared by all ``n`` coordinates
-    or a sequence of per-coordinate sorted arrays; an empty ``points`` raises
-    :class:`GridConfigError`.
+    A missing ``n``, or ``points`` that are not a nonempty 1-D list of finite,
+    strictly ascending values, raises :class:`GridConfigError`.
     """
-    if len(points) == 0:
-        raise GridConfigError("explicit grid needs at least one point")
-    if np.isscalar(points[0]):  # one shared list
-        if n is None:
-            raise GridConfigError("n required when sharing one point list")
-        shared = np.asarray(points, dtype=np.float64)
-        return QuantGrid(kind="explicit", n=n, points=tuple([shared] * n))
-    lists = tuple(np.asarray(p, dtype=np.float64) for p in points)
-    return QuantGrid(kind="explicit", n=len(lists), points=lists)
+    return QuantGrid(kind="explicit", n=n, points=points)
 
 
 def _bracket_block(w: Array, grid: QuantGrid):
@@ -225,30 +220,24 @@ def _bracket_block(w: Array, grid: QuantGrid):
 
 
 def _bracket_explicit(w: Array, grid: QuantGrid):
-    if all(p is grid.points[0] for p in grid.points):  # one shared list
-        pts = grid.points[0]
-        i = np.searchsorted(pts, w, side="left")
-        hi = np.minimum(i, len(pts) - 1)
-        lo = np.where((i == 0) | (i == len(pts)) | (pts[hi] == w), hi, i - 1)
-        return pts[lo], pts[hi]
-    down, up = np.empty_like(w), np.empty_like(w)
-    for j, pts in enumerate(grid.points):
-        i = int(np.searchsorted(pts, w[j], side="left"))
-        hi = min(i, len(pts) - 1)
-        lo = hi if i in (0, len(pts)) or pts[i] == w[j] else i - 1
-        down[j], up[j] = pts[lo], pts[hi]
-    return down, up
+    pts = grid.points
+    i = np.searchsorted(pts, w, side="left")
+    hi = np.minimum(i, len(pts) - 1)
+    lo = np.where((i == 0) | (i == len(pts)) | (pts[hi] == w), hi, i - 1)
+    return pts[lo], pts[hi]
 
 
 def bracket_of(w, grid: QuantGrid) -> Bracket:
     """Adjacent grid points below/above each weight.
 
     Exact grid points collapse to a zero-width bracket; out-of-range weights
-    clamp both endpoints to the nearest extreme grid point.
+    clamp both endpoints to the nearest extreme grid point.  A non-finite
+    weight raises ``ValueError`` naming its coordinate.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.shape[0] != grid.n:
         raise ValueError(f"weights have length {w.shape[0]}, grid expects {grid.n}")
+    _check_finite(w)
     if grid.kind == "block_scaling":
         down, up = _bracket_block(w, grid)
     else:
@@ -313,7 +302,7 @@ def grid_to_record(grid: QuantGrid) -> dict:
         return record
     return {
         "kind": grid.kind,
-        "points": [floats_to_hex(p) for p in grid.points],
+        "points": floats_to_hex(grid.points),
         "n": grid.n,
     }
 
@@ -332,7 +321,7 @@ def grid_from_record(rec: dict) -> QuantGrid:
     return QuantGrid(
         kind="explicit",
         n=rec["n"],
-        points=tuple(hex_to_floats(p) for p in rec["points"]),
+        points=hex_to_floats(rec["points"]),
     )
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .serialize import child_seed
+from .serialize import child_seed, seeded_rng
 from .toymodel import ToyArch
 
 Array = np.ndarray
@@ -83,7 +83,7 @@ class RHT:
 
     @classmethod
     def from_seed(cls, dim: int, seed: int) -> "RHT":
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5147]))
+        rng = seeded_rng(seed, 0x5147)
         signs = rng.integers(0, 2, size=dim) * 2.0 - 1.0
         return cls(dim=dim, signs=signs, seed=int(seed))
 

@@ -76,7 +76,7 @@ from typing import Annotated
 
 import numpy as np
 
-from .serialize import AT_LEAST_1, FINITE_POSITIVE, NONNEGATIVE, Bound, _check_fields
+from .serialize import AT_LEAST_1, FINITE_POSITIVE, NONNEGATIVE, Bound, _check_fields, seeded_rng
 
 Array = np.ndarray
 
@@ -358,8 +358,16 @@ def lm_phase(cs: ConstraintSet, x_in, frozen, cfg: WalkConfig) -> PhaseResult:
         raise ValueError("x_in violates the constraints beyond 1e-8")
     if not np.all(np.isin(x_in[frozen], (0.0, 1.0))):
         raise ValueError("frozen coordinates of x_in must be exactly 0 or 1")
-    rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 0x9A5E]))
+    rng = seeded_rng(cfg.seed, 0x9A5E)
     return _checked_phase(cs, cs.unit_rows(), x_in, frozen, cfg, rng)
+
+
+def _check_rows(m: int, n: int) -> None:
+    """The rounding guarantee of :func:`lm_round`: 1 <= m <= n/16 constraint rows."""
+    if m < 1:
+        raise ValueError("lm_round needs at least one constraint row")
+    if m > n / 16:
+        raise ValueError(f"m = {m} exceeds n/16 = {n / 16}")
 
 
 def lm_round(cs: ConstraintSet, cfg: WalkConfig) -> WalkResult:
@@ -370,10 +378,7 @@ def lm_round(cs: ConstraintSet, cfg: WalkConfig) -> WalkResult:
     :class:`MaxPhasesExceeded` (carrying the partial result) if the budget
     runs out.
     """
-    if cs.m < 1:
-        raise ValueError("lm_round needs at least one constraint row")
-    if cs.m > cs.n / 16:
-        raise ValueError(f"m = {cs.m} exceeds n/16 = {cs.n / 16}")
+    _check_rows(cs.m, cs.n)
     target = 16 * cs.m
     m_unit = cs.unit_rows()
     x = cs.y.copy()
@@ -389,7 +394,7 @@ def lm_round(cs: ConstraintSet, cfg: WalkConfig) -> WalkResult:
     if fractional_count(x) <= target:
         return result(0, counts)
     for attempt in range(1, cfg.max_phases + 1):
-        rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), attempt]))
+        rng = seeded_rng(cfg.seed, attempt)
         phase = _checked_phase(cs, m_unit, x, frozen, cfg, rng)
         before = fractional_count(x)
         after = fractional_count(phase.x)
@@ -419,7 +424,7 @@ def walk_variance_probe(cs: ConstraintSet, cfg: WalkConfig, theta, trials: int) 
     m_unit = cs.unit_rows()
     total = 0.0
     for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 0xBEE, t]))
+        rng = seeded_rng(cfg.seed, 0xBEE, t)
         phase = _checked_phase(cs, m_unit, cs.y, frozen0, cfg, rng)
         total += float(theta @ (phase.x - cs.y)) ** 2
     return total / trials

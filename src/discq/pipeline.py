@@ -16,7 +16,7 @@ import numpy as np
 
 from . import discquant, grid as gridmod, lmwalk, toymodel
 from .incoherence import Identity, ModelIncoherence
-from .serialize import AT_LEAST_1, NONNEGATIVE, _check_value, child_seed
+from .serialize import AT_LEAST_1, NONNEGATIVE, _check_value, child_seed, seeded_rng
 
 
 # the walk's step for model rounding: quantize_model's and the comparison's default
@@ -48,7 +48,7 @@ def _lmwalk(teacher, wq, qgrid, transform, opts):
     m, seed = opts["walk_samples"], opts["sample_seed"]
     bracket = gridmod.bracket_of(wq, qgrid)
     tokens = toymodel.sample_sequences(teacher, m, opts["dq_cfg"].seq_length, seed=seed).sequences
-    swap_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x313]))
+    swap_rng = seeded_rng(seed, 0x313)
     toymodel._swap_uniform(tokens, opts["data_mix"], teacher.arch.vocab, swap_rng)
     rows = toymodel.gradient_rows(teacher, toymodel.SampleBatch(tokens))
     per_seq = rows.reshape(m, -1, rows.shape[1]).mean(axis=1)

@@ -1,6 +1,6 @@
 """Hex-float records: bit-exact (de)serialization helpers shared by the
 package, the type and value check every config class runs on its fields,
-and the counter-mode child-seed derivation every module uses."""
+and the counter-mode seed derivation every module draws its generators from."""
 
 from __future__ import annotations
 
@@ -155,7 +155,17 @@ def _check_arms(key: str, arms) -> None:
         raise ValueError(f"{key!r} must list distinct arms, got {list(arms)!r}")
 
 
+def _seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
+    """The seed sequence of stream ``key`` under ``seed``, which must be a nonnegative int."""
+    _check_value("seed", seed, NONNEGATIVE)
+    return np.random.SeedSequence([int(seed), *[int(k) for k in key]])
+
+
 def child_seed(master: int, *key: int) -> int:
     """Counter-mode seed derivation; stable and collision-resistant."""
-    ss = np.random.SeedSequence([int(master), *[int(k) for k in key]])
-    return int(ss.generate_state(1, dtype=np.uint64)[0] >> 1)
+    return int(_seed_sequence(master, *key).generate_state(1, dtype=np.uint64)[0] >> 1)
+
+
+def seeded_rng(seed: int, *key: int) -> np.random.Generator:
+    """The generator of stream ``key`` under ``seed``; every seeded generator is built here."""
+    return np.random.default_rng(_seed_sequence(seed, *key))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .lmwalk import ConstraintSet, WalkConfig, lm_round
 from .serialize import (ABOVE_1, AT_LEAST_1, FINITE_POSITIVE, NONNEGATIVE, _check_fields,
-                        child_seed)
+                        child_seed, seeded_rng)
 
 Array = np.ndarray
 
@@ -42,7 +42,7 @@ class SpectrumSpec:
         """Eigenbasis Q (columns), or None for the axis-aligned case."""
         if self.basis == "axis-aligned":
             return None
-        rng = np.random.default_rng(np.random.SeedSequence([self.basis_seed, 0x0B]))
+        rng = seeded_rng(self.basis_seed, 0x0B)
         q, r = np.linalg.qr(rng.standard_normal((self.n, self.n)))
         return q * np.sign(np.diag(r))
 
@@ -64,7 +64,7 @@ def sample_gradients(spec: SpectrumSpec, m: int, seed: int = 0) -> Array:
     """m i.i.d. zero-mean rows with covariance exactly Sigma."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x9AD5]))
+    rng = seeded_rng(seed, 0x9AD5)
     if spec.family == "gaussian":
         raw = rng.standard_normal((m, spec.n))
     else:
@@ -224,7 +224,7 @@ def generalization_study(spec: SpectrumSpec, m_grid, trials: int,
             trial_seed = child_seed(seed, i, t)
             if m == 0:
                 continue
-            rng = np.random.default_rng(np.random.SeedSequence([trial_seed, 0x4E]))
+            rng = seeded_rng(trial_seed, 0x4E)
             y = rng.random(spec.n)
             grads = sample_gradients(spec, m, trial_seed)
             res = lm_round(ConstraintSet(grads, y),
@@ -245,7 +245,7 @@ def jl_spectrum(gradients: Array, d: int, seed: int = 0,
     if not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= {n}")
     if projection is None:
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x01]))
+        rng = seeded_rng(seed, 0x01)
         projection = rng.standard_normal((d, n)) / np.sqrt(d)
     elif projection.shape != (d, n):
         raise ValueError("projection must have shape (d, n)")

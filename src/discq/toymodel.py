@@ -26,8 +26,8 @@ import numpy as np
 
 from .grid import QuantGrid, bracket_of
 from .optim import AdamW
-from .serialize import (AT_LEAST_1, AT_LEAST_2, NONNEGATIVE, UNIT_INTERVAL, _check_fields,
-                        _check_value, dump_record, floats_to_hex, hex_to_floats, load_record)
+from .serialize import (AT_LEAST_1, AT_LEAST_2, UNIT_INTERVAL, _check_fields, _check_value,
+                        dump_record, floats_to_hex, hex_to_floats, load_record, seeded_rng)
 
 Array = np.ndarray
 
@@ -164,7 +164,7 @@ class GradRecord:
 
 def random_model(arch: ToyArch = ToyArch(), seed: int = 0, scale: float = 1.0) -> ToyModel:
     """Seeded model with heavy-tailed fan-in-scaled weights and zero biases."""
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x70F]))
+    rng = seeded_rng(seed, 0x70F)
     params = np.zeros(arch.n_params)
     for name, (a, b, shape) in arch.layout().items():
         if len(shape) == 2:  # matrices; biases stay zero
@@ -333,8 +333,7 @@ def sample_sequences(model: ToyModel, count: int, length: int = 8, seed: int = 0
     """Autoregressively sample token sequences from the model itself."""
     _check_value("count", count, AT_LEAST_1)
     _check_value("length", length, AT_LEAST_1)
-    _check_value("seed", seed, NONNEGATIVE)
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xDA7A]))
+    rng = seeded_rng(seed, 0xDA7A)
     uniforms = rng.random((length, count))
     return SampleBatch(sequences=_sample_tokens(model, uniforms, scores=False)[0])
 

@@ -167,6 +167,34 @@ class TestGroupSpans:
         with pytest.raises(GridConfigError):
             explicit_grid([])
 
+    def test_explicit_grid_needs_n(self):
+        with pytest.raises(GridConfigError, match="needs n"):
+            explicit_grid([0.0, 1.0])
+
+    @pytest.mark.parametrize("points", [
+        [[0.0, 1.0], [0.0, 1.0]], [[0.0, 1.0]], [[0.5]], 0.5,
+    ], ids=["two-lists", "one-list-nested", "one-point-nested", "scalar"])
+    def test_points_must_be_one_list(self, points):
+        # a list of lists built one point list per coordinate
+        with pytest.raises(GridConfigError, match="1-D"):
+            explicit_grid(points, n=2)
+
+    def test_points_are_copied(self):
+        # the grid kept the caller's array, so a later write skipped the checks
+        pts = np.array([0.0, 1.0, 2.0])
+        grid = explicit_grid(pts, n=2)
+        pts[1] = np.nan
+        np.testing.assert_array_equal(grid.points, [0.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_non_finite_point_rejected(self, bad, at):
+        # a NaN point compared false against its neighbours and was accepted
+        points = [0.0, 1.0, 2.0]
+        points[at] = bad
+        with pytest.raises(GridConfigError, match="finite"):
+            explicit_grid(points, n=2)
+
 
 class TestBracket:
     def test_interior_point(self):
@@ -186,15 +214,20 @@ class TestBracket:
         assert br.w_down[0] == br.w_up[0] == 0.9
         assert br.w_down[1] == br.w_up[1] == 0.0
 
-    def test_per_coordinate_lists_clamp_and_match_shared(self):
-        pts = [0.0, 0.3, 0.6, 0.9]
-        w = np.array([1.7, -0.2, 0.45, 0.6])
-        per_coord = bracket_of(w, explicit_grid([list(pts) for _ in w]))
-        np.testing.assert_array_equal(per_coord.w_down, [0.9, 0.0, 0.3, 0.6])
-        np.testing.assert_array_equal(per_coord.w_up, [0.9, 0.0, 0.6, 0.6])
-        shared = bracket_of(w, explicit_grid(pts, n=len(w)))
-        np.testing.assert_array_equal(per_coord.w_down, shared.w_down)
-        np.testing.assert_array_equal(per_coord.w_up, shared.w_up)
+    @pytest.mark.parametrize("grid", [
+        build_block_scaling(np.array([1.0, -2.0, 0.5, 3.0]), bits=3, groupsize=2),
+        explicit_grid([0.0, 1.0], n=4),
+    ], ids=["block", "explicit"])
+    @pytest.mark.parametrize("bad, at", [(np.nan, 0), (np.inf, 2), (-np.inf, 3)],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_weight_rejected(self, grid, bad, at):
+        # a NaN gave a NaN block bracket, which rtn passed through, and the top
+        # explicit point; an inf was clamped to the extreme point without error
+        w = np.array([0.5, 0.25, 0.75, 0.0])
+        w[at] = bad
+        for call in (bracket_of, rtn):
+            with pytest.raises(ValueError, match=f"got {bad} at coordinate {at}$"):
+                call(w, grid)
 
     def test_block_scaling_exact_hits(self):
         w = np.array([0.9, -0.3, 0.1, 0.6])
@@ -325,6 +358,13 @@ class TestSerialization:
         for j in range(2):
             np.testing.assert_array_equal(back.points_for(j), grid.points_for(j))
 
+    def test_explicit_record_holds_one_list(self):
+        pts = np.arange(-60, 61) * 0.05
+        one, many = (grid_to_record(explicit_grid(pts, n=n)) for n in (1, 1720))
+        assert one["points"] == many["points"] == floats_to_hex(pts)
+        assert many["n"] == 1720
+        assert grid_from_record(many).n == 1720
+
     def test_invalid_configs(self):
         with pytest.raises(GridConfigError):
             explicit_grid([1.0, 1.0, 2.0], n=1)  # not strictly ascending
@@ -348,11 +388,8 @@ def grid_and_weights(draw):
                                    groupsize=draw(st.sampled_from([None, 1, 3, 8])),
                                    blocks=[(0, split), (split, n)] if split else None)
     else:
-        point_lists = st.lists(_weights, min_size=1, max_size=6, unique=True).map(sorted)
-        if draw(st.booleans()):
-            grid = explicit_grid(draw(point_lists), n=n)
-        else:
-            grid = explicit_grid([draw(point_lists) for _ in range(n)])
+        points = st.lists(_weights, min_size=1, max_size=6, unique=True).map(sorted)
+        grid = explicit_grid(draw(points), n=n)
     w = np.empty(n)
     for j in range(n):
         pts = grid.points_for(j)

@@ -367,6 +367,50 @@ def test_every_seed_field_is_nonnegative(cls, name, hint):
     assert _declared(cls, name) == typing.Annotated[int, NONNEGATIVE]
 
 
+def _seeded_calls():
+    """A call that turns a ``seed`` argument into a generator, per public entry."""
+    import numpy as np
+
+    from discq.discquant import init_x
+    from discq.grid import bracket_of, explicit_grid
+    from discq.incoherence import RHT, ModelIncoherence
+    from discq.lmwalk import WalkConfig
+    from discq.speclab import (falpha_scaling_study, generalization_study, jl_spectrum,
+                               sample_gradients)
+    from discq.toymodel import ToyArch, random_model
+
+    spec = SpectrumSpec(n=64, alpha=2.0)
+    return {
+        "random_model": lambda seed: random_model(seed=seed),
+        "ModelIncoherence": lambda seed: ModelIncoherence(ToyArch(), seed=seed),
+        "RHT.from_seed": lambda seed: RHT.from_seed(8, seed),
+        "sample_gradients": lambda seed: sample_gradients(spec, 4, seed=seed),
+        "falpha_scaling_study": lambda seed: falpha_scaling_study(
+            spec, [4, 8, 16, 32], 20, seed=seed),
+        "generalization_study": lambda seed: generalization_study(
+            SpectrumSpec(n=256, alpha=2.0), [1, 2, 4, 8], 1, WalkConfig(), seed=seed),
+        "jl_spectrum": lambda seed: jl_spectrum(np.ones((3, 4)), 2, seed=seed),
+        "init_x": lambda seed: init_x("uniform-random",
+                                      bracket_of(np.zeros(3), explicit_grid([0.0, 1.0], n=3)),
+                                      seed=seed),
+    }
+
+
+@pytest.mark.parametrize("name", list(_seeded_calls()))
+def test_negative_seed_named_where_a_generator_is_built(name):
+    # numpy raised "expected non-negative integer", naming no argument
+    with pytest.raises(ValueError, match=re.escape("seed must be nonnegative, got -1")):
+        _seeded_calls()[name](-1)
+
+
+def test_generators_are_built_in_serialize_only():
+    """Every seeded generator goes through ``serialize.seeded_rng`` or ``child_seed``,
+    which check the seed, so no module builds a numpy seed sequence by hand."""
+    for path in sorted((ROOT / "src" / "discq").glob("*.py")):
+        if path.name != "serialize.py":
+            assert not re.search(r"default_rng|SeedSequence", path.read_text()), path.name
+
+
 @pytest.mark.parametrize("cls, name, value, suffix", [
     pytest.param(*case, id=f"{case[0].__name__}.{case[1]}={case[2]!r}")
     for case in _PYTHON_OUTSIDE])

@@ -394,11 +394,39 @@ class TestCli:
         assert rc == 0
         assert load_record(rep)["incoherence"] == "on"
 
-    def test_quantize_rejects_nan_lr_before_any_work(self, tmp_path):
+    def test_quantize_rejects_nan_lr_before_any_work(self, tmp_path, capsys):
         rep = tmp_path / "nan.json"
-        with pytest.raises(ValueError, match="lr must be finite"):
+        with pytest.raises(SystemExit) as caught:
             cli_main(["quantize", "--bits", "3", "--lr", "nan", "--out", str(rep)])
+        assert caught.value.code == 2
+        assert "argument --lr: lr must be finite" in capsys.readouterr().err
         assert not rep.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["speclab", "falpha", "--alpha", "1"], "argument --alpha: alpha must be finite and > 1"),
+        (["speclab", "gen", "--alpha", "2", "--delta", "0"],
+         "argument --delta: delta must be finite and positive"),
+        (["quantize", "--bits", "1"], "argument --bits: must be >= 2, got 1"),
+        (["quantize", "--bits", "3", "--groupsize", "0"],
+         "argument --groupsize: groupsize must be an int >= 1"),
+        (["quantize", "--bits", "3", "--iters", "10"],
+         "arguments --iters, --warmup: need warmup <= iterations"),
+        (["walk", "--n", "64", "--m", "2", "--delta", "5"],
+         "argument --delta: delta must be finite and positive"),
+        (["walk", "--n", "64", "--m", "2", "--eps", "0.5"],
+         "arguments --delta, --eps: need eps <= delta"),
+        (["walk", "--n", "64", "--m", "8"], "arguments --n, --m: m = 8 exceeds n/16 = 4.0"),
+        (["teacher", "--layers", "3"], "argument --layers: layers must be one of (1, 2)"),
+    ], ids=["falpha-alpha", "gen-delta", "quantize-bits", "quantize-groupsize",
+            "quantize-iters", "walk-delta", "walk-eps", "walk-m", "teacher-layers"])
+    def test_config_flags_checked_before_any_work(self, argv, message, tmp_path, capsys):
+        # each ended in a traceback naming the config field, exiting 1
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as caught:
+            cli_main(argv + ["--out", str(out)])
+        assert caught.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["walk", "--n", "64", "--m", "2", "--seed", "-1"],
