@@ -242,7 +242,8 @@ def optimize(teacher: ToyModel, grid: QuantGrid, cfg: DiscQuantConfig,
     model_params = transform.from_q(quantized)
     heldout_kl = None
     if heldout is not None:
-        heldout_kl, _ = kl_term(teacher, teacher.with_params(model_params), heldout)
+        heldout_kl, _ = kl_term(teacher, teacher.with_params(model_params), heldout,
+                                gradient=False)
     return RoundingReport(
         x=x,
         fractional_fraction=trace_frac[-1],

@@ -307,6 +307,15 @@ def grid_to_record(grid: QuantGrid) -> dict:
     }
 
 
+def _record_floats(rec: dict, key: str) -> Array:
+    """``rec[key]`` read as a flat list of IEEE-754 hex strings."""
+    try:
+        return hex_to_floats(rec[key])
+    except (TypeError, ValueError) as exc:
+        raise GridConfigError(f"grid record {key!r} must be a flat list of hex float "
+                              f"strings") from exc
+
+
 def grid_from_record(rec: dict) -> QuantGrid:
     if rec["kind"] == "block_scaling":
         bounds = rec.get("group_bounds")
@@ -315,13 +324,13 @@ def grid_from_record(rec: dict) -> QuantGrid:
             n=rec["n"],
             bits=rec["bits"],
             groupsize=rec["groupsize"],
-            scales=hex_to_floats(rec["scales"]),
+            scales=_record_floats(rec, "scales"),
             group_bounds=None if bounds is None else tuple(tuple(b) for b in bounds),
         )
     return QuantGrid(
         kind="explicit",
         n=rec["n"],
-        points=hex_to_floats(rec["points"]),
+        points=_record_floats(rec, "points"),
     )
 
 

@@ -50,8 +50,7 @@ def _lmwalk(teacher, wq, qgrid, transform, opts):
     tokens = toymodel.sample_sequences(teacher, m, opts["dq_cfg"].seq_length, seed=seed).sequences
     swap_rng = seeded_rng(seed, 0x313)
     toymodel._swap_uniform(tokens, opts["data_mix"], teacher.arch.vocab, swap_rng)
-    rows = toymodel.gradient_rows(teacher, toymodel.SampleBatch(tokens))
-    per_seq = rows.reshape(m, -1, rows.shape[1]).mean(axis=1)
+    per_seq = toymodel.gradient_rows(teacher, toymodel.SampleBatch(tokens), per_sequence=True)
     per_seq = np.stack([transform.grad_to_q(r) for r in per_seq])
     cs = lmwalk.ConstraintSet(per_seq * bracket.delta, bracket.position())
     result = lmwalk.lm_round(cs, opts["walk_cfg"])
@@ -105,6 +104,6 @@ def quantize_model(teacher: toymodel.ToyModel, bits: int, groupsize, method: str
     model = teacher.with_params(transform.from_q(rounded_q))
     heldout_kl = None
     if heldout is not None:
-        heldout_kl, _ = toymodel.kl_term(teacher, model, heldout)
+        heldout_kl, _ = toymodel.kl_term(teacher, model, heldout, gradient=False)
     return QuantizeOutcome(model=model, bits_per_param=gridmod.bits_per_param(qgrid),
                            fractional=fractional, heldout_kl=heldout_kl, flags=flags)

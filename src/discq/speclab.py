@@ -9,6 +9,7 @@ moment ratios, which is what the estimator-error rates require.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Annotated, Literal
 
@@ -39,12 +40,21 @@ class SpectrumSpec:
         return self.lam1 / np.arange(1, self.n + 1, dtype=np.float64) ** self.alpha
 
     def basis_matrix(self) -> Array | None:
-        """Eigenbasis Q (columns), or None for the axis-aligned case."""
+        """Eigenbasis Q (columns), or None for the axis-aligned case.
+
+        Built once per spec and shared, hence read-only.
+        """
+        return self._basis
+
+    @functools.cached_property
+    def _basis(self) -> Array | None:
         if self.basis == "axis-aligned":
             return None
         rng = seeded_rng(self.basis_seed, 0x0B)
         q, r = np.linalg.qr(rng.standard_normal((self.n, self.n)))
-        return q * np.sign(np.diag(r))
+        q *= np.sign(np.diag(r))
+        q.flags.writeable = False
+        return q
 
     def sigma(self) -> Array:
         lam = self.eigenvalues()
@@ -85,6 +95,8 @@ def schatten1_error(x: Array, sigma: Array) -> float:
     sigma = np.asarray(sigma, dtype=np.float64)
     if x.shape != sigma.shape or x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError("inputs must be square matrices of the same shape")
+    if not (np.isfinite(x).all() and np.isfinite(sigma).all()):
+        raise ValueError("inputs must be finite")
     diff = x - sigma
     if np.max(np.abs(diff - diff.T)) > 1e-8:
         raise ValueError("input difference is not symmetric")
@@ -112,10 +124,12 @@ def _ols_loglog(m_values, means) -> tuple[float, float]:
 
     Points with an exactly-zero mean carry no log-scale information (they
     arise when a sample count reaches n/16 and the rounder returns its input
-    unchanged) and are excluded from the fit.
+    unchanged) and are excluded from the fit.  A non-finite mean raises.
     """
     mv = np.asarray(m_values, dtype=np.float64)
     my = np.asarray(means, dtype=np.float64)
+    if not np.isfinite(my).all():
+        raise ValueError(f"non-finite mean in the fit: {my.tolist()}")
     keep = my > 0
     if keep.sum() < 2:
         raise ValueError("degenerate fit: fewer than 2 positive data points")
@@ -247,7 +261,8 @@ def jl_spectrum(gradients: Array, d: int, seed: int = 0,
     if projection is None:
         rng = seeded_rng(seed, 0x01)
         projection = rng.standard_normal((d, n)) / np.sqrt(d)
-    elif projection.shape != (d, n):
+    projection = np.asarray(projection, dtype=np.float64)
+    if projection.shape != (d, n):
         raise ValueError("projection must have shape (d, n)")
     proj = g @ projection.T
     evals = np.linalg.eigvalsh(empirical_covariance(proj))

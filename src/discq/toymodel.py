@@ -13,6 +13,17 @@ All functions are pure and models are value objects, so a fixed seed
 reproduces parameters, data, and gradients bit-identically.  The exception
 is the student private to ``discquant.optimize``: that loop rewrites its
 weights, and its forward and backward arrays, in place every step.
+
+Two options skip what the quantize ops would throw away.
+``kl_term(..., gradient=False)`` returns the value alone and runs no
+backward: held-out scoring uses it.  ``gradient_rows(..., per_sequence=True)``
+returns one mean gradient row per sequence, built one layout block at a time,
+so the (rows, n_params) matrix never exists: the walk's constraint rows use
+it.  At the default arch, held-out KL over 2048 rows then peaks at 3.1 MiB
+(tracemalloc, above its inputs): one forward's arrays (2 MiB), the teacher's
+log-probs and probs (0.5 MiB) and the buffer ``np.take`` fills embeddings
+through (0.5 MiB).  The walk's rows, 48 sequences of 8, peak at 4.5 MiB, 3 MiB
+of it the per-row outer products of ``w1``, the largest block.
 """
 
 from __future__ import annotations
@@ -266,30 +277,35 @@ def _backward(model: ToyModel, cache: dict, dlogits: Array) -> Array:
     return cache["grad"]
 
 
-def _per_row_grads(model: ToyModel, cache: dict, dlogits: Array) -> Array:
-    """One gradient row per batch row; same math as _backward without the sum."""
-    arch, v = model.arch, cache["views"]
-    layout = arch.layout()
+def _row_grad_blocks(model: ToyModel, cache: dict, dlogits: Array):
+    """Yield (layout name, per-row gradient block (rows, ...)) for every layout
+    entry: the math of :func:`_backward` without the sum over rows.
+
+    Every matmul runs over all rows; only the outer products are per block.
+    """
+    arch, v, acts = model.arch, cache["views"], cache["acts"]
     nrows = dlogits.shape[0]
-    grads = np.zeros((nrows, arch.n_params))
-
-    def put(name, g):
-        a, b, _ = layout[name]
-        grads[:, a:b] = g.reshape(nrows, -1)
-
-    acts = cache["acts"]
-    put("wout", np.einsum("rv,rh->rvh", dlogits, acts[-1]))
-    put("bout", dlogits)
+    yield "wout", np.einsum("rv,rh->rvh", dlogits, acts[-1])
+    yield "bout", dlogits
     dh = dlogits @ v["wout"]
     for i in reversed(range(arch.layers)):
         w, b = _HIDDEN[i]
         da = dh * (1.0 - acts[i + 1] ** 2)
-        put(w, np.einsum("ri,rj->rij", da, acts[i]))
-        put(b, da)
+        yield w, np.einsum("ri,rj->rij", da, acts[i])
+        yield b, da
         dh = da @ v[w]
     slots = arch.vocab + 1
     index = cache["prefixes"] + slots * np.arange(nrows)[:, None]
-    put("embed", _embed_grad(index, dh.reshape(nrows, arch.context, arch.emb), nrows * slots))
+    yield "embed", _embed_grad(index, dh.reshape(nrows, arch.context, arch.emb), nrows * slots)
+
+
+def _per_row_grads(model: ToyModel, cache: dict, dlogits: Array) -> Array:
+    """One gradient row per batch row; same math as _backward without the sum."""
+    layout, nrows = model.arch.layout(), dlogits.shape[0]
+    grads = np.zeros((nrows, model.arch.n_params))
+    for name, g in _row_grad_blocks(model, cache, dlogits):
+        a, b, _ = layout[name]
+        grads[:, a:b] = g.reshape(nrows, -1)
     return grads
 
 
@@ -392,10 +408,31 @@ def ce_loss_rows(model: ToyModel, batch: SampleBatch) -> Array:
     return _ce_head(model, *batch.rows(model.arch))[1]
 
 
-def gradient_rows(model: ToyModel, batch: SampleBatch) -> Array:
-    """Per-row cross-entropy gradients, one row of length n_params per sample."""
+def gradient_rows(model: ToyModel, batch: SampleBatch, per_sequence: bool = False) -> Array:
+    """Per-row cross-entropy gradients, one row of length n_params per sample.
+
+    With ``per_sequence``, one row per sequence of a batch that predicts every
+    position: the mean over its positions, bit for bit ``gradient_rows(...)
+    .reshape(count, length, -1).mean(axis=1)``, built one layout block at a
+    time so the (rows, n_params) matrix never exists.  That mean adds the
+    positions in order onto 0.0, then divides; each block does the same, as a
+    one-column block's own ``mean`` would sum pairwise.
+    """
+    if per_sequence and batch.positions is not None:
+        raise ValueError("per_sequence needs a batch without explicit positions")
     cache, _, dlogits = _ce_head(model, *batch.rows(model.arch))
-    return _per_row_grads(model, cache, dlogits)
+    if not per_sequence:
+        return _per_row_grads(model, cache, dlogits)
+    count, length = batch.sequences.shape
+    layout = model.arch.layout()
+    out = np.zeros((count, model.arch.n_params))
+    for name, g in _row_grad_blocks(model, cache, dlogits):
+        a, b, _ = layout[name]
+        block = out[:, a:b]
+        for at_position in g.reshape(count, length, -1).swapaxes(0, 1):
+            block += at_position
+    out /= length
+    return out
 
 
 def per_sample_grad(model: ToyModel, sample: tuple) -> Array:
@@ -417,19 +454,25 @@ def mean_ce_grad(model: ToyModel, batch: SampleBatch) -> tuple[float, Array]:
     return loss, _backward(model, cache, dlogits / len(losses))
 
 
-def kl_term(teacher: ToyModel, student: ToyModel, batch: SampleBatch) -> tuple[float, Array]:
-    """Mean KL(teacher || student) over batch positions and its student-gradient."""
+def kl_term(teacher: ToyModel, student: ToyModel, batch: SampleBatch,
+            gradient: bool = True) -> tuple[float, Array | None]:
+    """Mean KL(teacher || student) over batch positions and its student-gradient.
+
+    With ``gradient=False`` the gradient is None and no backward runs.
+    """
     if teacher.arch != student.arch:
         raise ValueError("teacher and student must share an architecture")
     prefixes, _ = batch.rows(teacher.arch)
     tc = _forward(teacher, prefixes)
-    value, grad = _kl_core(student, prefixes, tc["logp"], tc["p"])
+    t_logp, t_p = tc["logp"], tc["p"]
+    del tc  # the teacher's other forward arrays go before the student's are made
+    value, grad = _kl_core(student, prefixes, t_logp, t_p, gradient=gradient)
     _check_finite(value, "KL value")
     return value, grad
 
 
 def _kl_core(student: ToyModel, prefixes: Array, t_logp: Array, t_p: Array,
-             cache: dict | None = None) -> tuple[float, Array]:
+             cache: dict | None = None, gradient: bool = True) -> tuple[float, Array | None]:
     """:func:`kl_term` from the teacher's log-probs and probs, without its finite check.
 
     ``cache`` is the student's, as for :func:`_forward`; the gradient is its array.
@@ -439,6 +482,8 @@ def _kl_core(student: ToyModel, prefixes: Array, t_logp: Array, t_p: Array,
     d = np.subtract(t_logp, sc["logp"], out=sc["dlogits"])
     d *= t_p
     value = float(d.sum(axis=1, out=sc["norm"][:, 0]).sum() / rows)
+    if not gradient:
+        return value, None
     np.subtract(sc["p"], t_p, out=d)
     d /= rows
     return value, _backward(student, sc, d)

@@ -459,6 +459,16 @@ def allocating_forward(model, prefixes: np.ndarray) -> dict:
     return {"acts": acts, "logits": logits, "logp": logp, "p": np.exp(logp)}
 
 
+def keeping_kl_term(teacher, student, batch):
+    """``kl_term`` with the teacher's whole forward cache alive through the
+    student's forward and backward."""
+    from discq.toymodel import _forward, _kl_core
+
+    prefixes, _ = batch.rows(teacher.arch)
+    tc = _forward(teacher, prefixes)
+    return _kl_core(student, prefixes, tc["logp"], tc["p"])
+
+
 def add_at_backward(model, cache: dict, dlogits: np.ndarray) -> np.ndarray:
     """Summed parameter gradient, block by block, embedding rows by ``np.add.at``."""
     from discq.toymodel import _HIDDEN

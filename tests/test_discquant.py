@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from discq import discquant
+from discq import discquant, lmwalk
 from discq.discquant import (STREAM_CHUNK, DiscQuantConfig, NonFiniteObjective,
                              _teacher_chunks, cstar, finalize, init_x, optimize)
 from discq.incoherence import ModelIncoherence
@@ -520,6 +520,59 @@ class TestRounderTable:
         assert out.model.params.tobytes() == ref.model.params.tobytes()
         assert (out.heldout_kl, out.fractional, out.bits_per_param, out.flags) == \
             (ref.heldout_kl, ref.fractional, ref.bits_per_param, ref.flags)
+
+
+class TestLeanQuantizePaths:
+    """The walk's rows as per-sequence means built block by block, and held-out
+    KL without a backward, against ``chain_quantize_model``, which averages the
+    whole per-row matrix and scores through the gradient-computing ``kl_term``."""
+
+    CASES = [(1, 8, 0.0), (7, 1, 0.25), (48, 8, 0.25), (48, 1, 0.0)]
+
+    @staticmethod
+    def kwargs(teacher, incoherent, walk_samples, seq_length, mix):
+        arch = teacher.arch
+        return dict(seed=72, transform=ModelIncoherence(arch, seed=73) if incoherent else None,
+                    dq_cfg=DiscQuantConfig(seq_length=seq_length), walk_samples=walk_samples,
+                    heldout=sample_sequences(teacher, 32, 8, seed=74), data_mix=mix)
+
+    @pytest.mark.parametrize("walk_samples, seq_length, mix", CASES)
+    @pytest.mark.parametrize("incoherent", [False, True], ids=["plain", "incoherent"])
+    def test_walk_and_heldout_equal_chain(self, incoherent, walk_samples, seq_length, mix):
+        teacher = random_model(ToyArch(), seed=71)
+        kwargs = self.kwargs(teacher, incoherent, walk_samples, seq_length, mix)
+        for method in ("rtn", "lmwalk"):
+            out = quantize_model(teacher, 3, 16, method, **kwargs)
+            ref = chain_quantize_model(teacher, 3, 16, method, **kwargs)
+            assert out.model.params.tobytes() == ref.model.params.tobytes()
+            assert (out.heldout_kl, out.fractional) == (ref.heldout_kl, ref.fractional)
+
+    @pytest.mark.parametrize("walk_samples, seq_length, mix", CASES)
+    @pytest.mark.parametrize("incoherent", [False, True], ids=["plain", "incoherent"])
+    def test_two_layer_rows_and_heldout_equal_chain(self, incoherent, walk_samples, seq_length,
+                                                    mix, monkeypatch):
+        # the walk itself is not run here: at n = 7448 it ends in MaxPhasesExceeded
+        # on either path (about 80 s on a 2-core machine); the rows it gets are compared
+        teacher = random_model(ToyArch(layers=2, hidden=64), seed=71)
+        kwargs = self.kwargs(teacher, incoherent, walk_samples, seq_length, mix)
+        out = quantize_model(teacher, 3, 16, "rtn", **kwargs)
+        ref = chain_quantize_model(teacher, 3, 16, "rtn", **kwargs)
+        assert out.heldout_kl == ref.heldout_kl
+
+        class Rows(Exception):
+            pass
+
+        def capture(cs, cfg):
+            raise Rows(cs)
+
+        monkeypatch.setattr(lmwalk, "lm_round", capture)
+        rows = []
+        for quantize in (quantize_model, chain_quantize_model):
+            with pytest.raises(Rows) as caught:
+                quantize(teacher, 3, 16, "lmwalk", **kwargs)
+            rows.append([a.tobytes() for a in (caught.value.args[0].matrix,
+                                                caught.value.args[0].y)])
+        assert rows[0] == rows[1]
 
 
 class TestConfigValidation:

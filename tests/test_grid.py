@@ -365,6 +365,21 @@ class TestSerialization:
         assert many["n"] == 1720
         assert grid_from_record(many).n == 1720
 
+    @pytest.mark.parametrize("key, value", [
+        ("points", [["0x0p+0"], ["0x1p+0"]]),
+        ("points", [0.0, 1.0]),
+        ("points", ["0x1p+0", "one"]),
+        ("scales", [1.0]),
+        ("scales", None),
+    ], ids=["points-per-coordinate", "points-numbers", "points-not-hex", "scales-numbers",
+            "scales-none"])
+    def test_malformed_record_names_its_key(self, key, value):
+        # each raised a bare TypeError or ValueError from float.fromhex, naming no key
+        rec = (grid_to_record(explicit_grid([0.0, 1.0], n=2)) if key == "points"
+               else grid_to_record(build_block_scaling(np.ones(4), bits=3, groupsize=None)))
+        with pytest.raises(GridConfigError, match=f"'{key}'"):
+            grid_from_record({**rec, key: value})
+
     def test_invalid_configs(self):
         with pytest.raises(GridConfigError):
             explicit_grid([1.0, 1.0, 2.0], n=1)  # not strictly ascending

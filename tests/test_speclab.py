@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from discq.lmwalk import WalkConfig
-from discq.speclab import (SpectrumSpec, empirical_covariance,
+from discq.speclab import (SpectrumSpec, _ols_loglog, empirical_covariance,
                            falpha_scaling_study, generalization_study,
                            jl_spectrum, sample_gradients, schatten1_error)
+from discq.serialize import seeded_rng
 from discq.toymodel import (gradient_rows, random_model, sample_sequences,
                             train_to_convergence)
 
@@ -44,6 +45,36 @@ class TestSpectrumSpec:
 
     def test_numpy_int_n_accepted(self):
         assert SpectrumSpec(n=np.int64(8), alpha=2.0).eigenvalues().shape == (8,)
+
+    def test_basis_built_once_read_only(self):
+        spec = SpectrumSpec(n=16, alpha=2.0, basis="random-orthogonal", basis_seed=4)
+        q = spec.basis_matrix()
+        assert spec.basis_matrix() is q
+        assert not q.flags.writeable
+        assert q.tobytes() == fresh_basis(spec).tobytes()
+        assert SpectrumSpec(n=16, alpha=2.0).basis_matrix() is None
+
+    @pytest.mark.parametrize("basis", ["axis-aligned", "random-orthogonal"])
+    def test_studies_equal_a_basis_built_per_call(self, basis, monkeypatch):
+        spec = SpectrumSpec(n=128, alpha=2.0, basis=basis, basis_seed=2)
+        walk = WalkConfig(delta=0.05)
+        runs = {}
+        for label in ("cached", "per-call"):
+            if label == "per-call":
+                monkeypatch.setattr(SpectrumSpec, "basis_matrix", fresh_basis)
+            falpha = falpha_scaling_study(spec, [4, 8, 16, 32], trials=20, seed=5)
+            gen = generalization_study(spec, [1, 2, 4, 8], trials=2, walk_cfg=walk, seed=6)
+            runs[label] = [(r.means.tobytes(), r.medians.tobytes(), r.slope, r.stderr)
+                           for r in (falpha, gen)]
+        assert runs["cached"] == runs["per-call"]
+
+
+def fresh_basis(spec):
+    """The eigenbasis built anew, as every ``basis_matrix()`` call once did."""
+    if spec.basis == "axis-aligned":
+        return None
+    q, r = np.linalg.qr(seeded_rng(spec.basis_seed, 0x0B).standard_normal((spec.n, spec.n)))
+    return q * np.sign(np.diag(r))
 
 
 class TestSampling:
@@ -137,6 +168,31 @@ class TestSchatten1:
             schatten1_error(bad, np.zeros((2, 2)))
 
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("side", ["x", "sigma"])
+    def test_rejects_nonfinite(self, side, value):
+        # a NaN off the diagonal passed the symmetry test and returned nan;
+        # an inf tripped a numpy RuntimeWarning there
+        bad = np.eye(4)
+        bad[0, 1] = value
+        args = (bad, np.eye(4)) if side == "x" else (np.eye(4), bad)
+        with pytest.raises(ValueError, match="finite"):
+            schatten1_error(*args)
+
+
+class TestLogLogFit:
+    def test_nonfinite_mean_raises(self):
+        # the NaN point was dropped and the other three fitted (slope -0.643)
+        with pytest.raises(ValueError, match="non-finite mean"):
+            _ols_loglog([1, 2, 4, 8], [1.0, np.nan, 0.5, 0.25])
+        with pytest.raises(ValueError, match="non-finite mean"):
+            _ols_loglog([1, 2, 4, 8], [1.0, np.inf, 0.5, 0.25])
+
+    def test_zero_means_stay_excluded(self):
+        assert _ols_loglog([1, 2, 4, 8], [0.0, 1.0, 0.5, 0.25]) == \
+            _ols_loglog([2, 4, 8], [1.0, 0.5, 0.25])
+
+
 class TestFalphaScaling:
     def test_slope_shallow_decay_regime(self):
         # the m^(1-alpha) rate is tight only while m << n (the tail of the
@@ -206,6 +262,13 @@ class TestGeneralization:
 
 
 class TestJLSpectrum:
+    def test_list_projection_accepted(self):
+        # a list died with AttributeError: 'list' object has no attribute 'shape'
+        g = np.random.default_rng(3).standard_normal((20, 6))
+        proj = np.random.default_rng(4).standard_normal((3, 6))
+        assert (jl_spectrum(g, 3, projection=proj.tolist()).tobytes()
+                == jl_spectrum(g, 3, projection=proj).tobytes())
+
     def test_identity_projection_hook(self):
         spec = SpectrumSpec(n=24, alpha=2.0)
         grads = sample_gradients(spec, 200, seed=0)

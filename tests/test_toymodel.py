@@ -1,5 +1,7 @@
 """Toy model forward/gradient correctness against independent oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from discq.optim import AdamW
 from discq.toymodel import _backward, _forward, _per_row_grads
 
 from oracles import (AllocatingAdamW, add_at_backward, add_at_per_row_grads,
-                     allocating_forward, central_diff, direct_kl, loop_rows,
+                     allocating_forward, central_diff, direct_kl, keeping_kl_term, loop_rows,
                      per_position_sample)
 
 
@@ -163,6 +165,89 @@ class TestKL:
         with pytest.raises(ValueError):
             kl_term(random_model(seed=1), random_model(ToyArch(hidden=16), seed=1),
                     SampleBatch(np.zeros((1, 4), dtype=int)))
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes ``fn()`` holds at once, above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLeanPaths:
+    """The quantize ops' forms that skip what their callers drop: ``kl_term``
+    without a backward, ``gradient_rows`` as per-sequence means."""
+
+    @pytest.mark.parametrize("arch", [ToyArch(), ToyArch(layers=2, hidden=64)],
+                             ids=["layers1", "layers2"])
+    def test_kl_value_without_gradient_is_the_same(self, arch):
+        teacher = random_model(arch, seed=31)
+        student = teacher.with_params(teacher.params * 1.01)
+        batch = sample_sequences(teacher, 16, seed=32)
+        value, grad = kl_term(teacher, student, batch, gradient=False)
+        assert grad is None
+        assert np.float64(value).tobytes() == np.float64(kl_term(teacher, student,
+                                                                 batch)[0]).tobytes()
+
+    def test_kl_value_finite_check_stays(self):
+        teacher = random_model(seed=33)
+        student = teacher.with_params(np.full(teacher.arch.n_params, np.nan))
+        with pytest.raises(FloatingPointError, match="KL value"):
+            kl_term(teacher, student, sample_sequences(teacher, 2, seed=34), gradient=False)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_per_sequence_rows_are_the_reshaped_mean(self, data):
+        # hidden = 1 gives one-column bias blocks, whose own numpy mean sums pairwise
+        arch = ToyArch(vocab=data.draw(st.integers(2, 9)), context=data.draw(st.integers(1, 4)),
+                       hidden=data.draw(st.integers(1, 6)), emb=data.draw(st.integers(1, 4)),
+                       layers=data.draw(st.sampled_from([1, 2])))
+        model = random_model(arch, seed=data.draw(st.integers(0, 2 ** 16)),
+                             scale=data.draw(st.sampled_from([0.1, 1.0, 8.0])))
+        count, length = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 12))
+        batch = sample_sequences(model, count, length, seed=data.draw(st.integers(0, 2 ** 16)))
+        got = gradient_rows(model, batch, per_sequence=True)
+        ref = gradient_rows(model, batch).reshape(count, length, -1).mean(axis=1)
+        assert got.tobytes() == ref.tobytes()
+
+    def test_per_sequence_rejects_explicit_positions(self):
+        model = random_model(seed=35)
+        batch = SampleBatch(np.zeros((2, 3), dtype=int), positions=((0, 1, 2), (0, 1, 2)))
+        with pytest.raises(ValueError, match="per_sequence"):
+            gradient_rows(model, batch, per_sequence=True)
+
+    def test_per_sequence_rows_skip_the_per_row_matrix(self):
+        # the quantize_walk sizes: 48 sequences of 8 tokens
+        model = random_model(seed=36)
+        count, length = 48, 8
+        batch = sample_sequences(model, count, length, seed=37)
+        per_row = count * length * model.arch.n_params * 8
+        per_seq = count * model.arch.n_params * 8
+        lean = traced_peak(lambda: gradient_rows(model, batch, per_sequence=True))
+        full = traced_peak(
+            lambda: gradient_rows(model, batch).reshape(count, length, -1).mean(axis=1))
+        assert lean < per_row
+        # what the lean path holds instead: its per-sequence rows, and under
+        # 256 KiB of ufunc buffers (the in-place sums over strided blocks) and objects
+        assert full - lean >= per_row - per_seq - 2 ** 18
+
+    def test_kl_without_gradient_skips_the_backward(self):
+        # the held-out sizes: 256 sequences of 8 tokens
+        arch = ToyArch()
+        teacher = random_model(arch, seed=38)
+        student = teacher.with_params(teacher.params * 1.01)
+        batch = sample_sequences(teacher, 256, seed=39)
+        rows = batch.sequences.size
+        backward = 8 * (arch.n_params + rows * (2 * arch.hidden + arch.context * arch.emb))
+        value_only = traced_peak(lambda: kl_term(teacher, student, batch, gradient=False))
+        with_grad = traced_peak(lambda: kl_term(teacher, student, batch))
+        assert with_grad - value_only >= backward
+        # and the teacher's activations are gone before the student's pass
+        kept = traced_peak(lambda: keeping_kl_term(teacher, student, batch))
+        assert kept - with_grad >= 8 * rows * (arch.context * arch.emb + arch.hidden)
 
 
 class TestHessianQuadraticForm:
