@@ -29,8 +29,21 @@ definition above:
   recomputed from scratch.  The basis is refreshed when several
   coordinates freeze at once, when ``1 - bᵀ K b`` falls below
   ``_DOWNDATE_FLOOR`` (rank loss), every ``_REFRESH_EVERY`` downdates (to
-  bound drift), and at every freeze once ``free <= 2 k``, so saturation
-  (rank >= free) is always decided by the eigenvalue rank test.
+  bound drift), and at every freeze that leaves ``free <= k``.  Saturation
+  (rank >= free) can only begin at such a freeze, since a downdate keeps
+  k rows, so it is always decided by the eigenvalue rank test.  A freeze
+  that leaves ``free > k`` downdates (refreshing at every freeze from
+  ``free <= 2 k`` on decided nothing more and took 72 rather than 25
+  refreshes per ``quantize_walk`` benchmark op).
+* One step of the budget (``steps_per_phase``) is one full step
+  ``delta * g``.  A landing is charged the whole steps its screen took
+  before it plus the share ``t`` of its own step that it used, so the
+  budget counts motion, not freezes.  Charged a whole step, each landing
+  used up a step, so a phase froze at most ``steps_per_phase``
+  coordinates and ``lm_round`` could not halve more than
+  ``2 * steps_per_phase`` fractional ones (5000 at ``delta = 0.04``).  The
+  last draw takes ``ceil`` of the steps left, so a phase may overrun its
+  budget by under one step.
 * Raw Gaussian rows are drawn ``_BLOCK`` at a time, and a screen projects
   one or more of them together.  The first row that moves a coordinate
   toward a face it ends within ``eps`` of (or beyond) stops the screen, and that one step
@@ -259,7 +272,7 @@ class _KeptProjector:
         ``K`` follows by a Sherman–Morrison downdate unless a refresh is due."""
         # u = K b is taken before the last column moves into b's slot
         den = 0.0
-        if self._downdates < _REFRESH_EVERY and self.free.size > 2 * self.basis.shape[0] + 1:
+        if self._downdates < _REFRESH_EVERY and self.free.size > self.basis.shape[0] + 1:
             b = self.basis[:, j]
             u = self._k @ b
             den = 1.0 - float(b @ u)
@@ -290,7 +303,7 @@ def _run_phase(m_unit: Array, x: Array, frozen: Array, cfg: WalkConfig,
     with np.errstate(divide="ignore"):
         while steps_left > 0:
             if not raw.size:
-                raw = rng.standard_normal((min(_BLOCK, steps_left), free.size))
+                raw = rng.standard_normal((min(_BLOCK, math.ceil(steps_left)), free.size))
             # the first row that moves a coordinate toward a face it ends
             # within eps of (or beyond); a coordinate with g == 0 never counts
             if screen == 1:  # the row after a freeze, as a vector (module notes)
@@ -318,7 +331,7 @@ def _run_phase(m_unit: Array, x: Array, frozen: Array, cfg: WalkConfig,
             j = int(t_face.argmin())
             on_face = t_face == t_face[j]
             xf = cur + t_face[j] * s
-            steps_left -= k + 1
+            steps_left -= k + float(t_face[j])  # the part of step k it used
             raw, screen = raw[k + 1:], 1
             gone = j if np.count_nonzero(on_face) == 1 else on_face
             i = free[gone]  # a scalar when one lands

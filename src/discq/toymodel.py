@@ -19,11 +19,11 @@ Two options skip what the quantize ops would throw away.
 backward: held-out scoring uses it.  ``gradient_rows(..., per_sequence=True)``
 returns one mean gradient row per sequence, built one layout block at a time,
 so the (rows, n_params) matrix never exists: the walk's constraint rows use
-it.  At the default arch, held-out KL over 2048 rows then peaks at 3.1 MiB
-(tracemalloc, above its inputs): one forward's arrays (2 MiB), the teacher's
-log-probs and probs (0.5 MiB) and the buffer ``np.take`` fills embeddings
-through (0.5 MiB).  The walk's rows, 48 sequences of 8, peak at 4.5 MiB, 3 MiB
-of it the per-row outer products of ``w1``, the largest block.
+it.  At the default arch, held-out KL over 2048 rows then peaks at 2.7 MiB
+(tracemalloc, above its inputs): one forward's arrays (2 MiB) and the
+teacher's log-probs and probs (0.5 MiB).  The walk's rows, 48 sequences of
+8, peak at 4.5 MiB, 3 MiB of it the per-row outer products of ``w1``, the
+largest block.
 """
 
 from __future__ import annotations
@@ -216,6 +216,11 @@ def _forward(model: ToyModel, prefixes: Array, cache: dict | None = None) -> dic
     the cache, rounding as the allocating expression would.  ``views`` holds
     the model's weight views for the backward passes.
 
+    Tokens must already be in range: :meth:`SampleBatch.rows` and
+    :func:`_prefix_window` check them, and the sampler draws them in range.
+    The embedding lookup clips rather than checks, since ``np.take``'s
+    checking mode fills a buffer of the whole output before writing it.
+
     Without ``cache`` every array is new.  A cache an earlier call on the same
     model returned, for prefixes of the same shape, is rewritten in place and
     returned, its weight views kept: they see weights rewritten in place.
@@ -223,7 +228,7 @@ def _forward(model: ToyModel, prefixes: Array, cache: dict | None = None) -> dic
     if cache is None:
         cache = _new_cache(model, prefixes.shape[:-1])
     v, acts = cache["views"], cache["acts"]
-    np.take(v["embed"], prefixes, axis=0, out=acts[0].reshape(*prefixes.shape, -1))
+    np.take(v["embed"], prefixes, axis=0, out=acts[0].reshape(*prefixes.shape, -1), mode="clip")
     for (w, b), x, h in zip(_HIDDEN, acts, acts[1:]):
         np.matmul(x, v[w].T, out=h)
         h += v[b]

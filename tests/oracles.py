@@ -31,6 +31,7 @@ seeds and wiring byte for byte.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import scipy.linalg
@@ -276,11 +277,13 @@ def layerwise_from_q(incoherence, q: np.ndarray) -> np.ndarray:
 
 
 def _resolve_step(xf: np.ndarray, s: np.ndarray, eps: float):
-    """One proposed step ``xf -> xf + s`` against the face bands."""
+    """One proposed step ``xf -> xf + s`` against the face bands: the point it
+    reaches, the coordinates it lands on a face (None if none) and the share
+    ``t`` of the step taken to land."""
     prop = xf + s
     toward = ((s > 0) & (prop >= 1.0 - eps)) | ((s < 0) & (prop <= eps))
     if not np.any(toward):
-        return prop, None
+        return prop, None, 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         t_face = np.where(s > 0, (1.0 - xf) / s, np.where(s < 0, -xf / s, np.inf))
     t = float(t_face.min())
@@ -288,7 +291,7 @@ def _resolve_step(xf: np.ndarray, s: np.ndarray, eps: float):
     on_face = t_face == t
     landed[on_face & (s > 0)] = 1.0
     landed[on_face & (s < 0)] = 0.0
-    return landed, on_face
+    return landed, on_face, t
 
 
 def doubling_walk_phase(m_unit: np.ndarray, x: np.ndarray, frozen: np.ndarray,
@@ -314,15 +317,15 @@ def doubling_walk_phase(m_unit: np.ndarray, x: np.ndarray, frozen: np.ndarray,
     xf = x[free]
     steps_left, block = cfg.steps_per_phase, 8
     while steps_left > 0:
-        nsteps = min(block, steps_left)
+        nsteps = min(block, math.ceil(steps_left))
         moves = cfg.delta * proj.project(rng.standard_normal((nsteps, free.size)))
         path = xf + np.cumsum(moves, axis=0)
         in_band = (path <= cfg.eps) | (path >= 1.0 - cfg.eps)
         for k in np.flatnonzero(in_band.any(axis=1)):
-            landed, on_face = _resolve_step(path[k - 1] if k > 0 else xf, moves[k], cfg.eps)
+            landed, on_face, t = _resolve_step(path[k - 1] if k > 0 else xf, moves[k], cfg.eps)
             if on_face is None:
                 continue
-            steps_left -= int(k) + 1
+            steps_left -= int(k) + t
             x[free] = landed
             frozen[free[on_face]] = True
             proj.drop(on_face)
@@ -364,7 +367,7 @@ def block_walk_phase(m_unit: np.ndarray, x: np.ndarray, frozen: np.ndarray,
     with np.errstate(divide="ignore"):
         while steps_left > 0:
             if not raw.size:
-                raw = rng.standard_normal((min(_BLOCK, steps_left), free.size))
+                raw = rng.standard_normal((min(_BLOCK, math.ceil(steps_left)), free.size))
             rows = len(raw)
             g = proj.project(raw)
             path = partial_sums[:rows, :rows] @ g + xf
@@ -380,7 +383,7 @@ def block_walk_phase(m_unit: np.ndarray, x: np.ndarray, frozen: np.ndarray,
             j = int(t_face.argmin())
             on_face = t_face == t_face[j]
             xf = cur + t_face[j] * s
-            steps_left -= k + 1
+            steps_left -= k + float(t_face[j])
             raw = raw[k + 1:]
             gone = j if np.count_nonzero(on_face) == 1 else on_face
             x[free[gone]] = s[gone] > 0
@@ -417,7 +420,7 @@ def reference_walk_phase(m_unit: np.ndarray, x: np.ndarray, frozen: np.ndarray,
     with np.errstate(divide="ignore"):
         while steps_left > 0:
             if not raw.size:
-                raw = rng.standard_normal((min(_BLOCK, steps_left), free.size))
+                raw = rng.standard_normal((min(_BLOCK, math.ceil(steps_left)), free.size))
             g = proj.project(raw[:screen])
             rows = len(g)
             path = partial_sums[:rows, :rows] @ g + xf
@@ -433,7 +436,7 @@ def reference_walk_phase(m_unit: np.ndarray, x: np.ndarray, frozen: np.ndarray,
             j = int(t_face.argmin())
             on_face = t_face == t_face[j]
             xf = cur + t_face[j] * s
-            steps_left -= k + 1
+            steps_left -= k + float(t_face[j])
             raw, screen = raw[k + 1:], 1
             gone = j if np.count_nonzero(on_face) == 1 else on_face
             x[free[gone]] = s[gone] > 0

@@ -110,7 +110,7 @@ class TestKeptProjector:
 
     def test_gaussian_rows(self):
         # 160 columns at rank 4 give more single drops than one refresh
-        # interval before free <= 2k
+        # interval before free <= k
         rng = np.random.default_rng(20)
         for seed in range(3):
             ranks = self.drop_to_saturation(unit(rng.standard_normal((4, 160))), seed)
@@ -122,20 +122,60 @@ class TestKeptProjector:
             ranks = self.drop_to_saturation(cs.unit_rows(), seed)
             assert ranks[0][1] == 4
 
-    def test_rank_loss_while_downdating(self):
-        # a row on three columns leaves the row space once they are all
-        # frozen, which random drops mostly do long before free <= 2k: the
-        # downdate must detect the rank loss there
-        rng = np.random.default_rng(22)
+    @staticmethod
+    def rank_loss_rows(seed):
+        # rows of rank 4 until the three columns of the last row are frozen
+        rng = np.random.default_rng(seed)
         rows = rng.standard_normal((4, 120))
         rows[3] = 0.0
         rows[3, :3] = rng.standard_normal(3)
-        m_unit = unit(rows)
+        return unit(rows)
+
+    def test_rank_loss_while_downdating(self):
+        # a row on three columns leaves the row space once they are all
+        # frozen, which random drops mostly do long before free <= k: the
+        # downdate must detect the rank loss there
+        m_unit = self.rank_loss_rows(22)
         early_losses = 0
         for seed in range(3):
             ranks = self.drop_to_saturation(m_unit, seed)
             early_losses += any(k == 3 and free > 8 for free, k in ranks)
         assert early_losses >= 1
+
+    @pytest.mark.parametrize("make, ends", [
+        (lambda: unit(np.random.default_rng(23).standard_normal((4, 160))),
+         {"downdate", "interval", "endgame"}),
+        (lambda: rank_deficient_instance(96, seed=24).unit_rows(),
+         {"downdate", "interval", "endgame"}),
+        (lambda: TestKeptProjector.rank_loss_rows(22),
+         {"downdate", "interval", "floor", "endgame"}),
+    ], ids=["gaussian", "rank_deficient", "rank_loss"])
+    def test_refresh_only_where_a_rank_test_can_matter(self, make, ends):
+        # a single drop that leaves free > k downdates unless the interval is
+        # up or 1 - bᵀ K b is at the floor; one that leaves free <= k, where
+        # saturation can begin, refreshes, and saturated is the rank test
+        m_unit = make()
+        rng = np.random.default_rng(25)
+        proj = _KeptProjector(m_unit, np.arange(m_unit.shape[1]))
+        seen = set()
+        while not proj.saturated:
+            j = int(rng.integers(proj.free.size))
+            k, b = proj.basis.shape[0], proj.basis[:, j]
+            den = 1.0 - float(b @ (proj._k @ b))
+            interval = proj._downdates >= lmwalk._REFRESH_EVERY
+            proj.drop_one(j)
+            refreshed = proj._downdates == 0
+            if proj.free.size <= k:
+                assert refreshed
+                seen.add("endgame")
+            elif refreshed:
+                assert interval or den <= lmwalk._DOWNDATE_FLOOR, (proj.free.size, k, den)
+                seen.add("interval" if interval else "floor")
+            else:
+                seen.add("downdate")
+            rows = m_unit[:, proj.free]
+            assert proj.saturated == (_rowspace_basis(rows).shape[0] >= proj.free.size)
+        assert seen == ends
 
 
 class TestPhase:
@@ -235,6 +275,19 @@ class TestRound:
             assert cs.residual(res.x) <= 1e-6
             assert np.all(res.x >= 0) and np.all(res.x <= 1)
         assert failures == 0
+
+    def test_rounds_more_than_twice_the_step_budget(self):
+        # a landing is charged the share of its step it used; charged a whole
+        # step, a phase froze at most steps_per_phase = 400 coordinates, so no
+        # phase could halve n = 1024 and every attempt was thrown away
+        cfg = WalkConfig(delta=0.1, max_phases=20, seed=3)
+        for seed in range(3):
+            cs = random_instance(1024, 4, seed=60 + seed)
+            assert cs.n > 2 * cfg.steps_per_phase
+            res = lm_round(cs, cfg)
+            assert cs.residual(res.x) <= 1e-6
+            assert fractional_count(res.x) <= 16 * cs.m
+            assert max(res.accepted_freeze_counts) > cfg.steps_per_phase
 
     def test_vertex_input_returns_immediately(self):
         y = np.array([0.0, 1.0, 1.0, 0.0, 1.0] * 8)
@@ -459,12 +512,13 @@ class TestStepLaw:
     def test_matches_block_walk(self, make, steps):
         self.assert_same_law(block_walk_phase, make, steps, stream=3)
 
-    @pytest.mark.parametrize("steps", [5, 20, 50])
+    @pytest.mark.parametrize("steps", [5, 10, 20])
     def test_short_phase_pins_block_walk(self, steps):
         # the same raw rows in the same order, so on phases short enough that
         # round-off flips no freeze, the same coordinates freeze and x agrees
-        # to round-off; by 200 steps the two part, as the walk parts from
-        # itself when y moves by 1e-15
+        # to round-off; these budgets take 33, 53 and 81 landings.  By 50
+        # steps (150 landings) the two part, as the walk parts from itself
+        # when y moves by 1e-15
         cs = random_instance(1024, 8, seed=43)
         m_unit, frozen, cfg = cs.unit_rows(), np.zeros(cs.n, bool), WalkConfig(steps_per_phase=steps)
         phase = _run_phase(m_unit, cs.y, frozen, cfg, np.random.default_rng([4, steps]))
@@ -488,7 +542,7 @@ class TestReferenceWalk:
 
         def spy(proj, j):
             k = proj.basis.shape[0]
-            end = ("endgame" if proj.free.size <= 2 * k + 1 else
+            end = ("endgame" if proj.free.size <= k + 1 else
                    "interval" if proj._downdates >= lmwalk._REFRESH_EVERY else "floor")
             drop_one(proj, j)
             ends.append("downdate" if proj._downdates else end)

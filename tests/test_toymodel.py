@@ -249,6 +249,36 @@ class TestLeanPaths:
         kept = traced_peak(lambda: keeping_kl_term(teacher, student, batch))
         assert kept - with_grad >= 8 * rows * (arch.context * arch.emb + arch.hidden)
 
+    def test_kl_without_gradient_holds_one_forward_and_the_scores(self):
+        # the student's forward arrays and the teacher's log-probs and probs;
+        # a checking np.take added a 0.5 MiB buffer of the embeddings
+        arch = ToyArch()
+        teacher = random_model(arch, seed=40)
+        student = teacher.with_params(teacher.params * 1.01)
+        batch = sample_sequences(teacher, 256, seed=41)
+        rows = batch.sequences.size
+        forward = 8 * rows * (arch.context * arch.emb + arch.hidden + 4 * arch.vocab + 1)
+        scores = 8 * rows * 2 * arch.vocab
+        value_only = traced_peak(lambda: kl_term(teacher, student, batch, gradient=False))
+        assert value_only - forward - scores < 2 ** 18
+
+    @pytest.mark.parametrize("token", [-1, 16, 23], ids=["negative", "pad", "past_pad"])
+    def test_out_of_range_token_still_raises(self, token):
+        # the embedding lookup clips, so every entry point must check first
+        model = random_model(seed=42)
+        assert model.arch.vocab == 16
+        sequences = np.array([[1, 2, token, 3]])
+        with pytest.raises(ValueError, match="token out of range"):
+            kl_term(model, model, SampleBatch(sequences))
+        with pytest.raises(ValueError, match="token out of range"):
+            kl_term(model, model, SampleBatch(sequences), gradient=False)
+        with pytest.raises(ValueError, match="token out of range"):
+            gradient_rows(model, SampleBatch(sequences))
+        with pytest.raises(ValueError, match="token out of range"):
+            gradient_rows(model, SampleBatch(sequences), per_sequence=True)
+        with pytest.raises(ValueError, match="token out of range"):
+            forward_next_token(model, [1, token])
+
 
 class TestHessianQuadraticForm:
     def test_zero_direction(self):
