@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -17,7 +16,7 @@ from .incoherence import ModelIncoherence
 from .lmwalk import ConstraintSet, WalkConfig, _check_rows, lm_round
 from .pipeline import METHODS, quantize_model
 from .serialize import (AT_LEAST_1, AT_LEAST_2, NONNEGATIVE, Bound, _json_value, _type_hints,
-                        dump_record, floats_to_hex, seeded_rng)
+                        dump_record, floats_to_hex, load_record, seeded_rng)
 from .speclab import (SpectrumSpec, _check_falpha_args, _check_gen_m_grid,
                       _check_generalization_args, _check_m_grid, falpha_scaling_study,
                       generalization_study, jl_spectrum)
@@ -73,15 +72,15 @@ _seed, _count = _int_in(NONNEGATIVE), _int_in(AT_LEAST_1)
 
 
 def _checked(parser, command, *rules):
-    """``command`` behind ``rules``, each (flags, check) for flags that break a rule
-    together: a ``ValueError`` that ``check(args)`` raises exits naming ``flags``,
+    """``command`` behind ``rules``, each (flags, check) for a flag, or flags that break
+    a rule together: a ``ValueError`` that ``check(args)`` raises exits naming ``flags``,
     before any work, as a flag given a bad value does."""
     def run(args) -> int:
         for flags, check in rules:
             try:
                 check(args)
             except ValueError as err:
-                parser.error(f"arguments {flags}: {err}")
+                parser.error(f"{'arguments' if ',' in flags else 'argument'} {flags}: {err}")
         return command(args)
     return run
 
@@ -93,18 +92,27 @@ def _config(cls, args):
     return cls(**{f.name: given[f.name] for f in dataclasses.fields(cls) if f.name in given})
 
 
-def _cmd_run(args) -> int:
-    with open(args.config) as fh:
-        cfg = ExperimentConfig.from_dict(json.load(fh))
-    outdir = args.out or cfg.outdir
-    formats = args.format.split(",")
+def _outdir(path: str | None) -> str | None:
+    """``path``, unless it is given and names no directory (``ValueError``)."""
+    if path and not os.path.isdir(path):
+        raise ValueError(f"output directory {path!r} does not exist")
+    return path
+
+
+def _formats(text: str) -> list[str]:
+    """The comma-separated report formats in ``text``, each json or csv."""
+    formats = text.split(",")
     if not set(formats) <= {"json", "csv"}:
-        raise ValueError(f"--format takes json and csv, got {args.format!r}")
-    if outdir and not os.path.isdir(outdir):
-        raise ValueError(f"output directory {outdir!r} does not exist")
+        raise ValueError(f"takes json and csv, got {text!r}")
+    return formats
+
+
+def _cmd_run(args) -> int:
+    cfg = ExperimentConfig.from_dict(load_record(args.config))
+    outdir = args.out or _outdir(cfg.outdir)
     worker_count()
     report = run_experiment(cfg)
-    for fmt in formats:
+    for fmt in _formats(args.format):
         out = f"{outdir}/{cfg.experiment}.{fmt}" if outdir else f"{cfg.experiment}.{fmt}"
         emit(report, fmt, out)
         print(f"wrote {out}")
@@ -205,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--out", default=None, help="output directory (default: cwd)")
     p.add_argument("--format", default="json", help="comma-separated: json,csv")
-    p.set_defaults(fn=_cmd_run)
+    p.set_defaults(fn=_checked(p, _cmd_run, ("--out", lambda a: _outdir(a.out)),
+                               ("--format", lambda a: _formats(a.format))))
 
     # every other command takes a --seed and writes the one file --out names
     common = argparse.ArgumentParser(add_help=False)

@@ -10,6 +10,7 @@ byte (wall-clock time lives outside the rows).
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import os
 import time
@@ -374,7 +375,7 @@ def emit(report, fmt: str, path) -> None:
     """Write a report (or an already-parsed record dict) as JSON or CSV.
 
     JSON output is canonical: emitting a parsed record reproduces the bytes.
-    CSV holds the rows only, one line per row plus a header.
+    CSV holds the rows only: a header, then one record per row, quoted as needed.
     """
     record = report.to_record() if isinstance(report, Report) else report
     if fmt == "json":
@@ -382,19 +383,14 @@ def emit(report, fmt: str, path) -> None:
     elif fmt == "csv":
         rows = record["rows"]
         columns = list(rows[0].keys()) if rows else []
-        lines = [",".join(columns)] + [",".join(_csv_cell(row.get(c)) for c in columns)
-                                       for row in rows]
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows([_csv_cell(row.get(c)) for c in columns] for row in rows)
     else:
         raise ValueError(f"unknown format {fmt!r}")
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (list, tuple)):
-        return ";".join(str(v) for v in value)
-    return str(value)
+def _csv_cell(value):
+    """A list cell as its items joined by ``;``; any other cell as the csv module writes it."""
+    return ";".join(str(v) for v in value) if isinstance(value, (list, tuple)) else value

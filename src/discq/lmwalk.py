@@ -32,18 +32,13 @@ definition above:
   bound drift), and at every freeze that leaves ``free <= k``.  Saturation
   (rank >= free) can only begin at such a freeze, since a downdate keeps
   k rows, so it is always decided by the eigenvalue rank test.  A freeze
-  that leaves ``free > k`` downdates (refreshing at every freeze from
-  ``free <= 2 k`` on decided nothing more and took 72 rather than 25
-  refreshes per ``quantize_walk`` benchmark op).
+  that leaves ``free > k`` downdates.
 * One step of the budget (``steps_per_phase``) is one full step
   ``delta * g``.  A landing is charged the whole steps its screen took
   before it plus the share ``t`` of its own step that it used, so the
-  budget counts motion, not freezes.  Charged a whole step, each landing
-  used up a step, so a phase froze at most ``steps_per_phase``
-  coordinates and ``lm_round`` could not halve more than
-  ``2 * steps_per_phase`` fractional ones (5000 at ``delta = 0.04``).  The
-  last draw takes ``ceil`` of the steps left, so a phase may overrun its
-  budget by under one step.
+  budget counts motion, not freezes, and a phase may freeze more than
+  ``steps_per_phase`` coordinates.  The last draw takes ``ceil`` of the
+  steps left, so a phase may overrun its budget by under one step.
 * Raw Gaussian rows are drawn ``_BLOCK`` at a time, and a screen projects
   one or more of them together.  The first row that moves a coordinate
   toward a face it ends within ``eps`` of (or beyond) stops the screen, and that one step

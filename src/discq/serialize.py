@@ -91,21 +91,11 @@ def _split(hint):
     return hint, None
 
 
-@functools.cache
-def _fields(cls) -> tuple:
-    """(name, type, allowed values) of each field of the config class ``cls``."""
-    return tuple((name, *_split(hint)) for name, hint in _type_hints(cls).items())
-
-
 def _check_fields(config) -> None:
     """Check each field of the config dataclass ``config`` against its declared type,
     bound or choices, and store the value in that type's form (see :func:`_json_value`)."""
-    for name, kind, allowed in _fields(type(config)):
-        value = getattr(config, name)
-        if type(value) is not kind:
-            value = _json_value(name, value, kind)
-            object.__setattr__(config, name, value)
-        _check_value(name, value, allowed)
+    for name, hint in _type_hints(type(config)).items():
+        object.__setattr__(config, name, _json_value(name, getattr(config, name), hint))
 
 
 def _json_value(key: str, value, hint):

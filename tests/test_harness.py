@@ -1,5 +1,6 @@
 """Experiment configs, runners, deterministic emission, and the CLI."""
 
+import csv
 import json
 import os
 import re
@@ -328,6 +329,21 @@ class TestEmit:
         rec = load_record(tmp_path / "r.json")
         assert rec["schema_version"] == 1
         emit(report, "csv", tmp_path / "r.csv")  # csv keeps rows only
+
+    def test_csv_cells_read_back_as_written(self, tmp_path):
+        # cells joined with bare commas: a comma, quote or newline in a string
+        # cell shifted every later column of its row
+        rows = [{"seed": 1, "error": 'bad "x", then\nmore', "bits": [2, 3], "value": 0.1}]
+        path = tmp_path / "r.csv"
+        emit({"rows": rows}, "csv", path)
+        with open(path, newline="") as fh:
+            assert list(csv.reader(fh)) == [["seed", "error", "bits", "value"],
+                                            ["1", 'bad "x", then\nmore', "2;3", "0.1"]]
+
+    def test_csv_without_rows_is_one_empty_header(self, tmp_path):
+        path = tmp_path / "r.csv"
+        emit({"rows": []}, "csv", path)
+        assert path.read_bytes() == b"\n"
 
     def test_unwritable_path_raises(self, tmp_path):
         with pytest.raises(OSError):
@@ -708,14 +724,19 @@ class TestRunChecksInputs:
             return cli_main(["run", str(path), *flags])
         return run
 
-    def test_unknown_format(self, run, tmp_path):
-        with pytest.raises(ValueError, match="xml"):
+    def test_unknown_format(self, run, tmp_path, capsys):
+        with pytest.raises(SystemExit) as caught:
             run("--out", str(tmp_path), "--format", "json,xml")
-        assert not (tmp_path / "first_order.json").exists()
+        assert caught.value.code == 2
+        assert "argument --format: takes json and csv, got 'json,xml'" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]
 
-    def test_missing_out_directory(self, run, tmp_path):
-        with pytest.raises(ValueError, match="missing"):
+    def test_missing_out_directory(self, run, tmp_path, capsys):
+        with pytest.raises(SystemExit) as caught:
             run("--out", str(tmp_path / "missing"))
+        assert caught.value.code == 2
+        assert "argument --out: output directory" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]
 
     def test_missing_config_outdir(self, run, tmp_path):
         with pytest.raises(ValueError, match="missing"):
