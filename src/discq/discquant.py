@@ -62,6 +62,7 @@ from .toymodel import sample_sequences  # noqa: F401
 Array = np.ndarray
 
 STREAM_CHUNK = 128  # steps of the default stream sampled per pass
+SNAP_TAU = 1e-3  # x within this of 0 or 1 snaps there; others go to the nearer point
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ class DiscQuantConfig:
     iterations: Annotated[int, AT_LEAST_1] = 1024
     warmup: Annotated[int, NONNEGATIVE] = 128
     clamp: Annotated[float, POSITIVE] = 1.0  # inf means no clamp
-    tau: Annotated[float, BELOW_HALF] = 1e-3  # integrality report threshold, not a knob
+    tau: Annotated[float, BELOW_HALF] = SNAP_TAU  # integrality report threshold, not a knob
     lambda_on: Literal["linear", "kl"] = "kl"
     init: Literal["uniform-random", "original-weights"] = "uniform-random"
     seq_length: Annotated[int, AT_LEAST_1] = 8

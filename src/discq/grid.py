@@ -118,6 +118,8 @@ class QuantGrid:
 
     def points_for(self, j: int) -> Array:
         """Sorted representable values of coordinate j."""
+        if not 0 <= j < self.n:
+            raise IndexError(f"j = {j} is outside [0, {self.n})")
         if self.kind == "explicit":
             return self.points
         lmax = self.level_bound()

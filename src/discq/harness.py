@@ -384,9 +384,11 @@ def emit(report, fmt: str, path) -> None:
         rows = record["rows"]
         columns = list(rows[0].keys()) if rows else []
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            writer.writerows([_csv_cell(row.get(c)) for c in columns] for row in rows)
+            plain = csv.writer(fh, lineterminator="\n")
+            # the csv module quotes a cell for the "\n" ending its lines, not for a bare "\r"
+            quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+            for cells in [columns, *([_csv_cell(row.get(c)) for c in columns] for row in rows)]:
+                (quoted if any("\r" in str(c) for c in cells) else plain).writerow(cells)
     else:
         raise ValueError(f"unknown format {fmt!r}")
 

@@ -12,14 +12,13 @@ power; padded rows/columns are dropped again on the way back.  Block scales
 are always recomputed on the transformed weights (the transform changes the
 dynamic range, which is its entire purpose).
 
-Each transform is one dense product with its matrix, built once by the
-butterfly :func:`fwht` and cached; a model's blocks run theirs inline, with
+Each transform is one dense product with its matrix, built once from the
+Sylvester definition and cached; a model's blocks run theirs inline, with
 each block's matrices and scratch arrays looked up once per instance.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,37 +40,12 @@ def next_power_of_two(k: int) -> int:
     return out
 
 
-def fwht(a: Array, axis: int = -1) -> Array:
-    """Unnormalized fast Walsh-Hadamard transform along ``axis``.
-
-    The implied matrix is the Sylvester Hadamard matrix H_n, applied as the
-    O(n log n) butterfly: stage ``half`` = 1, 2, ..., n/2 views the axis as
-    pairs of ``half``-long runs (u, v) and stacks u + v above u - v.  It
-    builds :meth:`RHT.matrix`; the transport itself is a dense product.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    axis = range(a.ndim)[axis]
-    n = a.shape[axis]
-    if not is_power_of_two(n):
-        raise ValueError(f"transform length {n} is not a power of two")
-    if n == 1:
-        return a.copy()
-    before, after = math.prod(a.shape[:axis]), math.prod(a.shape[axis + 1:])
-    x, half = a, 1
-    while half < n:
-        s = x.reshape(before, n // (2 * half), 2, half, after)
-        x = np.stack((s[:, :, 0] + s[:, :, 1], s[:, :, 0] - s[:, :, 1]), axis=2)
-        half *= 2
-    return x.reshape(a.shape)
-
-
 @dataclass(frozen=True)
 class RHT:
     """Orthogonal transform (1/sqrt(dim)) * H_dim * diag(signs)."""
 
     dim: int
     signs: Array
-    seed: int = 0
 
     def __post_init__(self):
         if not is_power_of_two(self.dim):
@@ -85,13 +59,17 @@ class RHT:
     def from_seed(cls, dim: int, seed: int) -> "RHT":
         rng = seeded_rng(seed, 0x5147)
         signs = rng.integers(0, 2, size=dim) * 2.0 - 1.0
-        return cls(dim=dim, signs=signs, seed=int(seed))
+        return cls(dim=dim, signs=signs)
 
     def matrix(self) -> Array:
         """The dim x dim matrix, built once, cached on the instance and read-only."""
         m = self.__dict__.get("_matrix")
         if m is None:
-            m = fwht(np.diag(self.signs), axis=0) / np.sqrt(self.dim)
+            # H_dim by Sylvester doubling: exact +/-1 entries, so the division is the one rounding
+            h = np.ones((1, 1))
+            while len(h) < self.dim:
+                h = np.block([[h, h], [h, -h]])
+            m = h * self.signs / np.sqrt(self.dim)
             m.flags.writeable = False
             self.__dict__["_matrix"] = m
         return m

@@ -360,6 +360,9 @@ def lm_phase(cs: ConstraintSet, x_in, frozen, cfg: WalkConfig) -> PhaseResult:
     """
     x_in = np.asarray(x_in, dtype=np.float64)
     frozen = np.asarray(frozen, dtype=bool)
+    for name, v in (("x_in", x_in), ("frozen", frozen)):
+        if v.shape != (cs.n,):
+            raise ValueError(f"{name} must have shape ({cs.n},), got {v.shape}")
     if not np.all((x_in >= 0) & (x_in <= 1)):  # NaN fails both
         raise ValueError("x_in must lie in [0, 1]^n")
     if cs.residual(x_in) > 1e-8:

@@ -54,7 +54,7 @@ def _lmwalk(teacher, wq, qgrid, transform, opts):
     per_seq = np.stack([transform.grad_to_q(r) for r in per_seq])
     cs = lmwalk.ConstraintSet(per_seq * bracket.delta, bracket.position())
     result = lmwalk.lm_round(cs, opts["walk_cfg"])
-    return discquant.finalize(result.x, bracket, tau=1e-3), result.fractional
+    return discquant.finalize(result.x, bracket, tau=discquant.SNAP_TAU), result.fractional
 
 
 # Every rounder maps (teacher, q-space weights, grid, transform, opts) to

@@ -214,40 +214,6 @@ def _teacher_stream(teacher, cfg, mix: float = 0.0):
         yield from map(SampleBatch, np.split(chunk.sequences, k))
 
 
-def stack_fwht(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Walsh-Hadamard butterfly that restacks its halves at every stage."""
-    moved = np.moveaxis(np.asarray(a, dtype=np.float64), axis, -1).copy()
-    n = moved.shape[-1]
-    lead = moved.shape[:-1]
-    half = 1
-    while half < n:
-        v = moved.reshape(*lead, n // (2 * half), 2, half)
-        lo = v[..., 0, :] + v[..., 1, :]
-        hi = v[..., 0, :] - v[..., 1, :]
-        moved = np.stack((lo, hi), axis=-2).reshape(*lead, n)
-        half *= 2
-    return np.moveaxis(moved, -1, axis)
-
-
-def buffered_fwht(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Walsh-Hadamard butterfly into two ping-pong buffers viewed around the axis."""
-    a = np.asarray(a, dtype=np.float64)
-    axis = range(a.ndim)[axis]
-    n = a.shape[axis]
-    if n == 1:
-        return a.copy()
-    before, after = int(np.prod(a.shape[:axis])), int(np.prod(a.shape[axis + 1:]))
-    bufs = (np.empty(a.shape), np.empty(a.shape))
-    src, half, k = a, 1, 0
-    while half < n:
-        s = src.reshape(before, n // (2 * half), 2, half, after)
-        d = bufs[k].reshape(s.shape)
-        np.add(s[:, :, 0], s[:, :, 1], out=d[:, :, 0])
-        np.subtract(s[:, :, 0], s[:, :, 1], out=d[:, :, 1])
-        src, half, k = bufs[k], 2 * half, 1 - k
-    return src
-
-
 def layerwise_to_q(incoherence, w: np.ndarray) -> np.ndarray:
     """ModelIncoherence.to_q through transform_layer, block by block."""
     from discq.incoherence import transform_layer

@@ -41,6 +41,17 @@ class TestBlockScaling:
             assert 0.0 in pts
             np.testing.assert_allclose(pts, -pts[::-1])
 
+    def test_points_for_rejects_j_outside_the_grid(self):
+        # a negative j must not wrap round to the last coordinate, and an
+        # explicit grid, one point list for every coordinate, still checks j
+        grids = [build_block_scaling(np.array([0.9, -0.3, 0.1, 5.0]), bits=2, groupsize=2),
+                 explicit_grid([-1.0, 0.0, 1.0], n=5)]
+        for grid in grids:
+            for j in (-1, -7, grid.n, 99):
+                with pytest.raises(IndexError, match=f"j = {j} "):
+                    grid.points_for(j)
+            assert len(grid.points_for(grid.n - 1)) == 3 and len(grid.points_for(0)) == 3
+
     def test_short_last_group(self):
         grid = build_block_scaling(np.arange(1.0, 11.0), bits=2, groupsize=4)
         assert len(grid.scales) == 3

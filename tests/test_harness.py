@@ -340,6 +340,19 @@ class TestEmit:
             assert list(csv.reader(fh)) == [["seed", "error", "bits", "value"],
                                             ["1", 'bad "x", then\nmore', "2;3", "0.1"]]
 
+    def test_csv_cell_with_bare_carriage_return_reads_back(self, tmp_path):
+        # the csv module quotes a cell for the "\n" ending its lines but not for
+        # a bare "\r", which csv.reader then reads as the end of a record
+        rows = [{"seed": 1, "error": "x\ry", "value": 0.5},
+                {"seed": 2, "error": "ok", "value": None}]
+        path = tmp_path / "r.csv"
+        emit({"rows": rows}, "csv", path)
+        with open(path, newline="") as fh:
+            assert list(csv.reader(fh)) == [["seed", "error", "value"], ["1", "x\ry", "0.5"],
+                                            ["2", "ok", ""]]
+        # a row with no bare "\r" is written as before
+        assert path.read_bytes().endswith(b"\n2,ok,\n")
+
     def test_csv_without_rows_is_one_empty_header(self, tmp_path):
         path = tmp_path / "r.csv"
         emit({"rows": []}, "csv", path)

@@ -217,6 +217,19 @@ class TestPhase:
         with pytest.raises(ValueError):
             lm_phase(cs, cs.y, frozen_bad, WalkConfig(seed=0))
 
+    @pytest.mark.parametrize("m", [2, 0])
+    def test_wrong_length_inputs_rejected(self, m):
+        # each argument is named before any use of it; with m = 0 no constraint
+        # product reads x_in, so only the shape check can catch its length
+        cs = random_instance(16, m, seed=16) if m else ConstraintSet(np.zeros((0, 16)),
+                                                                     np.full(16, 0.5))
+        for x_in, frozen, name in [(cs.y[:15], np.zeros(16, bool), "x_in"),
+                                   (np.append(cs.y, 0.5), np.zeros(16, bool), "x_in"),
+                                   (cs.y, np.zeros(15, bool), "frozen"),
+                                   (cs.y, np.zeros((2, 16), bool), "frozen")]:
+            with pytest.raises(ValueError, match=f"^{name} must have shape \\(16,\\)"):
+                lm_phase(cs, x_in, frozen, WalkConfig(seed=0))
+
     def test_non_finite_x_in_rejected(self):
         # NaN passes both range comparisons and the residual test; it must be
         # refused before the walk, not reported as a non-finite iterate after
