@@ -135,6 +135,8 @@ def finalize(x, bracket: Bracket, tau: float) -> Array:
     Midpoint ties follow the grid tie rule (smaller-magnitude point wins).
     """
     x = np.asarray(x, dtype=np.float64)
+    if x.shape != (bracket.n,) or not np.all((x >= 0) & (x <= 1)):  # NaN fails both
+        raise ValueError(f"x must be a vector in [0, 1]^{bracket.n}, got shape {x.shape}")
     near_up = nearer_up(interp_weights(bracket, x), bracket.w_down, bracket.w_up)
     take_up = np.where(x >= 1.0 - tau, True, np.where(x <= tau, False, near_up))
     return np.where(take_up, bracket.w_up, bracket.w_down)

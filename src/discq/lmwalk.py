@@ -26,10 +26,10 @@ definition above:
   the row space of the remaining free columns, so this is the same
   orthogonal projection, exact up to round-off: Lovett–Meka
   (arXiv:1203.5747) need each step projected exactly, not the projector
-  recomputed from scratch.  The basis is refreshed when several
-  coordinates freeze at once, when ``1 - bᵀ K b`` falls below
-  ``_DOWNDATE_FLOOR`` (rank loss), every ``_REFRESH_EVERY`` downdates (to
-  bound drift), and at every freeze that leaves ``free <= k``.  Saturation
+  recomputed from scratch.  The basis is refreshed when ``1 - bᵀ K b``
+  falls below ``_DOWNDATE_FLOOR`` (rank loss), every ``_REFRESH_EVERY``
+  downdates (to bound drift), and at every freeze that leaves
+  ``free <= k``.  Saturation
   (rank >= free) can only begin at such a freeze, since a downdate keeps
   k rows, so it is always decided by the eigenvalue rank test.  A freeze
   that leaves ``free > k`` downdates.
@@ -67,13 +67,12 @@ definition above:
   a ``(1, f)`` screen's: numpy multiplies a one-row matrix and a vector by a
   matrix through the same BLAS vector product, and the ``(1, 1)`` partial
   sum is ``delta * g`` but for the sign of a zero step (``xf ± 0`` is ``xf``).
-* A single freeze (every freeze on the benchmark's walks) writes x and the
-  frozen flags at the landed index and moves the last free coordinate into
-  its slot (free set, basis, position and carried rows alike, each in
-  place); ``_KeptProjector.drop_one`` reads the frozen column for the
-  downdate before the move.  Several at once go through boolean masks and
-  a refresh (``drop``); an index does on one entry what a mask of one does,
-  so the bits match.
+* A freeze writes x and the frozen flag at the landed index and moves the
+  last free coordinate into its slot (free set, basis, position and carried
+  rows alike, each in place); ``_KeptProjector.drop_one`` reads the frozen
+  column for the downdate before the move.  Coordinates tied at the landing's
+  face time (a probability-zero event) land one by one through that same
+  path, last slot first, so no move shifts a tie that has not landed yet.
 """
 
 from __future__ import annotations
@@ -214,15 +213,10 @@ def _rowspace_basis(rows: Array) -> Array:
     return (evecs[:, keep] / np.sqrt(evals[keep])).T @ rows
 
 
-def _without(a: Array, gone) -> Array:
-    """``a`` without the last-axis entries ``gone``, an index or a boolean mask.
-
-    An index is removed by moving the last entry into its place.
-    """
-    if isinstance(gone, int):
-        a[..., gone] = a[..., -1]
-        return a[..., :-1]
-    return a[..., ~gone]
+def _without(a: Array, j: int) -> Array:
+    """``a`` without last-axis entry ``j``: the last entry moves into its place."""
+    a[..., j] = a[..., -1]
+    return a[..., :-1]
 
 
 class _KeptProjector:
@@ -231,7 +225,7 @@ class _KeptProjector:
     ``basis`` holds the k rows of the last refresh's orthonormal basis,
     restricted to the free columns, and ``_k`` the inverse of their Gram
     matrix; see the module notes for the downdate and the refresh triggers.
-    ``free`` is taken over, not copied: a single drop reorders it in place.
+    ``free`` is taken over, not copied: a drop reorders it in place.
     """
 
     def __init__(self, m_unit: Array, free: Array):
@@ -251,16 +245,6 @@ class _KeptProjector:
 
     def project(self, g: Array) -> Array:
         return g - ((g @ self.basis.T) @ self._k) @ self.basis
-
-    def drop(self, gone):
-        """Freeze the free coordinate at index ``gone`` (through :meth:`drop_one`), or
-        those a boolean mask selects, which refreshes the basis."""
-        if not isinstance(gone, int) and np.count_nonzero(gone) == 1:
-            gone = int(np.flatnonzero(gone)[0])
-        if isinstance(gone, int):
-            return self.drop_one(gone)
-        self.free, self.basis = _without(self.free, gone), _without(self.basis, gone)
-        self._refresh()
 
     def drop_one(self, j: int):
         """Freeze the free coordinate at index ``j``, moving the last one into its slot;
@@ -324,15 +308,15 @@ def _run_phase(m_unit: Array, x: Array, frozen: Array, cfg: WalkConfig,
             # coordinate to reach a face lands on it; |±0| / 0 is inf
             t_face = np.abs(((s > 0) - cur) / s)
             j = int(t_face.argmin())
-            on_face = t_face == t_face[j]
             xf = cur + t_face[j] * s
             steps_left -= k + float(t_face[j])  # the part of step k it used
             raw, screen = raw[k + 1:], 1
-            gone = j if np.count_nonzero(on_face) == 1 else on_face
-            i = free[gone]  # a scalar when one lands
-            x[i], frozen[i] = s[gone] > 0, True
-            xf, raw = _without(xf, gone), _without(raw, gone)
-            proj.drop(gone)
+            # ties land last slot first, so no move shifts one not yet landed
+            for j in (t_face == t_face[j]).nonzero()[0][::-1].tolist():
+                i = free[j]
+                x[i], frozen[i] = s[j] > 0, True
+                xf, raw = _without(xf, j), _without(raw, j)
+                proj.drop_one(j)
             free = proj.free
             if proj.saturated:
                 break
@@ -431,6 +415,8 @@ def walk_variance_probe(cs: ConstraintSet, cfg: WalkConfig, theta, trials: int) 
     if trials < 30:
         raise ValueError("need at least 30 trials")
     theta = np.asarray(theta, dtype=np.float64)
+    if theta.shape != (cs.n,) or not np.all(np.isfinite(theta)):
+        raise ValueError(f"theta must be a finite vector of shape ({cs.n},), got shape {theta.shape}")
     frozen0 = np.isin(cs.y, (0.0, 1.0))
     m_unit = cs.unit_rows()
     total = 0.0

@@ -255,6 +255,8 @@ def jl_spectrum(gradients: Array, d: int, seed: int = 0,
     explicitly to override (e.g. the identity as a test hook).
     """
     g = np.asarray(gradients, dtype=np.float64)
+    if g.ndim != 2 or not np.all(np.isfinite(g)):
+        raise ValueError(f"gradients must be a finite 2-D array, got shape {g.shape}")
     n = g.shape[1]
     if not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= {n}")

@@ -126,7 +126,7 @@ class SampleBatch:
     positions: tuple[tuple[int, ...], ...] | None = None  # default: every position
 
     def __post_init__(self):
-        seq = np.asarray(self.sequences, dtype=np.int64)
+        seq = _tokens(self.sequences, "tokens")
         if seq.ndim != 2 or seq.size == 0:
             raise ValueError("sequences must be a nonempty (count, length) array")
         object.__setattr__(self, "sequences", seq)
@@ -331,9 +331,17 @@ def _check_finite(value, what: str):
         raise FloatingPointError(f"non-finite {what}")
 
 
+def _tokens(values, what: str) -> Array:
+    """``values`` as int64; a float that is not a whole number is refused, not truncated."""
+    a = np.asarray(values)
+    if a.dtype.kind == "f" and not np.all(np.isfinite(a) & (a == np.floor(a))):
+        raise ValueError(f"non-integer {what}")
+    return a.astype(np.int64, copy=False)
+
+
 def _prefix_window(arch: ToyArch, prefix) -> Array:
     """Check a prefix of length <= context and left-pad it to one (1, context) row."""
-    prefix = np.asarray(prefix, dtype=np.int64).ravel()
+    prefix = _tokens(prefix, "tokens").ravel()
     if prefix.size > arch.context:
         raise ValueError(f"prefix longer than context {arch.context}")
     if prefix.size and (prefix.min() < 0 or prefix.max() >= arch.vocab):
@@ -444,9 +452,10 @@ def per_sample_grad(model: ToyModel, sample: tuple) -> Array:
     """Cross-entropy gradient for a single (prefix, target) sample."""
     prefix, target = sample
     window = _prefix_window(model.arch, prefix)
-    if not 0 <= int(target) < model.arch.vocab:
+    target = int(_tokens(target, "target"))
+    if not 0 <= target < model.arch.vocab:
         raise ValueError("target out of range")
-    cache, loss, dlogits = _ce_head(model, window, np.array([int(target)]))
+    cache, loss, dlogits = _ce_head(model, window, np.array([target]))
     _check_finite(loss, "loss")
     return _backward(model, cache, dlogits)
 

@@ -294,7 +294,8 @@ def doubling_walk_phase(m_unit: np.ndarray, x: np.ndarray, frozen: np.ndarray,
             steps_left -= int(k) + t
             x[free] = landed
             frozen[free[on_face]] = True
-            proj.drop(on_face)
+            for j in np.flatnonzero(on_face)[::-1].tolist():  # last slot first
+                proj.drop_one(j)
             free = proj.free
             xf = x[free]
             if proj.saturated:
@@ -347,15 +348,14 @@ def block_walk_phase(m_unit: np.ndarray, x: np.ndarray, frozen: np.ndarray,
             cur, s = (path[k - 1] if k else xf), delta * g[k]
             t_face = np.abs(((s > 0) - cur) / s)
             j = int(t_face.argmin())
-            on_face = t_face == t_face[j]
             xf = cur + t_face[j] * s
             steps_left -= k + float(t_face[j])
             raw = raw[k + 1:]
-            gone = j if np.count_nonzero(on_face) == 1 else on_face
-            x[free[gone]] = s[gone] > 0
-            frozen[free[gone]] = True
-            xf, raw = _without(xf, gone), _without(raw, gone)
-            proj.drop(gone)
+            for j in (t_face == t_face[j]).nonzero()[0][::-1].tolist():  # last slot first
+                x[free[j]] = s[j] > 0
+                frozen[free[j]] = True
+                xf, raw = _without(xf, j), _without(raw, j)
+                proj.drop_one(j)
             free = proj.free
             if proj.saturated:
                 break
@@ -400,15 +400,14 @@ def reference_walk_phase(m_unit: np.ndarray, x: np.ndarray, frozen: np.ndarray,
             cur, s = (path[k - 1] if k else xf), delta * g[k]
             t_face = np.abs(((s > 0) - cur) / s)
             j = int(t_face.argmin())
-            on_face = t_face == t_face[j]
             xf = cur + t_face[j] * s
             steps_left -= k + float(t_face[j])
             raw, screen = raw[k + 1:], 1
-            gone = j if np.count_nonzero(on_face) == 1 else on_face
-            x[free[gone]] = s[gone] > 0
-            frozen[free[gone]] = True
-            xf, raw = _without(xf, gone), _without(raw, gone)
-            proj.drop(gone)
+            for j in (t_face == t_face[j]).nonzero()[0][::-1].tolist():  # last slot first
+                x[free[j]] = s[j] > 0
+                frozen[free[j]] = True
+                xf, raw = _without(xf, j), _without(raw, j)
+                proj.drop_one(j)
             free = proj.free
             if proj.saturated:
                 break

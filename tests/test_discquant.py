@@ -88,6 +88,17 @@ class TestFinalize:
         out = finalize(np.array([0.5]), br, tau=1e-3)
         assert out[0] == 0.3  # smaller magnitude
 
+    @pytest.mark.parametrize("x", [np.full(8, np.nan), 7.0, np.full(7, 0.5), np.full(8, -0.1),
+                                   np.full((2, 8), 0.5)],
+                             ids=["nan", "scalar", "short", "below", "2d"])
+    def test_x_outside_the_cube_rejected(self, x):
+        # all-NaN x snapped every coordinate down, x = 7.0 snapped up, and a
+        # short x died in a numpy broadcast
+        w = np.random.default_rng(4).standard_normal(8)
+        br = bracket_of(w, build_block_scaling(w, bits=3, groupsize=8))
+        with pytest.raises(ValueError, match=r"x must be a vector in \[0, 1\]\^8"):
+            finalize(x, br, tau=1e-3)
+
 
 def tiny_cfg(**over):
     base = dict(iterations=60, warmup=10, batch_size=2, seq_length=6)

@@ -1,6 +1,7 @@
 """Constrained-walk behavior: projection, freezing, integrality, variance."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -87,20 +88,17 @@ class TestKeptProjector:
 
     @staticmethod
     def drop_to_saturation(m_unit, seed):
-        # single drops run the downdate, multi-column drops force a refresh;
-        # every drop is checked until the projector reports saturation.  Every
-        # other single drop goes to drop_one by index, the rest to drop by mask
+        # columns drop singly or in groups of two to four, a group highest slot
+        # first as the walk lands ties; the projector is checked after every
+        # group until it reports saturation
         rng = np.random.default_rng(seed)
         proj = _KeptProjector(m_unit, np.arange(m_unit.shape[1]))
         ranks = [(proj.free.size, proj.basis.shape[0])]
         while not proj.saturated:
             size = 1 if rng.random() < 0.8 else int(rng.integers(2, 5))
-            gone = np.zeros(proj.free.size, bool)
-            gone[rng.choice(proj.free.size, min(size, proj.free.size), replace=False)] = True
-            if np.count_nonzero(gone) == 1 and len(ranks) % 2:
-                proj.drop_one(int(np.flatnonzero(gone)[0]))
-            else:
-                proj.drop(gone)
+            gone = rng.choice(proj.free.size, min(size, proj.free.size), replace=False)
+            for j in sorted(gone.tolist(), reverse=True):
+                proj.drop_one(j)
             rows = m_unit[:, proj.free]
             np.testing.assert_allclose(proj.project(np.eye(proj.free.size)),
                                        gram_schmidt_projector(rows), atol=1e-10)
@@ -241,7 +239,7 @@ class TestPhase:
 
     def test_tied_coordinates_freeze_together(self):
         # equal positions and equal steps reach their face at the same time,
-        # so both freeze in one event (the several-at-once path)
+        # so both freeze in one landing
         class TwinColumns:
             rng = np.random.default_rng(15)
 
@@ -453,6 +451,16 @@ class TestVarianceProbe:
         with pytest.raises(ValueError):
             walk_variance_probe(cs, WalkConfig(seed=0), np.ones(16), trials=10)
 
+    @pytest.mark.parametrize("theta", [np.ones(15), np.ones((2, 16)), np.full(16, np.nan)],
+                             ids=["short", "2d", "nan"])
+    def test_bad_theta_rejected_before_any_phase(self, monkeypatch, theta):
+        # a wrong length failed in a matmul after a whole phase, and a NaN theta
+        # returned nan after every trial
+        monkeypatch.setattr(lmwalk, "_run_phase", None)  # no phase may run
+        cs = random_instance(16, 1, seed=10)
+        with pytest.raises(ValueError, match=r"theta must be a finite vector of shape \(16,\)"):
+            walk_variance_probe(cs, WalkConfig(seed=0), theta, trials=30)
+
     @pytest.mark.parametrize("spoil", [
         lambda x: np.full_like(x, np.nan),
         lambda x: x + 1e-3,  # off the constraints by far more than the limit
@@ -598,6 +606,23 @@ class TestReferenceWalk:
                                       lambda: np.random.default_rng(5), monkeypatch)
         assert "endgame" in seen
 
+    @staticmethod
+    def landings(monkeypatch) -> list:
+        """Spy that groups the coordinates each landing drops: no projection
+        runs between the drops of one landing."""
+        events = []
+        project, drop_one = _KeptProjector.project, _KeptProjector.drop_one
+        monkeypatch.setattr(_KeptProjector, "project",
+                            lambda proj, g: events.append(None) or project(proj, g))
+        monkeypatch.setattr(_KeptProjector, "drop_one",
+                            lambda proj, j: events.append(int(proj.free[j])) or drop_one(proj, j))
+        return events
+
+    @staticmethod
+    def grouped(events) -> list[list[int]]:
+        return [list(g) for is_projection, g in itertools.groupby(events, lambda e: e is None)
+                if not is_projection]
+
     def test_tied_coordinates(self, monkeypatch):
         # the twin-column draws of TestPhase: coordinates 0 and 1 land together
         class TwinColumns:
@@ -610,12 +635,27 @@ class TestReferenceWalk:
                 return g
 
         cs = ConstraintSet(np.zeros((0, 6)), np.array([0.5, 0.5, 0.3, 0.7, 0.6, 0.2]))
-        dropped = []
-        drop = _KeptProjector.drop
-        monkeypatch.setattr(_KeptProjector, "drop",
-                            lambda proj, gone: dropped.append(gone) or drop(proj, gone))
+        events = self.landings(monkeypatch)
         self.assert_same_phase(cs, WalkConfig(steps_per_phase=20000), TwinColumns, monkeypatch)
-        assert any(not isinstance(gone, int) and np.count_nonzero(gone) == 2 for gone in dropped)
+        assert [1, 0] in self.grouped(events)
+
+    def test_three_way_tie_through_the_last_slot(self, monkeypatch):
+        # identical columns from one point: all three coordinates reach a face
+        # in one landing, the last free slot among them; landed first slot
+        # first, the third drop would index past the shrunk free set
+        class SameColumns:
+            def __init__(self):
+                self.rng = np.random.default_rng(16)
+
+            def standard_normal(self, shape):
+                return np.repeat(self.rng.standard_normal((shape[0], 1)), shape[1], axis=1)
+
+        cs = ConstraintSet(np.zeros((0, 3)), np.full(3, 0.5))
+        events = self.landings(monkeypatch)
+        self.assert_same_phase(cs, WalkConfig(), SameColumns, monkeypatch)
+        new = _run_phase(cs.unit_rows(), cs.y, np.zeros(3, bool), WalkConfig(), SameColumns())
+        assert new.frozen.all() and new.x[0] in (0.0, 1.0) and np.all(new.x == new.x[0])
+        assert self.grouped(events) == [[2, 1, 0]] * 3
 
     @pytest.mark.parametrize("steps", [37, 150])
     def test_short_budget(self, steps, monkeypatch):

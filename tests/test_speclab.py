@@ -302,3 +302,14 @@ class TestJLSpectrum:
         grads = np.zeros((10, 8))
         with pytest.raises(ValueError):
             jl_spectrum(grads, d=9)
+
+    @pytest.mark.parametrize("bad", ["1d", "nan", "inf"])
+    def test_gradients_not_a_finite_matrix_rejected(self, bad):
+        # 1-D input raised IndexError; NaN or inf input returned [nan nan]
+        grads = np.random.default_rng(5).standard_normal((10, 8))
+        if bad == "1d":
+            grads = grads[0]
+        else:
+            grads[3, 2] = np.nan if bad == "nan" else np.inf
+        with pytest.raises(ValueError, match="gradients must be a finite 2-D array"):
+            jl_spectrum(grads, d=2)

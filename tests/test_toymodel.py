@@ -279,6 +279,23 @@ class TestLeanPaths:
         with pytest.raises(ValueError, match="token out of range"):
             forward_next_token(model, [1, token])
 
+    def test_non_integer_tokens_rejected(self):
+        # a float token was truncated (1.7 read as 1) and NaN cast to garbage
+        model = random_model(seed=43)
+        for bad in ([[1.7, 2.2]], [[1.0, np.nan]], [[np.inf, 2.0]]):
+            with pytest.raises(ValueError, match="non-integer tokens"):
+                SampleBatch(bad)
+        with pytest.raises(ValueError, match="non-integer tokens"):
+            forward_next_token(model, [1.9])
+        with pytest.raises(ValueError, match="non-integer target"):
+            per_sample_grad(model, ([1], 2.7))
+        # whole numbers keep their bytes, whatever their dtype
+        np.testing.assert_array_equal(SampleBatch([[1.0, 2.0]]).sequences, [[1, 2]])
+        assert (forward_next_token(model, [1.0]).tobytes()
+                == forward_next_token(model, [1]).tobytes())
+        assert (per_sample_grad(model, ([1], 2.0)).tobytes()
+                == per_sample_grad(model, ([1], 2)).tobytes())
+
 
 class TestHessianQuadraticForm:
     def test_zero_direction(self):
